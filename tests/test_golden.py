@@ -1,0 +1,125 @@
+"""Golden CLI outputs: every case reproduces its pinned bytes exactly.
+
+Each case runs ``cli.main(argv)`` in process and compares its exit code,
+stdout, stderr and (for ``--out``) the written file with the files in
+``tests/golden/``; a missing golden file stands for an empty stream.
+
+Regenerate only when an output change is intended, and review the diff:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import pathlib
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from kohncount.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+FORMATS = ("text", "csv", "json")
+OUT = "{out}"  # replaced by a temporary file path
+
+
+def _cases() -> dict[str, tuple[list[str], int]]:
+    cases = {}
+    for fmt in FORMATS:
+        for conv in ("paper", "full"):
+            cases[f"spectrum-n3-{conv}-{fmt}"] = [
+                "spectrum", "--n", "3", "--lambda-max", "300",
+                "--convention", conv, "--format", fmt,
+            ]
+            cases[f"count-n3-{conv}-{fmt}"] = [
+                "count", "--n", "3", "--lambda", "123456.5",
+                "--convention", conv, "--format", fmt,
+            ]
+        for norm in ("paper-text", "conventional"):
+            cases[f"weyl-n3-{norm}-{fmt}"] = [
+                "weyl", "--n", "3", "--normalization", norm, "--format", fmt,
+            ]
+    for n in (2, 5):
+        for conv in ("paper", "full"):
+            cases[f"spectrum-n{n}-{conv}-text"] = [
+                "spectrum", "--n", str(n), "--lambda-max", "300", "--convention", conv,
+            ]
+    for fmt in ("text", "json"):
+        cases[f"count-n3-workers2-{fmt}"] = [
+            "count", "--n", "3", "--lambda", "60000", "--workers", "2", "--format", fmt,
+        ]
+    n_cycle = iter([2, 3, 4, 5] * 9)
+    for method in ("closed", "series", "empirical", "all"):
+        for fmt in FORMATS:
+            for conv in ("paper", "full", "both"):
+                n = next(n_cycle)
+                cases[f"coeff-{method}-n{n}-{conv}-{fmt}"] = [
+                    "coeff", "--n", str(n), "--method", method, "--convention", conv,
+                    "--format", fmt, "--lambda", "4096",
+                ]
+    for n in (3, 5):
+        # lambda^n and the count are not exact floats here, unlike at 4096
+        cases[f"coeff-empirical-n{n}-both-text-lambda99999.5"] = [
+            "coeff", "--n", str(n), "--method", "empirical", "--lambda", "99999.5",
+        ]
+    cases["converge-n2-geometric"] = [
+        "converge", "--n", "2", "--lambdas", "256:65536:x4", "--convention", "full",
+    ]
+    cases["converge-n3-list"] = [
+        "converge", "--n", "3", "--lambdas", "100,1000,5000.5", "--convention", "paper",
+    ]
+    cases["spectrum-n4-out-csv"] = [
+        "spectrum", "--n", "4", "--lambda-max", "120", "--format", "csv", "--out", OUT,
+    ]
+    cases = {key: (argv, 0) for key, argv in cases.items()}
+    cases["exit2-count-n1"] = (["count", "--n", "1", "--lambda", "4"], 2)
+    cases["exit3-series-eps"] = (
+        ["coeff", "--n", "2", "--method", "series", "--eps", "1e-100"], 3,
+    )
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(argv: list[str], tmp_dir: pathlib.Path) -> tuple[int, dict[str, str]]:
+    """Exit code and the text of each stream: stdout, stderr and the --out file."""
+    out_path = tmp_dir / "out"
+    argv = [str(out_path) if arg == OUT else arg for arg in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        rc = main(argv)
+    streams = {"stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+    streams["file"] = out_path.read_text() if out_path.exists() else ""
+    return rc, streams
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output(case, tmp_path):
+    argv, expected_rc = CASES[case]
+    rc, streams = run_case(argv, tmp_path)
+    assert rc == expected_rc
+    for stream, text in streams.items():
+        path = GOLDEN / f"{case}.{stream}"
+        expected = path.read_bytes() if path.exists() else b""
+        assert text.encode() == expected, f"{case}: {stream} differs from {path.name}"
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for old in GOLDEN.iterdir():
+        old.unlink()
+    for case, (argv, expected_rc) in sorted(CASES.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            rc, streams = run_case(argv, pathlib.Path(tmp))
+        if rc != expected_rc:
+            raise SystemExit(f"{case}: exit {rc}, expected {expected_rc}")
+        for stream, text in streams.items():
+            if text:
+                (GOLDEN / f"{case}.{stream}").write_bytes(text.encode())
+
+
+if __name__ == "__main__":
+    regenerate()
+    sys.exit(0)
