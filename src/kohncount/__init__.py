@@ -1,48 +1,7 @@
-"""Exact spectrum and Weyl-type asymptotics of the Kohn Laplacian on S^{2n-1}."""
+"""Exact spectrum and Weyl-type asymptotics of the Kohn Laplacian on S^{2n-1}.
 
-from .exact import (
-    PiPolynomial,
-    Rational,
-    ball_volume_even,
-    bernoulli,
-    binomial,
-    hockey_stick_sum,
-    parse_pi_string,
-    pipoly_eval,
-    stirling_first_signed,
-    stirling_first_unsigned,
-    zeta_even,
-)
-from .spectrum import (
-    CountingConvention,
-    CountingResult,
-    SpectrumEntry,
-    count_M,
-    count_N,
-    delta_M,
-    eigenvalue,
-    f_value,
-    hpq_dim,
-    read_spectrum_csv,
-    spectrum_table,
-    write_spectrum_csv,
-)
-from .asymptotics import (
-    CoefficientReport,
-    PrecisionUnattainableError,
-    ProfileSample,
-    RemainderProfile,
-    empirical_ratio,
-    empirical_report,
-    h_poly,
-    h_polynomial_coeffs,
-    leading_coefficient_closed,
-    leading_coefficient_series,
-    lemma_ratio,
-    remainder_profile,
-    report_from_record,
-    report_to_record,
-    weyl_ball_constant,
-)
+Import from the submodules: ``kohncount.exact``, ``kohncount.spectrum``,
+``kohncount.asymptotics`` and ``kohncount.cli``.
+"""
 
 __version__ = "0.1.0"

@@ -20,9 +20,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO
-
-import mpmath
+from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 from .exact import (
     PiPolynomial,
@@ -34,6 +32,9 @@ from .exact import (
     zeta_even,
 )
 from .spectrum import CountingConvention, count_N, validate_sphere_n
+
+if TYPE_CHECKING:
+    import mpmath
 
 __all__ = [
     "CoefficientReport",
@@ -237,6 +238,8 @@ def leading_coefficient_series(
     validate_sphere_n(n)
     if eps <= 0:
         raise ValueError("eps must be > 0")
+    if not math.isfinite(eps):
+        raise ValueError("eps must be finite")
     a = _inverse_power_coeffs(n)
     scale = closed_scale(n)
     target = Fraction(eps) * scale
@@ -256,6 +259,8 @@ def leading_coefficient_series(
     need_dps = 1 + max(0, -_floor_log10(denom))
     dps = max(digits + 10, need_dps)
     rounding = sum_bound * (3 * K + 10) * Fraction(10) ** (1 - dps)
+
+    import mpmath
 
     with mpmath.workdps(dps):
         partial = mpmath.mpf(0)
@@ -294,6 +299,8 @@ def _floor_log10(x: Fraction) -> int:
 
 
 def _to_mpf(x: Fraction) -> mpmath.mpf:
+    import mpmath
+
     return mpmath.mpf(x.numerator) / x.denominator
 
 
@@ -339,7 +346,7 @@ def empirical_ratio(
     validate_sphere_n(n)
     if lam < 2:
         raise ValueError("lambda must be >= 2")
-    return count_N(n, lam, conv, workers=workers).count / lam**n
+    return count_N(n, lam, conv, workers=workers) / lam**n
 
 
 def empirical_report(
@@ -352,6 +359,8 @@ def empirical_report(
     """Empirical coefficient with a half-lambda self-consistency heuristic."""
     ratio = empirical_ratio(n, lam, conv, workers=workers)
     ratio_half = empirical_ratio(n, max(lam / 2, 2.0), conv, workers=workers)
+    import mpmath
+
     with mpmath.workdps(digits + 10):
         value = mpmath.mpf(ratio)
     return CoefficientReport(
@@ -387,9 +396,11 @@ def remainder_profile(
         raise ValueError("lambdas must be ascending")
     closed = leading_coefficient_closed(n, conv, digits=digits)
     samples = []
+    import mpmath
+
     with mpmath.workdps(digits + 10):
         for lam in lambdas:
-            count = count_N(n, lam, conv).count
+            count = count_N(n, lam, conv)
             residual = float(count - closed.value * mpmath.mpf(lam) ** n)
             normalized = residual / (lam ** (n - 1) * math.log(lam))
             samples.append(
@@ -439,6 +450,8 @@ def lemma_ratio(a: int, b: int, y: float) -> float:
 
 
 def report_to_record(report: CoefficientReport) -> dict:
+    import mpmath
+
     record = {
         "n": report.n,
         "convention": report.convention.value,
@@ -458,6 +471,8 @@ def report_to_record(report: CoefficientReport) -> dict:
 
 
 def report_from_record(record: dict) -> CoefficientReport:
+    import mpmath
+
     digits = int(record["digits"])
     with mpmath.workdps(digits + 10):
         value = mpmath.mpf(record["value"])

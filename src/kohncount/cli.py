@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
+import math
 import sys
 from fractions import Fraction
-
-import mpmath
 
 from . import asymptotics, spectrum
 from .asymptotics import (
@@ -123,6 +123,8 @@ def parse_lambda_spec(spec: str) -> list[float]:
             raise ValueError(f"malformed lambda range {spec!r}")
         start, stop = float(parts[0]), float(parts[1])
         step = parts[2].strip()
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError(f"lambda range {spec!r} must be finite")
         if start <= 0 or stop < start or not step:
             raise ValueError(f"malformed lambda range {spec!r}")
         values = []
@@ -154,12 +156,25 @@ def _conventions(name: str) -> list[CountingConvention]:
     return [CountingConvention.from_name(name)]
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None) -> int:
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w") as fh:
             fh.write(text)
+    return 0
+
+
+def _csv(header: list[str], rows, out: str | None) -> int:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return _emit(buf.getvalue(), out)
+
+
+def _json(payload: dict, out: str | None) -> int:
+    return _emit(json.dumps(payload, indent=2) + "\n", out)
 
 
 def _factored_string(report: CoefficientReport) -> str:
@@ -168,16 +183,16 @@ def _factored_string(report: CoefficientReport) -> str:
     return f"1/{scale} * ({inner.to_string()})"
 
 
-def _report_text(report: CoefficientReport) -> str:
+def _report_text(report: CoefficientReport, record: dict) -> str:
     lines = [
         f"n = {report.n}",
         f"convention = {report.convention.value}",
         f"method = {report.method}",
     ]
     if report.exact is not None:
-        lines.append(f"exact = {report.exact.to_string()}")
+        lines.append(f"exact = {record['exact']}")
         lines.append(f"factored = {_factored_string(report)}")
-    lines.append(f"value = {mpmath.nstr(report.value, report.digits, strip_zeros=False)}")
+    lines.append(f"value = {record['value']}")
     lines.append(f"error_bound = {report.error_bound!r}")
     if report.truncation_K is not None:
         lines.append(f"K = {report.truncation_K}")
@@ -189,59 +204,40 @@ def _report_text(report: CoefficientReport) -> str:
 def cmd_spectrum(args) -> int:
     conv = CountingConvention.from_name(args.convention)
     entries = spectrum.spectrum_table(args.n, args.lambda_max, conv)
-    if args.format == "csv":
-        buf = io.StringIO()
-        spectrum.write_spectrum_csv(entries, buf)
-        _emit(buf.getvalue(), args.out)
-    elif args.format == "json":
-        cumulative = 0
-        rows = []
-        for e in entries:
-            cumulative += e.multiplicity
-            rows.append(
-                {
-                    "eigenvalue": e.eigenvalue,
-                    "multiplicity": e.multiplicity,
-                    "cumulative": cumulative,
-                }
-            )
+    if args.format == "json":
+        cumulative = itertools.accumulate(e.multiplicity for e in entries)
         payload = {
             "n": args.n,
             "convention": conv.value,
             "lambda_max": args.lambda_max,
-            "entries": rows,
+            "entries": [
+                dict(eigenvalue=e.eigenvalue, multiplicity=e.multiplicity, cumulative=c)
+                for e, c in zip(entries, cumulative)
+            ],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = ["eigenvalue multiplicity cumulative"]
-        cumulative = 0
-        for e in entries:
-            cumulative += e.multiplicity
-            lines.append(f"{e.eigenvalue} {e.multiplicity} {cumulative}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return _json(payload, args.out)
+    # the text table is the csv file with spaces for commas
+    buf = io.StringIO()
+    delimiter = "," if args.format == "csv" else " "
+    spectrum.write_spectrum_csv(entries, buf, delimiter=delimiter)
+    return _emit(buf.getvalue(), args.out)
 
 
 def cmd_count(args) -> int:
     conv = CountingConvention.from_name(args.convention)
-    result = spectrum.count_N(args.n, args.lam, conv, workers=args.workers)
+    count = spectrum.count_N(args.n, args.lam, conv, workers=args.workers)
     if args.format == "json":
         payload = {
             "n": args.n,
             "lambda": args.lam,
             "convention": conv.value,
-            "count": result.count,
+            "count": count,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "lambda", "convention", "count"])
-        writer.writerow([args.n, repr(args.lam), conv.value, result.count])
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit(f"{result.count}\n", args.out)
-    return 0
+        return _json(payload, args.out)
+    if args.format == "csv":
+        row = [args.n, repr(args.lam), conv.value, count]
+        return _csv(["n", "lambda", "convention", "count"], [row], args.out)
+    return _emit(f"{count}\n", args.out)
 
 
 def _coeff_reports(args, conv: CountingConvention) -> list[CoefficientReport]:
@@ -281,30 +277,19 @@ def cmd_coeff(args) -> int:
             for r2 in reports[i + 1 :]:
                 key = f"{conv.value}:{r1.method}_vs_{r2.method}"
                 gaps[key] = abs(float(r1.value) - float(r2.value))
+    records = [report_to_record(r) for r in all_reports]
     if args.format == "json":
-        payload = {
-            "reports": [report_to_record(r) for r in all_reports],
-            "gaps": gaps,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(COEFF_CSV_FIELDS)
-        for r in all_reports:
-            record = report_to_record(r)
-            writer.writerow(
-                ["" if record.get(f) is None else record.get(f, "") for f in COEFF_CSV_FIELDS]
-            )
-        _emit(buf.getvalue(), args.out)
-    else:
-        blocks = [_report_text(r) for r in all_reports]
-        gap_lines = [f"gap {key} = {value!r}" for key, value in gaps.items()]
-        text = "\n\n".join(blocks)
-        if gap_lines:
-            text += "\n\n" + "\n".join(gap_lines)
-        _emit(text + "\n", args.out)
-    return 0
+        return _json({"reports": records, "gaps": gaps}, args.out)
+    if args.format == "csv":
+        rows = [
+            ["" if record.get(f) is None else record[f] for f in COEFF_CSV_FIELDS]
+            for record in records
+        ]
+        return _csv(COEFF_CSV_FIELDS, rows, args.out)
+    text = "\n\n".join(map(_report_text, all_reports, records))
+    if gaps:
+        text += "\n\n" + "\n".join(f"gap {key} = {v!r}" for key, v in gaps.items())
+    return _emit(text + "\n", args.out)
 
 
 def cmd_converge(args) -> int:
@@ -313,30 +298,27 @@ def cmd_converge(args) -> int:
     profile = asymptotics.remainder_profile(args.n, lambdas, conv)
     buf = io.StringIO()
     asymptotics.write_profile_csv(profile, buf)
-    _emit(buf.getvalue(), args.out)
-    return 0
+    return _emit(buf.getvalue(), args.out)
 
 
 def cmd_weyl(args) -> int:
     normalization = args.normalization.replace("-", "_")
     poly = asymptotics.weyl_ball_constant(args.n, normalization)
+    exact = poly.to_string()
     if args.format == "json":
+        import mpmath
+
         payload = {
             "n": args.n,
             "normalization": normalization,
-            "exact": poly.to_string(),
+            "exact": exact,
             "value": mpmath.nstr(asymptotics.pipoly_eval(poly), 50, strip_zeros=False),
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "normalization", "exact"])
-        writer.writerow([args.n, normalization, poly.to_string()])
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit(poly.to_string() + "\n", args.out)
-    return 0
+        return _json(payload, args.out)
+    if args.format == "csv":
+        row = [args.n, normalization, exact]
+        return _csv(["n", "normalization", "exact"], [row], args.out)
+    return _emit(exact + "\n", args.out)
 
 
 HANDLERS = {

@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
 __all__ = [
     "Rational",
@@ -25,7 +27,6 @@ __all__ = [
     "stirling_first_unsigned",
     "bernoulli",
     "zeta_even",
-    "ball_volume_even",
     "pipoly_eval",
     "parse_pi_string",
 ]
@@ -123,13 +124,11 @@ class PiPolynomial:
     """Polynomial in pi^2 with exact rational coefficients.
 
     ``coeffs[j]`` is the coefficient of (pi^2)^j; index 0 is the rational
-    constant term. ``odd_pi`` multiplies the whole polynomial by one extra
-    factor of pi, the single escape hatch needed for unit-ball volumes in
-    dimensions 2 mod 4. Canonical form: no trailing zero coefficients.
+    constant term. Odd powers of pi are not representable: no formula in
+    scope produces one. Canonical form: no trailing zero coefficients.
     """
 
     coeffs: tuple[Fraction, ...] = field(default=())
-    odd_pi: bool = False
 
     def __post_init__(self) -> None:
         cs = [Fraction(c) for c in self.coeffs]
@@ -147,12 +146,11 @@ class PiPolynomial:
 
     @classmethod
     def from_pi_power(cls, coefficient, exponent: int) -> "PiPolynomial":
-        """The monomial coefficient * pi^exponent (any exponent >= 0)."""
-        if exponent < 0:
-            raise ValueError("exponent must be >= 0")
-        j, odd = divmod(exponent, 2)
-        coeffs = (Fraction(0),) * j + (Fraction(coefficient),)
-        return cls(coeffs, odd_pi=bool(odd))
+        """The monomial coefficient * pi^exponent (even exponent >= 0)."""
+        if exponent < 0 or exponent % 2 != 0:
+            raise ValueError("pi exponent must be even and >= 0")
+        coeffs = (Fraction(0),) * (exponent // 2) + (Fraction(coefficient),)
+        return cls(coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -163,25 +161,18 @@ class PiPolynomial:
 
     def terms(self) -> list[tuple[Fraction, int]]:
         """Nonzero terms as (rational coefficient, power of pi) pairs."""
-        off = 1 if self.odd_pi else 0
-        return [(c, 2 * j + off) for j, c in enumerate(self.coeffs) if c != 0]
-
-    def _check_compatible(self, other: "PiPolynomial") -> None:
-        # A sum of an odd and an even pi-power is not representable here; it
-        # is never needed by any formula in scope.
-        if self.odd_pi != other.odd_pi and not (self.is_zero() or other.is_zero()):
-            raise ValueError("cannot combine odd-pi and even-pi polynomials")
+        return [(c, 2 * j) for j, c in enumerate(self.coeffs) if c != 0]
 
     def __add__(self, other: "PiPolynomial") -> "PiPolynomial":
         if not isinstance(other, PiPolynomial):
             return NotImplemented
-        self._check_compatible(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        coeffs = tuple(self.coefficient(j) + other.coefficient(j) for j in range(n))
-        return PiPolynomial(coeffs, odd_pi=self.odd_pi or other.odd_pi)
+        return PiPolynomial(
+            tuple(self.coefficient(j) + other.coefficient(j) for j in range(n))
+        )
 
     def __neg__(self) -> "PiPolynomial":
-        return PiPolynomial(tuple(-c for c in self.coeffs), odd_pi=self.odd_pi)
+        return PiPolynomial(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "PiPolynomial") -> "PiPolynomial":
         if not isinstance(other, PiPolynomial):
@@ -196,15 +187,9 @@ class PiPolynomial:
             for i, a in enumerate(self.coeffs):
                 for j, b in enumerate(other.coeffs):
                     prod[i + j] += a * b
-            if self.odd_pi and other.odd_pi:
-                # pi * pi = pi^2 shifts every exponent up by one slot
-                prod = [Fraction(0)] + prod
-                return PiPolynomial(tuple(prod))
-            return PiPolynomial(tuple(prod), odd_pi=self.odd_pi or other.odd_pi)
+            return PiPolynomial(tuple(prod))
         if isinstance(other, (int, Fraction)):
-            return PiPolynomial(
-                tuple(c * other for c in self.coeffs), odd_pi=self.odd_pi
-            )
+            return PiPolynomial(tuple(c * other for c in self.coeffs))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -220,8 +205,7 @@ class PiPolynomial:
             if e == 0:
                 body = str(mag)
             else:
-                pi_str = "pi" if e == 1 else f"pi^{e}"
-                body = pi_str if mag == 1 else f"{mag}*{pi_str}"
+                body = f"pi^{e}" if mag == 1 else f"{mag}*pi^{e}"
             if i == 0:
                 parts.append(f"-{body}" if c < 0 else body)
             else:
@@ -271,14 +255,6 @@ def zeta_even(two_m: int) -> PiPolynomial:
     return PiPolynomial.from_pi_power(coeff, two_m)
 
 
-def ball_volume_even(d: int) -> PiPolynomial:
-    """Volume pi^{d/2} / (d/2)! of the unit ball in R^d for even d."""
-    if d <= 0 or d % 2 != 0:
-        raise ValueError("even dimension required (odd needs sqrt(pi))")
-    half = d // 2
-    return PiPolynomial.from_pi_power(Fraction(1, math.factorial(half)), half)
-
-
 def pipoly_eval(poly: PiPolynomial, digits: int = 50) -> mpmath.mpf:
     """Evaluate ``poly`` with pi computed to at least ``digits`` decimal digits.
 
@@ -288,6 +264,8 @@ def pipoly_eval(poly: PiPolynomial, digits: int = 50) -> mpmath.mpf:
     """
     if digits < MIN_EVAL_DIGITS:
         raise ValueError(f"precision must be >= {MIN_EVAL_DIGITS} digits")
+    import mpmath
+
     with mpmath.workdps(digits + 10):
         if poly.is_zero():
             return mpmath.mpf(0)
@@ -295,6 +273,4 @@ def pipoly_eval(poly: PiPolynomial, digits: int = 50) -> mpmath.mpf:
         acc = mpmath.mpf(0)
         for c in reversed(poly.coeffs):
             acc = acc * pi2 + mpmath.mpf(c.numerator) / c.denominator
-        if poly.odd_pi:
-            acc *= mpmath.pi
         return +acc

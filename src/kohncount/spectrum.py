@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -21,12 +21,9 @@ from .exact import binomial
 __all__ = [
     "CountingConvention",
     "SpectrumEntry",
-    "CountingResult",
     "validate_sphere_n",
     "hpq_dim",
     "eigenvalue",
-    "f_value",
-    "delta_M",
     "count_M",
     "count_N",
     "spectrum_table",
@@ -69,13 +66,6 @@ class SpectrumEntry:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class CountingResult:
-    lam: float
-    count: int
-    convention: CountingConvention
-
-
 def validate_sphere_n(n: int) -> int:
     """Sphere parameter n for S^{2n-1} in C^n; the formulas need n >= 2."""
     if not isinstance(n, int) or n < 2:
@@ -105,89 +95,33 @@ def eigenvalue(n: int, p: int, q: int) -> int:
     return 2 * q * (p + n - 1)
 
 
-@dataclass(frozen=True)
-class FValue:
-    """Reindexed eigenspace dimension f(p, q) = f1 + f2.
-
-    f1 = C(p-1, n-2) C(q+n-2, n-1) and f2 = C(p, n-1) C(q+n-2, n-2); for
-    p >= n-1 the total equals dim H_{p-n+1, q}. The product form avoids the
-    0/0 of the division form at p = n-1.
-    """
-
-    total: int
-    f1: int
-    f2: int
-
-
-def f_value(n: int, p: int, q: int) -> FValue:
-    validate_sphere_n(n)
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    f1 = binomial(p - 1, n - 2) * binomial(q + n - 2, n - 1)
-    f2 = binomial(p, n - 1) * binomial(q + n - 2, n - 2)
-    return FValue(f1 + f2, f1, f2)
-
-
 def _divisor_floor(conv: CountingConvention, n: int) -> int:
     return n if conv is CountingConvention.PAPER_RESTRICTED else n - 1
-
-
-def delta_M(n: int, m: int, conv: CountingConvention) -> int:
-    """Multiplicity of the eigenvalue 2m: sum of f(p, m/p) over divisors p.
-
-    Divisors are restricted to p >= n (paper_restricted) or p >= n-1
-    (full_spectrum).
-    """
-    validate_sphere_n(n)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    pmin = _divisor_floor(conv, n)
-    total = 0
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            if d >= pmin:
-                total += f_value(n, d, m // d).total
-            other = m // d
-            if other != d and other >= pmin:
-                total += f_value(n, other, d).total
-        d += 1
-    return total
-
-
-def _q_sums(n: int, Q: int) -> tuple[int, int]:
-    # Collapsed inner q-sums: A(Q) = sum_{q<=Q} C(q+n-2, n-1) = C(Q+n-1, n)
-    # and B(Q) = sum_{q<=Q} C(q+n-2, n-2) = C(Q+n-1, n-1) - 1 (hockey stick).
-    return math.comb(Q + n - 1, n), math.comb(Q + n - 1, n - 1) - 1
 
 
 def _count_block_range(n: int, X: int, p_lo: int, p_hi: int) -> int:
     """Sum of f(p, q) over p in [p_lo, p_hi], q <= X//p, exactly.
 
-    Iterates the O(sqrt X) blocks on which Q = X//p is constant and collapses
-    each block's p-sum with a second hockey-stick identity, so both loops of
-    the transposed double sum are in closed form.
+    f(p, q) = C(p-1, n-2) C(q+n-2, n-1) + C(p, n-1) C(q+n-2, n-2); for
+    p >= n-1 it equals dim H_{p-n+1, q}. Iterates the O(sqrt X) blocks on
+    which Q = X//p is constant and collapses each block's p-sum with a second
+    hockey-stick identity, so both loops of the transposed double sum are in
+    closed form.
     """
     total = 0
     p = p_lo
     while p <= p_hi:
         Q = X // p
         p2 = min(X // Q, p_hi)
-        A, B = _q_sums(n, Q)
+        # Collapsed inner q-sums: A(Q) = sum_{q<=Q} C(q+n-2, n-1) = C(Q+n-1, n)
+        # and B(Q) = sum_{q<=Q} C(q+n-2, n-2) = C(Q+n-1, n-1) - 1 (hockey stick).
+        A = math.comb(Q + n - 1, n)
+        B = math.comb(Q + n - 1, n - 1) - 1
         # sum_{p'=p}^{p2} C(p'-1, n-2) and sum_{p'=p}^{p2} C(p', n-1)
         s1 = math.comb(p2, n - 1) - math.comb(p - 1, n - 1)
         s2 = math.comb(p2 + 1, n) - math.comb(p, n)
         total += A * s1 + B * s2
         p = p2 + 1
-    return total
-
-
-def _count_linear_range(n: int, X: int, p_lo: int, p_hi: int) -> int:
-    """Reference per-p loop (O(X) with O(1) work per p); used as a cross-check."""
-    total = 0
-    for p in range(p_lo, p_hi + 1):
-        A, B = _q_sums(n, X // p)
-        total += binomial(p - 1, n - 2) * A + binomial(p, n - 1) * B
     return total
 
 
@@ -202,11 +136,14 @@ def count_M(
     Transposed form of the cumulative divisor sum: sum over p >= n (or n-1)
     of the collapsed inner q-sum with q <= floor(x)/p. With ``workers`` > 1
     the p-range is partitioned and partial sums are combined; integer
-    addition makes the result identical to the serial run.
+    addition makes the result identical to the serial run. At most one
+    process per CPU runs the chunks.
     """
     validate_sphere_n(n)
     if x < 0:
         raise ValueError("x must be >= 0")
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
     X = math.floor(x)
     pmin = _divisor_floor(conv, n)
     if X < pmin:
@@ -217,7 +154,9 @@ def count_M(
     chunks = [
         (n, X, lo, hi - 1) for lo, hi in zip(bounds, bounds[1:]) if lo < hi
     ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         partials = pool.map(_count_chunk, chunks)
         return sum(partials)
 
@@ -226,9 +165,7 @@ def _count_chunk(args: tuple[int, int, int, int]) -> int:
     return _count_block_range(*args)
 
 
-def count_N(
-    n: int, lam: float, conv: CountingConvention, workers: int = 1
-) -> CountingResult:
+def count_N(n: int, lam: float, conv: CountingConvention, workers: int = 1) -> int:
     """N(lambda) = number of positive eigenvalues <= lambda, with multiplicity.
 
     Equals M(lambda/2) since every eigenvalue is an even integer. The zero
@@ -237,28 +174,53 @@ def count_N(
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    count = count_M(n, lam / 2, conv, workers=workers)
-    return CountingResult(lam=lam, count=count, convention=conv)
+    if not math.isfinite(lam):
+        raise ValueError("lambda must be finite")
+    return count_M(n, lam / 2, conv, workers=workers)
 
 
 def spectrum_table(
     n: int, lambda_max: float, conv: CountingConvention
 ) -> list[SpectrumEntry]:
-    """All (eigenvalue, multiplicity) pairs with 0 < eigenvalue <= lambda_max."""
+    """All (eigenvalue, multiplicity) pairs with 0 < eigenvalue <= lambda_max.
+
+    The multiplicity of 2m is the sum of f(p, m/p) over divisors p of m with
+    p >= n (paper_restricted) or p >= n-1 (full_spectrum). One sieve over the
+    (p, q) pairs with pq <= M = lambda_max/2 adds every f(p, q) to its m,
+    in O(M log M) steps.
+    """
     validate_sphere_n(n)
     if lambda_max < 2:
         raise ValueError("lambda_max must be >= 2")
-    entries = []
-    for m in range(1, math.floor(lambda_max / 2) + 1):
-        mult = delta_M(n, m, conv)
-        if mult > 0:
-            entries.append(SpectrumEntry(eigenvalue=2 * m, multiplicity=mult))
-    return entries
+    if not math.isfinite(lambda_max):
+        raise ValueError("lambda_max must be finite")
+    M = math.floor(lambda_max / 2)
+    pmin = _divisor_floor(conv, n)
+    q_max = M // pmin
+    # C(q+n-2, n-1) and C(q+n-2, n-2) for q = 1..q_max
+    A = [math.comb(q + n - 2, n - 1) for q in range(1, q_max + 1)]
+    B = [math.comb(q + n - 2, n - 2) for q in range(1, q_max + 1)]
+    mult = [0] * (M + 1)
+    for p in range(pmin, M + 1):
+        a, b = math.comb(p - 1, n - 2), math.comb(p, n - 1)
+        for m, A_q, B_q in zip(range(p, M + 1, p), A, B):
+            mult[m] += a * A_q + b * B_q
+    return [
+        SpectrumEntry(eigenvalue=2 * m, multiplicity=mult[m])
+        for m in range(1, M + 1)
+        if mult[m] > 0
+    ]
 
 
-def write_spectrum_csv(entries: Sequence[SpectrumEntry], stream: TextIO) -> None:
-    """CSV export: header ``eigenvalue,multiplicity,cumulative``, ascending."""
-    writer = csv.writer(stream, lineterminator="\n")
+def write_spectrum_csv(
+    entries: Sequence[SpectrumEntry], stream: TextIO, delimiter: str = ","
+) -> None:
+    """CSV export: header ``eigenvalue,multiplicity,cumulative``, ascending.
+
+    Every field is an integer, so no field is ever quoted; ``delimiter=" "``
+    gives the plain-text table.
+    """
+    writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
     writer.writerow(["eigenvalue", "multiplicity", "cumulative"])
     cumulative = 0
     for entry in entries:

@@ -2,7 +2,8 @@
 
 Each test prints a PASS line (visible with ``pytest -s`` or on failure) and
 enforces its runtime budget. Expected values come from independent oracles
-computed inside this module or from frozen exact rationals.
+computed inside this module or in ``oracles.py``, or from frozen exact
+rationals.
 """
 
 import math
@@ -35,9 +36,10 @@ from kohncount.spectrum import (
     CountingConvention,
     count_M,
     count_N,
-    delta_M,
     hpq_dim,
+    spectrum_table,
 )
+from oracles import delta_M
 
 PAPER = CountingConvention.PAPER_RESTRICTED
 FULL = CountingConvention.FULL_SPECTRUM
@@ -110,6 +112,10 @@ def test_criterion_3_counting_oracle_equivalence():
         # hockey-stick-collapsed count vs cumulative multiplicities
         for conv in (FULL, PAPER):
             cum_table = _multiplicity_sieve(n, 3000, conv)
+            # the production table's sieve vs the lattice loop
+            assert {
+                e.eigenvalue // 2: e.multiplicity for e in spectrum_table(n, 6000, conv)
+            } == {m: mult for m, mult in enumerate(cum_table) if mult}
             cumulative = 0
             for x in range(1, 3001):
                 cumulative += cum_table[x]
@@ -121,7 +127,7 @@ def test_criterion_4_empirical_convergence():
     t0 = time.perf_counter()
     closed = float(leading_coefficient_closed(2, FULL).value)
     lam = 2e5
-    ratio = count_N(2, lam, FULL).count / lam**2
+    ratio = count_N(2, lam, FULL) / lam**2
     rel = abs(ratio - closed) / closed
     assert rel <= 0.01
     profile = remainder_profile(2, [2.0**e for e in range(8, 19)], FULL)
@@ -147,7 +153,7 @@ def test_criterion_5_convention_discrimination():
     }
     matches = {}
     for count_conv in (FULL, PAPER):
-        N = count_N(2, lam, count_conv).count
+        N = count_N(2, lam, count_conv)
         matched = [
             conv
             for conv, c in constants.items()

@@ -329,6 +329,51 @@ def test_identical_flags_identical_bytes():
     assert first.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "3", "--lambda", "inf"],
+        ["count", "--n", "3", "--lambda", "nan"],
+        ["spectrum", "--n", "3", "--lambda-max", "inf"],
+        ["coeff", "--n", "2", "--method", "series", "--eps", "inf"],
+        ["coeff", "--n", "2", "--method", "empirical", "--lambda", "inf"],
+        ["converge", "--n", "2", "--lambdas", "4:inf:x2"],
+        ["converge", "--n", "2", "--lambdas", "inf:inf:x2"],
+        ["converge", "--n", "2", "--lambdas", "4,inf"],
+    ],
+)
+def test_non_finite_values_exit_2(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("kohncount: ")
+    assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["count", "--n", "3", "--lambda", "1e4", "--format", "json"],
+        ["spectrum", "--n", "3", "--lambda-max", "100", "--format", "csv"],
+    ],
+)
+def test_cli_imports_stay_lazy(argv):
+    # mpmath and the process pool are loaded only by the commands that use them
+    code = (
+        "import sys\n"
+        "from kohncount import cli\n"
+        "if sys.argv[1:]:\n"
+        "    cli.main(sys.argv[1:])\n"
+        "lazy = ('mpmath', 'concurrent.futures.process')\n"
+        "print(' '.join(m for m in lazy if m in sys.modules), file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True
+    )
+    assert result.stderr.strip() == ""
+
+
 def test_module_entry_point_exit_codes():
     result = subprocess.run(
         [sys.executable, "-m", "kohncount.cli", "count", "--n", "1", "--lambda", "4"],

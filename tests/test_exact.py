@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from kohncount import exact
 from kohncount.exact import (
     PiPolynomial,
-    ball_volume_even,
     bernoulli,
     binomial,
     hockey_stick_sum,
@@ -204,26 +203,6 @@ def test_zeta_even_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# ball volumes
-
-
-def test_ball_volume_values():
-    assert ball_volume_even(2) == PiPolynomial((1,), odd_pi=True)  # pi
-    assert ball_volume_even(4) == PiPolynomial((0, Fraction(1, 2)))  # pi^2/2
-    assert ball_volume_even(6) == PiPolynomial((0, Fraction(1, 6)), odd_pi=True)
-
-
-def test_ball_volume_numeric():
-    assert float(pipoly_eval(ball_volume_even(2))) == pytest.approx(math.pi)
-    assert float(pipoly_eval(ball_volume_even(6))) == pytest.approx(math.pi**3 / 6)
-
-
-def test_ball_volume_rejects_odd():
-    with pytest.raises(ValueError):
-        ball_volume_even(3)
-
-
-# ---------------------------------------------------------------------------
 # PiPolynomial algebra
 
 fractions_strategy = st.fractions(
@@ -261,19 +240,14 @@ def test_pipoly_string_round_trip(p, q):
         assert parse_pi_string(poly.to_string()) == poly
 
 
-def test_pipoly_odd_even_product():
-    # pi * pi = pi^2
-    pi = PiPolynomial((1,), odd_pi=True)
-    assert pi * pi == PiPolynomial((0, 1))
-    assert (pi * PiPolynomial((0, 1))) == PiPolynomial((0, 1), odd_pi=True)
-
-
-def test_pipoly_mixed_addition_rejected():
-    pi = PiPolynomial((1,), odd_pi=True)
-    with pytest.raises(ValueError):
-        pi + PiPolynomial((1,))
-    # adding zero is always allowed
-    assert pi + PiPolynomial.zero() == pi
+def test_pipoly_rejects_odd_pi_powers():
+    assert PiPolynomial.from_pi_power(3, 4) == PiPolynomial((0, 0, 3))
+    for exponent in (1, 3, -2):
+        with pytest.raises(ValueError):
+            PiPolynomial.from_pi_power(1, exponent)
+    for text in ("pi", "2*pi^3", "1 + pi^5"):
+        with pytest.raises(ValueError):
+            parse_pi_string(text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Spectrum enumeration and counting functions, cross-checked three ways:
-divisor sums, a brute-force (p, q) lattice sieve, and the literal per-m
-double loop on small inputs."""
+divisor sums by trial division (``oracles.py``), a brute-force (p, q) lattice
+sieve, and the literal per-m double loop on small inputs."""
 
+import concurrent.futures
 import io
 import math
+import os
 
 import hypothesis.strategies as st
 import pytest
@@ -13,17 +15,15 @@ from kohncount.spectrum import (
     CountingConvention,
     SpectrumEntry,
     _count_block_range,
-    _count_linear_range,
     count_M,
     count_N,
-    delta_M,
     eigenvalue,
-    f_value,
     hpq_dim,
     read_spectrum_csv,
     spectrum_table,
     write_spectrum_csv,
 )
+from oracles import count_linear_range, delta_M, f_value
 
 PAPER = CountingConvention.PAPER_RESTRICTED
 FULL = CountingConvention.FULL_SPECTRUM
@@ -94,27 +94,25 @@ def test_eigenvalue_examples():
 
 
 def test_f_value_examples():
-    fv = f_value(2, 3, 2)
-    assert (fv.f1, fv.f2, fv.total) == (2, 3, 5)
-    assert fv.total == hpq_dim(2, 2, 2)
-    assert f_value(5, 3, 1).total == 0  # p < n-1 kills both products
-    fv = f_value(3, 2, 4)
-    assert fv.total == 15
-    assert fv.total == hpq_dim(3, 0, 4)
+    assert f_value(2, 3, 2) == 5
+    assert f_value(2, 3, 2) == hpq_dim(2, 2, 2)
+    assert f_value(5, 3, 1) == 0  # p < n-1 kills both products
+    assert f_value(3, 2, 4) == 15
+    assert f_value(3, 2, 4) == hpq_dim(3, 0, 4)
 
 
 def test_f_value_matches_shifted_dimension():
     for n in range(2, 7):
         for p in range(n - 1, n + 12):
             for q in range(1, 12):
-                assert f_value(n, p, q).total == hpq_dim(n, p - n + 1, q)
+                assert f_value(n, p, q) == hpq_dim(n, p - n + 1, q)
 
 
 def test_f_value_pascal_closure_at_boundary():
     # f(n-1, q) = dim H_{0,q}: C(q+n-2, n-1) + C(q+n-2, n-2) = C(q+n-1, n-1)
     for n in range(2, 9):
         for q in range(1, 101):
-            assert f_value(n, n - 1, q).total == hpq_dim(n, 0, q)
+            assert f_value(n, n - 1, q) == hpq_dim(n, 0, q)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +168,7 @@ def test_count_block_equals_linear_range():
     for n in (2, 3, 6):
         for X in (1, 17, 400, 2311):
             for pmin in (n - 1, n):
-                assert _count_block_range(n, X, pmin, X) == _count_linear_range(
+                assert _count_block_range(n, X, pmin, X) == count_linear_range(
                     n, X, pmin, X
                 )
 
@@ -187,20 +185,20 @@ def test_count_M_convention_gap():
 
 
 def test_count_N_examples():
-    assert count_N(2, 2, FULL).count == 2
-    assert count_N(5, 0, FULL).count == 0
-    assert count_N(5, 0, PAPER).count == 0
-    assert count_N(2, 4, FULL).count == 8
+    assert count_N(2, 2, FULL) == 2
+    assert count_N(5, 0, FULL) == 0
+    assert count_N(5, 0, PAPER) == 0
+    assert count_N(2, 4, FULL) == 8
 
 
 @given(st.floats(min_value=0, max_value=500), st.floats(min_value=0, max_value=500))
 @settings(derandomize=True, max_examples=60)
 def test_count_N_monotone_and_step(lam1, lam2):
     lo, hi = sorted((lam1, lam2))
-    a = count_N(2, lo, FULL).count
-    b = count_N(2, hi, FULL).count
+    a = count_N(2, lo, FULL)
+    b = count_N(2, hi, FULL)
     assert a <= b
-    assert a == count_N(2, 2 * math.floor(lo / 2), FULL).count
+    assert a == count_N(2, 2 * math.floor(lo / 2), FULL)
 
 
 def test_count_M_parallel_matches_serial():
@@ -208,6 +206,33 @@ def test_count_M_parallel_matches_serial():
         serial = count_M(3, 20000, conv, workers=1)
         parallel = count_M(3, 20000, conv, workers=2)
         assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, expected", [(100_000, 2, 2), (3, 8, 3), (5, None, 1)]
+)
+def test_count_M_caps_pool_at_cpu_count(monkeypatch, workers, cpus, expected):
+    # A fake pool records max_workers and runs the chunks in this process, so
+    # no large number of processes is ever started.
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert count_M(3, 5000, FULL, workers=workers) == count_M(3, 5000, FULL)
+    assert seen == [expected]
 
 
 def test_count_M_rejects_negative():
@@ -233,6 +258,14 @@ def test_spectrum_table_examples():
     assert spectrum_table(5, 2, PAPER) == []
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_spectrum_table_matches_divisor_sums(n):
+    for conv in (FULL, PAPER):
+        table = {e.eigenvalue: e.multiplicity for e in spectrum_table(n, 801, conv)}
+        expected = {2 * m: delta_M(n, m, conv) for m in range(1, 401)}
+        assert table == {ev: mult for ev, mult in expected.items() if mult}
+
+
 def test_spectrum_table_consistent_with_count():
     for n, lam_max, conv in ((2, 60, FULL), (3, 100, PAPER), (4, 80, FULL)):
         entries = spectrum_table(n, lam_max, conv)
@@ -240,7 +273,7 @@ def test_spectrum_table_consistent_with_count():
             e.eigenvalue for e in entries
         )
         assert all(e.multiplicity > 0 for e in entries)
-        assert sum(e.multiplicity for e in entries) == count_N(n, lam_max, conv).count
+        assert sum(e.multiplicity for e in entries) == count_N(n, lam_max, conv)
 
 
 def test_spectrum_table_rejects_small_lambda_max():
