@@ -342,11 +342,16 @@ def leading_coefficient_closed(
 def empirical_ratio(
     n: int, lam: float, conv: CountingConvention, workers: int = 1
 ) -> float:
-    """Finite-lambda ratio N(lambda)/lambda^n."""
+    """Finite-lambda ratio N(lambda)/lambda^n, correctly rounded.
+
+    The quotient is taken in exact rationals, since lambda^n overflows a
+    float for large n.
+    """
     validate_sphere_n(n)
     if lam < 2:
         raise ValueError("lambda must be >= 2")
-    return count_N(n, lam, conv, workers=workers) / lam**n
+    count = count_N(n, lam, conv, workers=workers)
+    return float(Fraction(count) / Fraction(lam) ** n)
 
 
 def empirical_report(

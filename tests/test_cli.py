@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from kohncount.asymptotics import report_from_record, report_to_record
 from kohncount.cli import main, parse_lambda_spec
 from kohncount.spectrum import (
     CountingConvention,
+    count_N,
     read_spectrum_csv,
     spectrum_table,
 )
@@ -195,6 +197,25 @@ def test_coeff_json_reports_round_trip(capsys):
     for record in payload["reports"]:
         recovered = report_from_record(record)
         assert report_to_record(recovered) == record
+
+
+def test_coeff_empirical_large_n(capsys):
+    # lambda^n overflows a float at n >= 59; the ratio is taken exactly
+    rc, out, _ = run_cli(
+        capsys,
+        "coeff",
+        "--n", "60",
+        "--method", "all",
+        "--convention", "full",
+        "--format", "json",
+    )
+    assert rc == 0
+    record = json.loads(out)["reports"][2]
+    assert record["method"] == "empirical"
+    lam = record["lambda"]
+    count = count_N(60, lam, CountingConvention.FULL_SPECTRUM)
+    exact = Fraction(count) / Fraction(lam) ** 60
+    assert abs(Fraction(record["value"]) / exact - 1) <= Fraction(1, 10**12)
 
 
 def test_coeff_series_cap_exit_code(capsys):
