@@ -39,7 +39,7 @@ from kohncount.spectrum import (
     hpq_dim,
     spectrum_table,
 )
-from oracles import delta_M
+from tests.oracles import delta_M
 
 PAPER = CountingConvention.PAPER_RESTRICTED
 FULL = CountingConvention.FULL_SPECTRUM

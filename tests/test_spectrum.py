@@ -23,7 +23,7 @@ from kohncount.spectrum import (
     spectrum_table,
     write_spectrum_csv,
 )
-from oracles import count_linear_range, delta_M, f_value
+from tests.oracles import count_linear_range, delta_M, f_value
 
 PAPER = CountingConvention.PAPER_RESTRICTED
 FULL = CountingConvention.FULL_SPECTRUM
