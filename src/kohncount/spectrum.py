@@ -60,7 +60,7 @@ class CountingConvention(enum.Enum):
             raise ValueError(f"unknown convention {name!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectrumEntry:
     eigenvalue: int
     multiplicity: int
@@ -99,30 +99,48 @@ def _divisor_floor(conv: CountingConvention, n: int) -> int:
     return n if conv is CountingConvention.PAPER_RESTRICTED else n - 1
 
 
-def _count_block_range(n: int, X: int, p_lo: int, p_hi: int) -> int:
-    """Sum of f(p, q) over p in [p_lo, p_hi], q <= X//p, exactly.
+def _count_index_range(n: int, X: int, pmin: int, i_lo: int, i_hi: int) -> int:
+    """Part of the sum of f(p, q) over pq <= X, p >= pmin, q >= 1, exactly.
 
-    f(p, q) = C(p-1, n-2) C(q+n-2, n-1) + C(p, n-1) C(q+n-2, n-2); for
-    p >= n-1 it equals dim H_{p-n+1, q}. Iterates the O(sqrt X) blocks on
-    which Q = X//p is constant and collapses each block's p-sum with a second
-    hockey-stick identity, so both loops of the transposed double sum are in
-    closed form.
+    f(p, q) = a(p) A(q) + b(p) B(q) with a(p) = C(p-1, n-2), b(p) = C(p, n-1),
+    A(q) = C(q+n-2, n-1) and B(q) = C(q+n-2, n-2); for p >= n-1 it equals
+    dim H_{p-n+1, q}. Dirichlet hyperbola method with s = isqrt(X) and
+    lo = max(s, pmin-1): the index i in [1, s] stands for the column p = i
+    (every q <= X//i, when i >= pmin) and the row q = i (lo < p <= X//i).
+    These cover each lattice point once, and this sums the columns and rows
+    of i in [i_lo, i_hi], a subrange of [1, s]. Each needs one big binomial.
     """
-    total = 0
-    p = p_lo
-    while p <= p_hi:
-        Q = X // p
-        p2 = min(X // Q, p_hi)
-        # Collapsed inner q-sums: A(Q) = sum_{q<=Q} C(q+n-2, n-1) = C(Q+n-1, n)
-        # and B(Q) = sum_{q<=Q} C(q+n-2, n-2) = C(Q+n-1, n-1) - 1 (hockey stick).
-        A = math.comb(Q + n - 1, n)
-        B = math.comb(Q + n - 1, n - 1) - 1
-        # sum_{p'=p}^{p2} C(p'-1, n-2) and sum_{p'=p}^{p2} C(p', n-1)
-        s1 = math.comb(p2, n - 1) - math.comb(p - 1, n - 1)
-        s2 = math.comb(p2 + 1, n) - math.comb(p, n)
-        total += A * s1 + B * s2
-        p = p2 + 1
-    return total
+    comb = math.comb
+    m = n - 1
+    lo = max(math.isqrt(X), pmin - 1)
+    # Every row and column sum is an integer of the form (weight * big
+    # binomial * linear factor) / (n(n-1)) minus a part that does not depend
+    # on X//i. The numerators go to ``acc``, divided once at the end; the
+    # other parts are hockey-stick sums, collected in ``rest``.
+    acc = rest = 0
+    # Rows: over lo < p <= Q = X//i, a(p) sums to C(Q, n-1) - C(lo, n-1) and
+    # b(p) to C(Q+1, n) - C(lo+1, n) = C(Q, n-1) (Q+1)/n - C(lo+1, n); also
+    # A(i) = B(i) i/(n-1). The row is empty once Q <= lo.
+    j = min(i_hi, X // (lo + 1))
+    if i_lo <= j:
+        w = comb(i_lo + n - 2, n - 2)  # B(i), updated in place
+        for i in range(i_lo, j + 1):
+            Q = X // i
+            acc += w * comb(Q, m) * (n * i + m * (Q + 1))
+            w = w * (i + m) // (i + 1)
+        rest += comb(lo, m) * (comb(j + m, n) - comb(i_lo + n - 2, n))
+        rest += comb(lo + 1, n) * (comb(j + m, m) - comb(i_lo + n - 2, m))
+    # Columns: over q <= Q = X//i, A(q) sums to C(Q+n-1, n) = D Q/n with
+    # D = C(Q+n-1, n-1) and B(q) to D - 1; also b(i) = a(i) i/(n-1).
+    k = max(i_lo, pmin)
+    if k <= i_hi:
+        a = comb(k - 1, n - 2)  # a(i), updated in place
+        for i in range(k, i_hi + 1):
+            Q = X // i
+            acc += a * comb(Q + m, m) * (m * Q + n * i)
+            a = a * i // (i - n + 2)
+        rest += comb(i_hi + 1, n) - comb(k, n)
+    return acc // (n * m) - rest
 
 
 def count_M(
@@ -133,11 +151,12 @@ def count_M(
 ) -> int:
     """M(x) = number of eigenvalues <= 2x, exactly.
 
-    Transposed form of the cumulative divisor sum: sum over p >= n (or n-1)
-    of the collapsed inner q-sum with q <= floor(x)/p. With ``workers`` > 1
-    the p-range is partitioned and partial sums are combined; integer
-    addition makes the result identical to the serial run. At most one
-    process per CPU runs the chunks.
+    Cumulative divisor sum of f(p, q) over pq <= X = floor(x), p >= n (or
+    n-1), by the Dirichlet hyperbola method in about 2 isqrt(X) steps of
+    equal cost. With ``workers`` > 1 the pool runs one process per worker,
+    at most one per CPU, and the index range [1, isqrt(X)] is split into one
+    chunk of equal width per process; integer addition makes the result
+    identical to the serial run.
     """
     validate_sphere_n(n)
     if x < 0:
@@ -148,21 +167,20 @@ def count_M(
     pmin = _divisor_floor(conv, n)
     if X < pmin:
         return 0
+    s = math.isqrt(X)
     if workers <= 1 or X - pmin < 1024:
-        return _count_block_range(n, X, pmin, X)
-    bounds = [pmin + (X - pmin + 1) * i // workers for i in range(workers + 1)]
-    chunks = [
-        (n, X, lo, hi - 1) for lo, hi in zip(bounds, bounds[1:]) if lo < hi
-    ]
+        return _count_index_range(n, X, pmin, 1, s)
+    procs = min(workers, os.cpu_count() or 1)
+    bounds = [1 + s * k // procs for k in range(procs + 1)]
+    chunks = [(n, X, pmin, lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        partials = pool.map(_count_chunk, chunks)
-        return sum(partials)
+    with ProcessPoolExecutor(max_workers=procs) as pool:
+        return sum(pool.map(_count_chunk, chunks))
 
 
-def _count_chunk(args: tuple[int, int, int, int]) -> int:
-    return _count_block_range(*args)
+def _count_chunk(args: tuple[int, int, int, int, int]) -> int:
+    return _count_index_range(*args)
 
 
 def count_N(n: int, lam: float, conv: CountingConvention, workers: int = 1) -> int:

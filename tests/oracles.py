@@ -2,7 +2,8 @@
 
 Each one computes the same quantity as a production path by a different
 route: multiplicities by trial division per m instead of the (p, q) sieve,
-and the counting sum one p at a time instead of in blocks of constant X//p.
+and the counting sum over p, one at a time or in blocks of constant X//p,
+instead of by the Dirichlet hyperbola method.
 """
 
 import math
@@ -60,4 +61,28 @@ def count_linear_range(n, X, p_lo, p_hi):
         A = math.comb(Q + n - 1, n)
         B = math.comb(Q + n - 1, n - 1) - 1
         total += binomial(p - 1, n - 2) * A + binomial(p, n - 1) * B
+    return total
+
+
+def count_block_range(n, X, p_lo, p_hi):
+    """Sum of f(p, q) over p in [p_lo, p_hi], q <= X//p, exactly.
+
+    Iterates the O(sqrt X) blocks on which Q = X//p is constant and collapses
+    each block's p-sum with a second hockey-stick identity, so both loops of
+    the transposed double sum are in closed form.
+    """
+    total = 0
+    p = p_lo
+    while p <= p_hi:
+        Q = X // p
+        p2 = min(X // Q, p_hi)
+        # Collapsed inner q-sums: A(Q) = sum_{q<=Q} C(q+n-2, n-1) = C(Q+n-1, n)
+        # and B(Q) = sum_{q<=Q} C(q+n-2, n-2) = C(Q+n-1, n-1) - 1 (hockey stick).
+        A = math.comb(Q + n - 1, n)
+        B = math.comb(Q + n - 1, n - 1) - 1
+        # sum_{p'=p}^{p2} C(p'-1, n-2) and sum_{p'=p}^{p2} C(p', n-1)
+        s1 = math.comb(p2, n - 1) - math.comb(p - 1, n - 1)
+        s2 = math.comb(p2 + 1, n) - math.comb(p, n)
+        total += A * s1 + B * s2
+        p = p2 + 1
     return total

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from kohncount.spectrum import (
     CountingConvention,
     SpectrumEntry,
-    _count_block_range,
+    _count_index_range,
     count_M,
     count_N,
     eigenvalue,
@@ -23,7 +23,7 @@ from kohncount.spectrum import (
     spectrum_table,
     write_spectrum_csv,
 )
-from tests.oracles import count_linear_range, delta_M, f_value
+from tests.oracles import count_block_range, count_linear_range, delta_M, f_value
 
 PAPER = CountingConvention.PAPER_RESTRICTED
 FULL = CountingConvention.FULL_SPECTRUM
@@ -168,9 +168,65 @@ def test_count_block_equals_linear_range():
     for n in (2, 3, 6):
         for X in (1, 17, 400, 2311):
             for pmin in (n - 1, n):
-                assert _count_block_range(n, X, pmin, X) == count_linear_range(
+                assert count_block_range(n, X, pmin, X) == count_linear_range(
                     n, X, pmin, X
                 )
+
+
+@given(
+    st.integers(min_value=0, max_value=10**7),
+    st.integers(min_value=2, max_value=8),
+    st.sampled_from([FULL, PAPER]),
+)
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_count_M_matches_block_oracle(X, n, conv):
+    pmin = n if conv is PAPER else n - 1
+    assert count_M(n, X, conv) == count_block_range(n, X, pmin, X)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_count_M_matches_block_oracle_at_edges(n):
+    # around the square s^2, where the column and row ranges meet, and
+    # around pmin, where the columns start
+    for conv, pmin in ((FULL, n - 1), (PAPER, n)):
+        xs = [pmin - 1, pmin, pmin + 1]
+        for s in (1, 2, 3, n, 31, 1000, 3163):
+            xs += [s * s - 1, s * s, s * s + 1, s * (s + 1), s * (s + 2)]
+        for X in xs:
+            assert count_M(n, X, conv) == count_block_range(n, X, pmin, X)
+
+
+def test_count_M_deep_matches_block_oracle():
+    X = 10**10
+    assert count_M(3, X, FULL) == count_block_range(3, X, 2, X)
+    assert count_M(3, X, PAPER) == count_block_range(3, X, 3, X)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_count_M_convention_gap_closed_form_deep(n):
+    # full - paper = sum_{q <= X/(n-1)} C(q+n-1, n-1) = C(X//(n-1) + n, n) - 1
+    X = 10**11
+    gap = count_M(n, X, FULL) - count_M(n, X, PAPER)
+    assert gap == math.comb(X // (n - 1) + n, n) - 1
+
+
+@given(
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=2, max_value=8),
+    st.sampled_from([FULL, PAPER]),
+    st.lists(st.integers(min_value=0, max_value=10**3), max_size=6),
+)
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_count_index_range_chunks_add_up(X, n, conv, cuts):
+    # the kernel over any split of [1, isqrt(X)] sums to the whole range
+    pmin = n if conv is PAPER else n - 1
+    s = math.isqrt(X)
+    bounds = sorted({1, s + 1, *(1 + c % s for c in cuts)})
+    parts = [
+        _count_index_range(n, X, pmin, lo, hi - 1)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    assert sum(parts) == _count_index_range(n, X, pmin, 1, s)
 
 
 def test_count_M_convention_gap():
@@ -212,9 +268,10 @@ def test_count_M_parallel_matches_serial():
     "workers, cpus, expected", [(100_000, 2, 2), (3, 8, 3), (5, None, 1)]
 )
 def test_count_M_caps_pool_at_cpu_count(monkeypatch, workers, cpus, expected):
-    # A fake pool records max_workers and runs the chunks in this process, so
-    # no large number of processes is ever started.
+    # A fake pool records max_workers and the number of chunks and runs the
+    # chunks in this process, so no large number of processes is ever started.
     seen = []
+    mapped = []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -227,12 +284,15 @@ def test_count_M_caps_pool_at_cpu_count(monkeypatch, workers, cpus, expected):
             return False
 
         def map(self, fn, chunks):
+            chunks = list(chunks)
+            mapped.append(len(chunks))
             return map(fn, chunks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert count_M(3, 5000, FULL, workers=workers) == count_M(3, 5000, FULL)
     assert seen == [expected]
+    assert mapped == [expected]
 
 
 def test_count_M_rejects_negative():
