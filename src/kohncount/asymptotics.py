@@ -20,13 +20,12 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .exact import (
     PiPolynomial,
     binomial,
     hockey_stick_sum,
-    parse_pi_string,
     pipoly_eval,
     stirling_first_signed,
     zeta_even,
@@ -41,6 +40,7 @@ __all__ = [
     "RemainderProfile",
     "ProfileSample",
     "PrecisionUnattainableError",
+    "closed_scale",
     "h_poly",
     "h_polynomial_coeffs",
     "leading_coefficient_series",
@@ -51,9 +51,7 @@ __all__ = [
     "weyl_ball_constant",
     "lemma_ratio",
     "report_to_record",
-    "report_from_record",
     "write_profile_csv",
-    "read_profile_csv",
 ]
 
 DEFAULT_DIGITS = 50
@@ -189,17 +187,15 @@ def _tail_bracket(a: dict[int, Fraction], K: int) -> tuple[Fraction, Fraction]:
     return midpoint, half_width
 
 
-def _select_truncation(
-    a: dict[int, Fraction], target: Fraction, max_terms: int
-) -> int:
+def _select_truncation(a: dict[int, Fraction], target: Fraction) -> int:
     """Smallest K with certified tail half-width <= target."""
     K = 2
     while _tail_bracket(a, K)[1] > target:
         K *= 2
-        if K > max_terms:
+        if K > DEFAULT_MAX_TERMS:
             raise PrecisionUnattainableError(
-                f"series needs more than {max_terms} terms for the requested "
-                "tolerance"
+                f"series needs more than {DEFAULT_MAX_TERMS} terms for the "
+                "requested tolerance"
             )
     lo, hi = K // 2, K
     while lo + 1 < hi:
@@ -222,18 +218,15 @@ def leading_coefficient_series(
     eps: float = 1e-12,
     conv: CountingConvention = CountingConvention.FULL_SPECTRUM,
     digits: int = DEFAULT_DIGITS,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    truncation_K: int | None = None,
 ) -> CoefficientReport:
     """Leading coefficient by truncating sum_k k^-n h(k), with a certificate.
 
     The truncation index K is chosen so the certified tail bracket is
     narrower than eps * 2^n n!; the reported ``error_bound`` (on the final,
-    rescaled value) is then at most eps. ``truncation_K`` overrides the
-    choice of K for diagnostics; the certificate is still honest.
+    rescaled value) is then at most eps.
 
-    Raises :class:`PrecisionUnattainableError` when no K within ``max_terms``
-    certifies the requested eps.
+    Raises :class:`PrecisionUnattainableError` when no K within
+    ``DEFAULT_MAX_TERMS`` certifies the requested eps.
     """
     validate_sphere_n(n)
     if eps <= 0:
@@ -244,11 +237,8 @@ def leading_coefficient_series(
     scale = closed_scale(n)
     target = Fraction(eps) * scale
 
-    if truncation_K is None:
-        # Leave 1% of the budget for summation round-off.
-        K = _select_truncation(a, target * Fraction(99, 100), max_terms)
-    else:
-        K = truncation_K
+    # Leave 1% of the budget for summation round-off.
+    K = _select_truncation(a, target * Fraction(99, 100))
     tail_mid, tail_half_width = _tail_bracket(a, K)
 
     # Round-off allocation for the mpmath partial sum: the sum is below
@@ -339,9 +329,7 @@ def leading_coefficient_closed(
     )
 
 
-def empirical_ratio(
-    n: int, lam: float, conv: CountingConvention, workers: int = 1
-) -> float:
+def empirical_ratio(n: int, lam: float, conv: CountingConvention) -> float:
     """Finite-lambda ratio N(lambda)/lambda^n, correctly rounded.
 
     The quotient is taken in exact rationals, since lambda^n overflows a
@@ -350,7 +338,7 @@ def empirical_ratio(
     validate_sphere_n(n)
     if lam < 2:
         raise ValueError("lambda must be >= 2")
-    count = count_N(n, lam, conv, workers=workers)
+    count = count_N(n, lam, conv)
     return float(Fraction(count) / Fraction(lam) ** n)
 
 
@@ -359,11 +347,10 @@ def empirical_report(
     lam: float,
     conv: CountingConvention,
     digits: int = DEFAULT_DIGITS,
-    workers: int = 1,
 ) -> CoefficientReport:
     """Empirical coefficient with a half-lambda self-consistency heuristic."""
-    ratio = empirical_ratio(n, lam, conv, workers=workers)
-    ratio_half = empirical_ratio(n, max(lam / 2, 2.0), conv, workers=workers)
+    ratio = empirical_ratio(n, lam, conv)
+    ratio_half = empirical_ratio(n, max(lam / 2, 2.0), conv)
     import mpmath
 
     with mpmath.workdps(digits + 10):
@@ -381,10 +368,7 @@ def empirical_report(
 
 
 def remainder_profile(
-    n: int,
-    lambdas: Sequence[float],
-    conv: CountingConvention,
-    digits: int = DEFAULT_DIGITS,
+    n: int, lambdas: Sequence[float], conv: CountingConvention
 ) -> RemainderProfile:
     """Residuals against the closed-form constant over ascending lambdas.
 
@@ -399,11 +383,11 @@ def remainder_profile(
         raise ValueError("all lambdas must be >= 4 (so ln(lambda) > 1)")
     if list(lambdas) != sorted(lambdas):
         raise ValueError("lambdas must be ascending")
-    closed = leading_coefficient_closed(n, conv, digits=digits)
+    closed = leading_coefficient_closed(n, conv)
     samples = []
     import mpmath
 
-    with mpmath.workdps(digits + 10):
+    with mpmath.workdps(DEFAULT_DIGITS + 10):
         for lam in lambdas:
             count = count_N(n, lam, conv)
             residual = float(count - closed.value * mpmath.mpf(lam) ** n)
@@ -475,44 +459,8 @@ def report_to_record(report: CoefficientReport) -> dict:
     return record
 
 
-def report_from_record(record: dict) -> CoefficientReport:
-    import mpmath
-
-    digits = int(record["digits"])
-    with mpmath.workdps(digits + 10):
-        value = mpmath.mpf(record["value"])
-    exact = record.get("exact")
-    return CoefficientReport(
-        n=int(record["n"]),
-        convention=CountingConvention.from_name(record["convention"]),
-        method=record["method"],
-        exact=parse_pi_string(exact) if exact else None,
-        value=value,
-        error_bound=float(record["error_bound"]),
-        digits=digits,
-        truncation_K=int(record["K"]) if record.get("K") is not None else None,
-        lam=float(record["lambda"]) if record.get("lambda") is not None else None,
-    )
-
-
 def write_profile_csv(profile: RemainderProfile, stream: TextIO) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["lambda", "count", "residual", "normalized"])
     for s in profile.samples:
         writer.writerow([repr(s.lam), s.count, repr(s.residual), repr(s.normalized)])
-
-
-def read_profile_csv(stream: Iterable[str]) -> list[ProfileSample]:
-    reader = csv.reader(stream)
-    header = next(reader)
-    if header != ["lambda", "count", "residual", "normalized"]:
-        raise ValueError(f"unexpected profile CSV header: {header}")
-    return [
-        ProfileSample(
-            lam=float(lam),
-            count=int(count),
-            residual=float(residual),
-            normalized=float(normalized),
-        )
-        for lam, count, residual, normalized in reader
-    ]

@@ -24,7 +24,13 @@ from .asymptotics import (
     closed_scale,
     report_to_record,
 )
+from .exact import MIN_EVAL_DIGITS
 from .spectrum import CountingConvention
+
+CONVENTIONS = {
+    "paper": CountingConvention.PAPER_RESTRICTED,
+    "full": CountingConvention.FULL_SPECTRUM,
+}
 
 COEFF_CSV_FIELDS = [
     "n",
@@ -151,9 +157,7 @@ def parse_lambda_spec(spec: str) -> list[float]:
 
 
 def _conventions(name: str) -> list[CountingConvention]:
-    if name == "both":
-        return [CountingConvention.PAPER_RESTRICTED, CountingConvention.FULL_SPECTRUM]
-    return [CountingConvention.from_name(name)]
+    return list(CONVENTIONS.values()) if name == "both" else [CONVENTIONS[name]]
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -202,7 +206,7 @@ def _report_text(report: CoefficientReport, record: dict) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    conv = CountingConvention.from_name(args.convention)
+    conv = CONVENTIONS[args.convention]
     entries = spectrum.spectrum_table(args.n, args.lambda_max, conv)
     if args.format == "json":
         cumulative = itertools.accumulate(e.multiplicity for e in entries)
@@ -224,7 +228,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_count(args) -> int:
-    conv = CountingConvention.from_name(args.convention)
+    conv = CONVENTIONS[args.convention]
     count = spectrum.count_N(args.n, args.lam, conv, workers=args.workers)
     if args.format == "json":
         payload = {
@@ -268,6 +272,8 @@ def _coeff_reports(args, conv: CountingConvention) -> list[CoefficientReport]:
 
 
 def cmd_coeff(args) -> int:
+    if args.precision < MIN_EVAL_DIGITS:
+        raise ValueError(f"precision must be >= {MIN_EVAL_DIGITS} digits")
     all_reports: list[CoefficientReport] = []
     gaps: dict[str, float] = {}
     for conv in _conventions(args.convention):
@@ -293,7 +299,7 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    conv = CountingConvention.from_name(args.convention)
+    conv = CONVENTIONS[args.convention]
     lambdas = parse_lambda_spec(args.lambdas)
     profile = asymptotics.remainder_profile(args.n, lambdas, conv)
     buf = io.StringIO()

@@ -19,21 +19,14 @@ if TYPE_CHECKING:
     import mpmath
 
 __all__ = [
-    "Rational",
     "PiPolynomial",
     "binomial",
     "hockey_stick_sum",
     "stirling_first_signed",
-    "stirling_first_unsigned",
     "bernoulli",
     "zeta_even",
     "pipoly_eval",
-    "parse_pi_string",
 ]
-
-# Exact rational substrate. fractions.Fraction already guarantees lowest terms,
-# positive denominator, and closed exact arithmetic.
-Rational = Fraction
 
 MIN_EVAL_DIGITS = 16
 
@@ -90,14 +83,6 @@ def stirling_first_signed(m: int, j: int) -> int:
     if j > m:
         return 0
     return _stirling_row(m)[j]
-
-
-def stirling_first_unsigned(m: int, j: int) -> int:
-    """Unsigned Stirling number s'(m, j) = |s(m, j)|.
-
-    Equals the coefficient of x^j in the rising factorial x(x+1)...(x+m-1).
-    """
-    return abs(stirling_first_signed(m, j))
 
 
 @lru_cache(maxsize=None)
@@ -214,37 +199,6 @@ class PiPolynomial:
 
     def __str__(self) -> str:
         return self.to_string()
-
-
-def _parse_pi_term(term: str) -> tuple[Fraction, int]:
-    if "*" in term:
-        coeff_str, pi_str = term.split("*", 1)
-    elif term.startswith("pi"):
-        coeff_str, pi_str = "1", term
-    else:
-        coeff_str, pi_str = term, ""
-    coeff = Fraction(coeff_str)
-    if not pi_str:
-        return coeff, 0
-    if pi_str == "pi":
-        return coeff, 1
-    if not pi_str.startswith("pi^"):
-        raise ValueError(f"malformed pi term: {term!r}")
-    return coeff, int(pi_str[3:])
-
-
-def parse_pi_string(text: str) -> PiPolynomial:
-    """Inverse of :meth:`PiPolynomial.to_string` (used by the file formats)."""
-    text = text.strip()
-    if text == "0":
-        return PiPolynomial.zero()
-    # normalize "a - b" into "a + -b" then split on " + "
-    normalized = text.replace(" - ", " + -")
-    result = PiPolynomial.zero()
-    for term in normalized.split(" + "):
-        coeff, exponent = _parse_pi_term(term.strip())
-        result = result + PiPolynomial.from_pi_power(coeff, exponent)
-    return result
 
 
 def zeta_even(two_m: int) -> PiPolynomial:

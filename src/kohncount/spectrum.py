@@ -14,7 +14,7 @@ import enum
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .exact import binomial
 
@@ -28,7 +28,6 @@ __all__ = [
     "count_N",
     "spectrum_table",
     "write_spectrum_csv",
-    "read_spectrum_csv",
 ]
 
 
@@ -42,22 +41,6 @@ class CountingConvention(enum.Enum):
 
     PAPER_RESTRICTED = "paper_restricted"
     FULL_SPECTRUM = "full_spectrum"
-
-    @classmethod
-    def from_name(cls, name: str) -> "CountingConvention":
-        key = name.strip().lower()
-        aliases = {
-            "paper": cls.PAPER_RESTRICTED,
-            "paper_restricted": cls.PAPER_RESTRICTED,
-            "paper-restricted": cls.PAPER_RESTRICTED,
-            "full": cls.FULL_SPECTRUM,
-            "full_spectrum": cls.FULL_SPECTRUM,
-            "full-spectrum": cls.FULL_SPECTRUM,
-        }
-        try:
-            return aliases[key]
-        except KeyError:
-            raise ValueError(f"unknown convention {name!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,7 +139,8 @@ def count_M(
     equal cost. With ``workers`` > 1 the pool runs one process per worker,
     at most one per CPU, and the index range [1, isqrt(X)] is split into one
     chunk of equal width per process; integer addition makes the result
-    identical to the serial run.
+    identical to the serial run. When that leaves one process, no pool is
+    started.
     """
     validate_sphere_n(n)
     if x < 0:
@@ -168,9 +152,9 @@ def count_M(
     if X < pmin:
         return 0
     s = math.isqrt(X)
-    if workers <= 1 or X - pmin < 1024:
-        return _count_index_range(n, X, pmin, 1, s)
     procs = min(workers, os.cpu_count() or 1)
+    if procs <= 1 or X - pmin < 1024:
+        return _count_index_range(n, X, pmin, 1, s)
     bounds = [1 + s * k // procs for k in range(procs + 1)]
     chunks = [(n, X, pmin, lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])]
     from concurrent.futures import ProcessPoolExecutor
@@ -244,14 +228,3 @@ def write_spectrum_csv(
     for entry in entries:
         cumulative += entry.multiplicity
         writer.writerow([entry.eigenvalue, entry.multiplicity, cumulative])
-
-
-def read_spectrum_csv(stream: Iterable[str]) -> list[SpectrumEntry]:
-    reader = csv.reader(stream)
-    header = next(reader)
-    if header != ["eigenvalue", "multiplicity", "cumulative"]:
-        raise ValueError(f"unexpected spectrum CSV header: {header}")
-    return [
-        SpectrumEntry(eigenvalue=int(ev), multiplicity=int(mult))
-        for ev, mult, _ in reader
-    ]

@@ -3,12 +3,14 @@
 Each one computes the same quantity as a production path by a different
 route: multiplicities by trial division per m instead of the (p, q) sieve,
 and the counting sum over p, one at a time or in blocks of constant X//p,
-instead of by the Dirichlet hyperbola method.
+instead of by the Dirichlet hyperbola method. ``parse_pi_string`` reads back
+what ``PiPolynomial.to_string`` writes, so the tests can check that rendering.
 """
 
 import math
+from fractions import Fraction
 
-from kohncount.exact import binomial
+from kohncount.exact import PiPolynomial, binomial
 from kohncount.spectrum import CountingConvention, validate_sphere_n
 
 
@@ -86,3 +88,34 @@ def count_block_range(n, X, p_lo, p_hi):
         total += A * s1 + B * s2
         p = p2 + 1
     return total
+
+
+def _parse_pi_term(term):
+    if "*" in term:
+        coeff_str, pi_str = term.split("*", 1)
+    elif term.startswith("pi"):
+        coeff_str, pi_str = "1", term
+    else:
+        coeff_str, pi_str = term, ""
+    coeff = Fraction(coeff_str)
+    if not pi_str:
+        return coeff, 0
+    if pi_str == "pi":
+        return coeff, 1
+    if not pi_str.startswith("pi^"):
+        raise ValueError(f"malformed pi term: {term!r}")
+    return coeff, int(pi_str[3:])
+
+
+def parse_pi_string(text):
+    """Inverse of ``PiPolynomial.to_string``; odd powers of pi raise ValueError."""
+    text = text.strip()
+    if text == "0":
+        return PiPolynomial.zero()
+    # normalize "a - b" into "a + -b" then split on " + "
+    normalized = text.replace(" - ", " + -")
+    result = PiPolynomial.zero()
+    for term in normalized.split(" + "):
+        coeff, exponent = _parse_pi_term(term.strip())
+        result = result + PiPolynomial.from_pi_power(coeff, exponent)
+    return result

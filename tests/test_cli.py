@@ -1,6 +1,5 @@
 """CLI surface: flags, formats, exit codes, determinism, round-trips."""
 
-import io
 import json
 import subprocess
 import sys
@@ -8,14 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from kohncount.asymptotics import report_from_record, report_to_record
-from kohncount.cli import main, parse_lambda_spec
-from kohncount.spectrum import (
-    CountingConvention,
-    count_N,
-    read_spectrum_csv,
-    spectrum_table,
+from kohncount.asymptotics import (
+    empirical_report,
+    leading_coefficient_closed,
+    leading_coefficient_series,
+    report_to_record,
 )
+from kohncount.cli import main, parse_lambda_spec
+from kohncount.spectrum import CountingConvention, count_N
 
 
 def run_cli(capsys, *argv):
@@ -66,19 +65,15 @@ def test_spectrum_rejects_n1(capsys):
 
 
 def test_spectrum_csv_round_trip(capsys, tmp_path):
+    # --out writes to the file exactly the bytes the command prints
     path = tmp_path / "spectrum.csv"
-    rc, _, _ = run_cli(
-        capsys,
-        "spectrum",
-        "--n", "3",
-        "--lambda-max", "60",
-        "--format", "csv",
-        "--out", str(path),
-    )
+    argv = ["spectrum", "--n", "3", "--lambda-max", "60", "--format", "csv"]
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0 and out
+    rc, printed, _ = run_cli(capsys, *argv, "--out", str(path))
     assert rc == 0
-    with open(path) as fh:
-        entries = read_spectrum_csv(fh)
-    assert entries == spectrum_table(3, 60, CountingConvention.FULL_SPECTRUM)
+    assert printed == ""
+    assert path.read_bytes() == out.encode()
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +188,15 @@ def test_coeff_json_reports_round_trip(capsys):
     )
     assert rc == 0
     payload = json.loads(out)
-    assert len(payload["reports"]) == 6
-    for record in payload["reports"]:
-        recovered = report_from_record(record)
-        assert report_to_record(recovered) == record
+    # the printed records read back to those of the library's own reports
+    expected = []
+    for conv in (CountingConvention.PAPER_RESTRICTED, CountingConvention.FULL_SPECTRUM):
+        expected += [
+            leading_coefficient_series(4, 1e-12, conv),
+            leading_coefficient_closed(4, conv),
+            empirical_report(4, 2048, conv),
+        ]
+    assert payload["reports"] == [report_to_record(r) for r in expected]
 
 
 def test_coeff_empirical_large_n(capsys):
@@ -229,6 +229,16 @@ def test_coeff_series_cap_exit_code(capsys):
     )
     assert rc == 3
     assert "terms" in err
+
+
+@pytest.mark.parametrize("method", ["series", "closed", "empirical", "all"])
+def test_coeff_rejects_low_precision(capsys, method):
+    rc, out, err = run_cli(
+        capsys, "coeff", "--n", "2", "--method", method, "--precision", "0"
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == "kohncount: precision must be >= 16 digits\n"
 
 
 def test_coeff_csv_header(capsys):
