@@ -22,14 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence, TextIO
 
-from .exact import (
-    PiPolynomial,
-    binomial,
-    hockey_stick_sum,
-    pipoly_eval,
-    stirling_first_signed,
-    zeta_even,
-)
+from .exact import PiPolynomial, pipoly_eval, stirling_first_signed, zeta_even
 from .spectrum import CountingConvention, count_N, validate_sphere_n
 
 if TYPE_CHECKING:
@@ -41,7 +34,6 @@ __all__ = [
     "ProfileSample",
     "PrecisionUnattainableError",
     "closed_scale",
-    "h_poly",
     "h_polynomial_coeffs",
     "leading_coefficient_series",
     "leading_coefficient_closed",
@@ -49,7 +41,6 @@ __all__ = [
     "empirical_report",
     "remainder_profile",
     "weyl_ball_constant",
-    "lemma_ratio",
     "report_to_record",
     "write_profile_csv",
 ]
@@ -106,16 +97,6 @@ class RemainderProfile:
 def closed_scale(n: int) -> int:
     """Denominator 2^n n! in front of the bracketed sum."""
     return 2**n * math.factorial(n)
-
-
-def h_poly(n: int, k: int) -> int:
-    """h(k) = C(k+n-2, n-2) + C(k-1, n-2), via generalized binomials.
-
-    Defined for every integer k so parity properties can be tested at
-    negative arguments; positive k is the case the series uses.
-    """
-    validate_sphere_n(n)
-    return binomial(k + n - 2, n - 2) + binomial(k - 1, n - 2)
 
 
 def h_polynomial_coeffs(n: int) -> tuple[Fraction, ...]:
@@ -422,16 +403,6 @@ def weyl_ball_constant(n: int, normalization: str = "paper_text") -> PiPolynomia
     if normalization == "conventional":
         return PiPolynomial.constant(omega_sq / 4**n)
     raise ValueError(f"unknown normalization {normalization!r}")
-
-
-def lemma_ratio(a: int, b: int, y: float) -> float:
-    """Ratio of the exact partial sum sum_{q<=y} C(q+b, a) to y^{a+1}/(a+1)!."""
-    if a < 0 or b < 0:
-        raise ValueError("a, b must be >= 0")
-    if y < 1:
-        raise ValueError("y must be >= 1")
-    exact = hockey_stick_sum(math.floor(y), b, a)
-    return exact * math.factorial(a + 1) / y ** (a + 1)
 
 
 # ---------------------------------------------------------------------------

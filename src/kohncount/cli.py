@@ -32,6 +32,22 @@ CONVENTIONS = {
     "full": CountingConvention.FULL_SPECTRUM,
 }
 
+# coefficient routes, in the order that ``--method all`` runs them
+METHODS = {
+    "series": lambda args, conv: asymptotics.leading_coefficient_series(
+        args.n, eps=args.eps, conv=conv, digits=args.precision
+    ),
+    "closed": lambda args, conv: asymptotics.leading_coefficient_closed(
+        args.n, conv, digits=args.precision
+    ),
+    "empirical": lambda args, conv: asymptotics.empirical_report(
+        args.n, args.lam, conv, digits=args.precision
+    ),
+}
+
+# the longest ``converge --lambdas`` range
+MAX_LAMBDAS = 100_000
+
 COEFF_CSV_FIELDS = [
     "n",
     "convention",
@@ -79,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, convention_default="both")
     p.add_argument(
         "--method",
-        choices=["series", "closed", "empirical", "all"],
+        choices=[*METHODS, "all"],
         default="all",
     )
     p.add_argument("--eps", type=float, default=1e-12, help="series tolerance")
@@ -133,25 +149,29 @@ def parse_lambda_spec(spec: str) -> list[float]:
             raise ValueError(f"lambda range {spec!r} must be finite")
         if start <= 0 or stop < start or not step:
             raise ValueError(f"malformed lambda range {spec!r}")
-        values = []
+        top = stop * (1 + 1e-9)
         if step.startswith("x"):
-            factor = float(step[1:])
+            factor, increment = float(step[1:]), 0.0
             if factor <= 1:
                 raise ValueError("geometric factor must be > 1")
-            v = start
-            while v <= stop * (1 + 1e-9):
-                values.append(v)
-                v *= factor
+            steps = math.log(top / start) / math.log(factor)
         elif step.startswith("+"):
-            increment = float(step[1:])
+            factor, increment = 1.0, float(step[1:])
             if increment <= 0:
                 raise ValueError("arithmetic step must be > 0")
-            v = start
-            while v <= stop * (1 + 1e-9):
-                values.append(v)
-                v += increment
+            steps = (top - start) / increment
         else:
             raise ValueError(f"malformed lambda step {step!r}")
+        # the range has floor(steps) + 1 values, up to rounding
+        if steps >= MAX_LAMBDAS:
+            raise ValueError(
+                f"lambda range {spec!r} has more than {MAX_LAMBDAS} values"
+            )
+        values = []
+        v = start
+        while v <= top:
+            values.append(v)
+            v = v * factor + increment
         return values
     return [float(part) for part in spec.split(",") if part.strip()]
 
@@ -188,20 +208,13 @@ def _factored_string(report: CoefficientReport) -> str:
 
 
 def _report_text(report: CoefficientReport, record: dict) -> str:
-    lines = [
-        f"n = {report.n}",
-        f"convention = {report.convention.value}",
-        f"method = {report.method}",
-    ]
-    if report.exact is not None:
-        lines.append(f"exact = {record['exact']}")
-        lines.append(f"factored = {_factored_string(report)}")
-    lines.append(f"value = {record['value']}")
-    lines.append(f"error_bound = {report.error_bound!r}")
-    if report.truncation_K is not None:
-        lines.append(f"K = {report.truncation_K}")
-    if report.lam is not None:
-        lines.append(f"lambda = {report.lam!r}")
+    lines = []
+    for key, value in record.items():
+        if key == "digits" or value is None:
+            continue
+        lines.append(f"{key} = {value}")
+        if key == "exact":
+            lines.append(f"factored = {_factored_string(report)}")
     return "\n".join(lines)
 
 
@@ -245,30 +258,8 @@ def cmd_count(args) -> int:
 
 
 def _coeff_reports(args, conv: CountingConvention) -> list[CoefficientReport]:
-    methods = (
-        ["series", "closed", "empirical"] if args.method == "all" else [args.method]
-    )
-    reports = []
-    for method in methods:
-        if method == "series":
-            reports.append(
-                asymptotics.leading_coefficient_series(
-                    args.n, eps=args.eps, conv=conv, digits=args.precision
-                )
-            )
-        elif method == "closed":
-            reports.append(
-                asymptotics.leading_coefficient_closed(
-                    args.n, conv, digits=args.precision
-                )
-            )
-        else:
-            reports.append(
-                asymptotics.empirical_report(
-                    args.n, args.lam, conv, digits=args.precision
-                )
-            )
-    return reports
+    methods = list(METHODS) if args.method == "all" else [args.method]
+    return [METHODS[method](args, conv) for method in methods]
 
 
 def cmd_coeff(args) -> int:

@@ -1,10 +1,8 @@
 """Exact integer/rational combinatorics and polynomials in pi^2.
 
-Everything here is arbitrary-precision and deterministic: binomials are total
-over all integer pairs (with the generalized falling-factorial value for
-negative upper index), Bernoulli and Stirling numbers are exact rationals and
-integers, and zeta at even integers is represented symbolically as a rational
-multiple of a power of pi^2.
+Everything here is arbitrary-precision and deterministic: Bernoulli and
+Stirling numbers are exact rationals and integers, and zeta at even integers
+is represented symbolically as a rational multiple of a power of pi^2.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "PiPolynomial",
-    "binomial",
-    "hockey_stick_sum",
     "stirling_first_signed",
     "bernoulli",
     "zeta_even",
@@ -31,45 +27,13 @@ __all__ = [
 MIN_EVAL_DIGITS = 16
 
 
-def binomial(a: int, b: int) -> int:
-    """Binomial coefficient C(a, b), total over all integer pairs.
-
-    Conventions: C(a, b) = 0 for b < 0 and for 0 <= a < b. For a < 0 the
-    generalized value a(a-1)...(a-b+1)/b! is returned, which agrees with the
-    polynomial x(x-1)...(x-b+1)/b! evaluated at x = a. With these conventions
-    C(., b) coincides with that polynomial at every integer.
-    """
-    if b < 0:
-        return 0
-    if a >= 0:
-        return math.comb(a, b) if b <= a else 0
-    # Reflection C(a, b) = (-1)^b C(b - a - 1, b) for a < 0.
-    return (-1) ** b * math.comb(b - a - 1, b)
-
-
-def hockey_stick_sum(Q: int, b: int, a: int) -> int:
-    """Exact partial sum sum_{q=1}^{Q} C(q+b, a) = C(Q+b+1, a+1) - C(b+1, a+1)."""
-    if Q < 0:
-        raise ValueError("Q must be >= 0")
-    if b < 0 or a < 0:
-        raise ValueError("a, b must be >= 0")
-    if Q == 0:
-        return 0
-    return binomial(Q + b + 1, a + 1) - binomial(b + 1, a + 1)
-
-
 @lru_cache(maxsize=None)
 def _stirling_row(m: int) -> tuple[int, ...]:
     # Row of signed Stirling numbers of the first kind: coefficients of
-    # x(x-1)...(x-m+1), index j <-> x^j. s(m+1, j) = s(m, j-1) - m*s(m, j).
-    if m == 0:
-        return (1,)
-    prev = _stirling_row(m - 1)
-    row = [0] * (m + 1)
-    for j in range(m + 1):
-        lower = prev[j - 1] if 1 <= j <= m else 0
-        upper = prev[j] if j < m else 0
-        row[j] = lower - (m - 1) * upper
+    # x(x-1)...(x-m+1), index j <-> x^j, built by multiplying in each (x - i).
+    row = [1]
+    for i in range(m):
+        row = [lower - i * upper for lower, upper in zip([0] + row, row + [0])]
     return tuple(row)
 
 
@@ -165,14 +129,7 @@ class PiPolynomial:
         return self + (-other)
 
     def __mul__(self, other) -> "PiPolynomial":
-        if isinstance(other, PiPolynomial):
-            if self.is_zero() or other.is_zero():
-                return PiPolynomial.zero()
-            prod = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] += a * b
-            return PiPolynomial(tuple(prod))
+        """Scale by an ``int`` or ``Fraction``."""
         if isinstance(other, (int, Fraction)):
             return PiPolynomial(tuple(c * other for c in self.coeffs))
         return NotImplemented

@@ -1,10 +1,11 @@
 """Exact point spectrum of the Kohn Laplacian on functions on S^{2n-1}.
 
 Eigenvalues are 2q(p+n-1) over bidegrees (p, q) with q >= 1; multiplicities
-are dimensions of the spherical-harmonic spaces H_{p,q}. Counting functions
-are evaluated in exact integer arithmetic under two conventions that differ
-in whether the boundary eigenspaces H_{0,q} are included (``full_spectrum``)
-or dropped by the p >= n divisor restriction (``paper_restricted``).
+are dimensions of the spherical-harmonic spaces H_{p,q}. The counting
+function is evaluated in exact integer arithmetic under two conventions that
+differ in whether the boundary eigenspaces H_{0,q} are included
+(``full_spectrum``) or dropped by the p >= n divisor restriction
+(``paper_restricted``).
 """
 
 from __future__ import annotations
@@ -14,17 +15,13 @@ import enum
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, TextIO
-
-from .exact import binomial
 
 __all__ = [
     "CountingConvention",
     "SpectrumEntry",
     "validate_sphere_n",
-    "hpq_dim",
-    "eigenvalue",
-    "count_M",
     "count_N",
     "spectrum_table",
     "write_spectrum_csv",
@@ -54,28 +51,6 @@ def validate_sphere_n(n: int) -> int:
     if not isinstance(n, int) or n < 2:
         raise ValueError("sphere parameter n must be an integer >= 2")
     return n
-
-
-def hpq_dim(n: int, p: int, q: int) -> int:
-    """dim H_{p,q}(S^{2n-1}) for bidegree (p, q), both >= 0.
-
-    C(n+p-1, p) C(n+q-1, q) - C(n+p-2, p-1) C(n+q-2, q-1); the zero-binomial
-    conventions make p = 0 and q = 0 come out right.
-    """
-    validate_sphere_n(n)
-    if p < 0 or q < 0:
-        raise ValueError("bidegrees must be >= 0")
-    return binomial(n + p - 1, p) * binomial(n + q - 1, q) - binomial(
-        n + p - 2, p - 1
-    ) * binomial(n + q - 2, q - 1)
-
-
-def eigenvalue(n: int, p: int, q: int) -> int:
-    """Eigenvalue 2q(p+n-1) on the bidegree-(p, q) harmonics."""
-    validate_sphere_n(n)
-    if p < 0 or q < 0:
-        raise ValueError("bidegrees must be >= 0")
-    return 2 * q * (p + n - 1)
 
 
 def _divisor_floor(conv: CountingConvention, n: int) -> int:
@@ -126,34 +101,38 @@ def _count_index_range(n: int, X: int, pmin: int, i_lo: int, i_hi: int) -> int:
     return acc // (n * m) - rest
 
 
-def count_M(
+def count_N(
     n: int,
-    x: float,
+    lam: int | float | Fraction,
     conv: CountingConvention,
     workers: int = 1,
 ) -> int:
-    """M(x) = number of eigenvalues <= 2x, exactly.
+    """N(lambda) = number of positive eigenvalues <= lambda, with multiplicity.
 
-    Cumulative divisor sum of f(p, q) over pq <= X = floor(x), p >= n (or
-    n-1), by the Dirichlet hyperbola method in about 2 isqrt(X) steps of
-    equal cost. With ``workers`` > 1 the pool runs one process per worker,
-    at most one per CPU, and the index range [1, isqrt(X)] is split into one
-    chunk of equal width per process; integer addition makes the result
-    identical to the serial run. When that leaves one process, no pool is
-    started.
+    Every eigenvalue is an even integer 2m, so this is the cumulative divisor
+    sum of f(p, q) over pq <= X = floor(lambda) // 2, p >= n (or n-1); X is
+    exact for ``int``, ``Fraction`` and ``float`` lambda. The zero eigenvalue
+    (q = 0, the infinite-dimensional space of CR functions) is never counted.
+    The Dirichlet hyperbola method takes about 2 isqrt(X) steps of equal
+    cost. With ``workers`` > 1 the pool runs one process per worker, at most
+    one per CPU, and the index range [1, isqrt(X)] is split into one chunk of
+    equal width per process; integer addition makes the result identical to
+    the serial run. When that leaves one process, no pool is started.
     """
     validate_sphere_n(n)
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    X = math.floor(x)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    if not math.isfinite(lam):
+        raise ValueError("lambda must be finite")
+    X = math.floor(lam) // 2
     pmin = _divisor_floor(conv, n)
     if X < pmin:
         return 0
     s = math.isqrt(X)
     procs = min(workers, os.cpu_count() or 1)
-    if procs <= 1 or X - pmin < 1024:
+    if procs == 1 or X - pmin < 1024:
         return _count_index_range(n, X, pmin, 1, s)
     bounds = [1 + s * k // procs for k in range(procs + 1)]
     chunks = [(n, X, pmin, lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])]
@@ -167,36 +146,22 @@ def _count_chunk(args: tuple[int, int, int, int, int]) -> int:
     return _count_index_range(*args)
 
 
-def count_N(n: int, lam: float, conv: CountingConvention, workers: int = 1) -> int:
-    """N(lambda) = number of positive eigenvalues <= lambda, with multiplicity.
-
-    Equals M(lambda/2) since every eigenvalue is an even integer. The zero
-    eigenvalue (q = 0, the infinite-dimensional space of CR functions) is
-    never counted.
-    """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    if not math.isfinite(lam):
-        raise ValueError("lambda must be finite")
-    return count_M(n, lam / 2, conv, workers=workers)
-
-
 def spectrum_table(
-    n: int, lambda_max: float, conv: CountingConvention
+    n: int, lambda_max: int | float | Fraction, conv: CountingConvention
 ) -> list[SpectrumEntry]:
     """All (eigenvalue, multiplicity) pairs with 0 < eigenvalue <= lambda_max.
 
     The multiplicity of 2m is the sum of f(p, m/p) over divisors p of m with
     p >= n (paper_restricted) or p >= n-1 (full_spectrum). One sieve over the
-    (p, q) pairs with pq <= M = lambda_max/2 adds every f(p, q) to its m,
-    in O(M log M) steps.
+    (p, q) pairs with pq <= M = floor(lambda_max) // 2 adds every f(p, q) to
+    its m, in O(M log M) steps.
     """
     validate_sphere_n(n)
     if lambda_max < 2:
         raise ValueError("lambda_max must be >= 2")
     if not math.isfinite(lambda_max):
         raise ValueError("lambda_max must be finite")
-    M = math.floor(lambda_max / 2)
+    M = math.floor(lambda_max) // 2
     pmin = _divisor_floor(conv, n)
     q_max = M // pmin
     # C(q+n-2, n-1) and C(q+n-2, n-2) for q = 1..q_max

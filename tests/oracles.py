@@ -1,17 +1,89 @@
-"""Slow reference algorithms that the tests compare the library against.
+"""Reference algorithms and formulas that the tests check the library against.
 
-Each one computes the same quantity as a production path by a different
+Each algorithm computes the same quantity as a production path by a different
 route: multiplicities by trial division per m instead of the (p, q) sieve,
 and the counting sum over p, one at a time or in blocks of constant X//p,
-instead of by the Dirichlet hyperbola method. ``parse_pi_string`` reads back
-what ``PiPolynomial.to_string`` writes, so the tests can check that rendering.
+instead of by the Dirichlet hyperbola method. The formulas (total binomials,
+hockey-stick sums, dim H_{p,q}, eigenvalues, the h polynomial and the
+partial-sum lemma ratio) are the paper's definitions, written out directly.
+``parse_pi_string`` reads back what ``PiPolynomial.to_string`` writes, so the
+tests can check that rendering.
 """
 
 import math
 from fractions import Fraction
 
-from kohncount.exact import PiPolynomial, binomial
+from kohncount.exact import PiPolynomial
 from kohncount.spectrum import CountingConvention, validate_sphere_n
+
+
+def binomial(a, b):
+    """Binomial coefficient C(a, b), total over all integer pairs.
+
+    Conventions: C(a, b) = 0 for b < 0 and for 0 <= a < b. For a < 0 the
+    generalized value a(a-1)...(a-b+1)/b! is returned, which agrees with the
+    polynomial x(x-1)...(x-b+1)/b! evaluated at x = a. With these conventions
+    C(., b) coincides with that polynomial at every integer.
+    """
+    if b < 0:
+        return 0
+    if a >= 0:
+        return math.comb(a, b) if b <= a else 0
+    # Reflection C(a, b) = (-1)^b C(b - a - 1, b) for a < 0.
+    return (-1) ** b * math.comb(b - a - 1, b)
+
+
+def hockey_stick_sum(Q, b, a):
+    """Exact partial sum sum_{q=1}^{Q} C(q+b, a) = C(Q+b+1, a+1) - C(b+1, a+1)."""
+    if Q < 0:
+        raise ValueError("Q must be >= 0")
+    if b < 0 or a < 0:
+        raise ValueError("a, b must be >= 0")
+    if Q == 0:
+        return 0
+    return binomial(Q + b + 1, a + 1) - binomial(b + 1, a + 1)
+
+
+def lemma_ratio(a, b, y):
+    """Ratio of the exact partial sum sum_{q<=y} C(q+b, a) to y^{a+1}/(a+1)!."""
+    if a < 0 or b < 0:
+        raise ValueError("a, b must be >= 0")
+    if y < 1:
+        raise ValueError("y must be >= 1")
+    exact = hockey_stick_sum(math.floor(y), b, a)
+    return exact * math.factorial(a + 1) / y ** (a + 1)
+
+
+def hpq_dim(n, p, q):
+    """dim H_{p,q}(S^{2n-1}) for bidegree (p, q), both >= 0.
+
+    C(n+p-1, p) C(n+q-1, q) - C(n+p-2, p-1) C(n+q-2, q-1); the zero-binomial
+    conventions make p = 0 and q = 0 come out right.
+    """
+    validate_sphere_n(n)
+    if p < 0 or q < 0:
+        raise ValueError("bidegrees must be >= 0")
+    return binomial(n + p - 1, p) * binomial(n + q - 1, q) - binomial(
+        n + p - 2, p - 1
+    ) * binomial(n + q - 2, q - 1)
+
+
+def eigenvalue(n, p, q):
+    """Eigenvalue 2q(p+n-1) on the bidegree-(p, q) harmonics."""
+    validate_sphere_n(n)
+    if p < 0 or q < 0:
+        raise ValueError("bidegrees must be >= 0")
+    return 2 * q * (p + n - 1)
+
+
+def h_poly(n, k):
+    """h(k) = C(k+n-2, n-2) + C(k-1, n-2), via generalized binomials.
+
+    Defined for every integer k so parity properties can be tested at
+    negative arguments; positive k is the case the series uses.
+    """
+    validate_sphere_n(n)
+    return binomial(k + n - 2, n - 2) + binomial(k - 1, n - 2)
 
 
 def f_value(n, p, q):

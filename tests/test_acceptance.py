@@ -17,29 +17,26 @@ import mpmath
 from kohncount.asymptotics import (
     closed_scale,
     empirical_ratio,
-    h_poly,
     leading_coefficient_closed,
     leading_coefficient_series,
-    lemma_ratio,
     remainder_profile,
 )
 from kohncount.exact import (
     PiPolynomial,
     bernoulli,
-    binomial,
-    hockey_stick_sum,
     pipoly_eval,
     stirling_first_signed,
     zeta_even,
 )
-from kohncount.spectrum import (
-    CountingConvention,
-    count_M,
-    count_N,
+from kohncount.spectrum import CountingConvention, count_N, spectrum_table
+from tests.oracles import (
+    binomial,
+    delta_M,
+    h_poly,
+    hockey_stick_sum,
     hpq_dim,
-    spectrum_table,
+    lemma_ratio,
 )
-from tests.oracles import delta_M
 
 PAPER = CountingConvention.PAPER_RESTRICTED
 FULL = CountingConvention.FULL_SPECTRUM
@@ -119,7 +116,7 @@ def test_criterion_3_counting_oracle_equivalence():
             cumulative = 0
             for x in range(1, 3001):
                 cumulative += cum_table[x]
-                assert count_M(n, x, conv) == cumulative
+                assert count_N(n, 2 * x, conv) == cumulative
     report(3, time.perf_counter() - t0, 30.0, "divisor sums == lattice loops, n in {2,3,4}")
 
 
@@ -257,8 +254,8 @@ def test_criterion_9_performance_budget():
     assert cli_elapsed <= 10.0
     cli_count = int(result.stdout.strip())
     for conv in (PAPER, FULL):
-        serial = count_M(3, 5e5, conv, workers=1)
-        parallel = count_M(3, 5e5, conv, workers=2)
+        serial = count_N(3, 2 * 5e5, conv, workers=1)
+        parallel = count_N(3, 2 * 5e5, conv, workers=2)
         assert serial == parallel
         if conv is PAPER:
             assert serial == cli_count

@@ -19,11 +19,9 @@ from kohncount.asymptotics import (
     closed_scale,
     empirical_ratio,
     empirical_report,
-    h_poly,
     h_polynomial_coeffs,
     leading_coefficient_closed,
     leading_coefficient_series,
-    lemma_ratio,
     remainder_profile,
     report_to_record,
     weyl_ball_constant,
@@ -31,7 +29,7 @@ from kohncount.asymptotics import (
 )
 from kohncount.exact import PiPolynomial, pipoly_eval
 from kohncount.spectrum import CountingConvention
-from tests.oracles import parse_pi_string
+from tests.oracles import h_poly, lemma_ratio, parse_pi_string
 
 PAPER = CountingConvention.PAPER_RESTRICTED
 FULL = CountingConvention.FULL_SPECTRUM

@@ -122,6 +122,16 @@ def test_count_workers_agree(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_count_rejects_workers_below_one(capsys, workers):
+    rc, out, err = run_cli(
+        capsys, "count", "--n", "3", "--lambda", "1e6", "--workers", workers
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == "kohncount: workers must be >= 1\n"
+
+
 # ---------------------------------------------------------------------------
 # coeff
 
@@ -311,6 +321,27 @@ def test_parse_lambda_spec_forms():
     assert parse_lambda_spec("512") == [512.0]
     with pytest.raises(ValueError):
         parse_lambda_spec("10:5:x2")
+
+
+def test_parse_lambda_spec_caps_range_length():
+    assert len(parse_lambda_spec("1:1e5:+1")) == 100_000
+    assert len(parse_lambda_spec("1:1e100:x1.003")) == 76_868
+    for spec in (
+        "1:100001:+1",
+        "1:2e5:+1",
+        "4:1e12:+1",
+        "1:1e100:x1.002",
+        "1e20:1e20:+1",  # endless: adding 1 to 1e20 does not change it
+    ):
+        with pytest.raises(ValueError, match="has more than 100000 values"):
+            parse_lambda_spec(spec)
+
+
+def test_converge_rejects_long_range(capsys):
+    rc, out, err = run_cli(capsys, "converge", "--n", "2", "--lambdas", "1:2e5:+1")
+    assert rc == 2
+    assert out == ""
+    assert err == "kohncount: lambda range '1:2e5:+1' has more than 100000 values\n"
 
 
 # ---------------------------------------------------------------------------

