@@ -222,24 +222,24 @@ def leading_coefficient_series(
     K = _select_truncation(a, target * Fraction(99, 100))
     tail_mid, tail_half_width = _tail_bracket(a, K)
 
-    # Round-off allocation for the mpmath partial sum: the sum is below
-    # 2 * sum(a_m) (zeta(2m) < 2), and each of the ~3K roundings is at one
-    # working ulp.
+    # Round-off allocation: the sum is below 2 * sum(a_m) (zeta(2m) < 2), and
+    # (3K + 10) errors of one working ulp each are allowed for. The partial
+    # sum is taken in fixed point with F > dps log2(10) fraction bits, so it
+    # errs by less than K 2^-F < K 10^-dps, and the few mpmath roundings
+    # after it by a working ulp each.
     sum_bound = 2 * sum(a.values()) + 1
     denom = target / (100 * sum_bound * (3 * K + 10))
     need_dps = 1 + max(0, -_floor_log10(denom))
     dps = max(digits + 10, need_dps)
     rounding = sum_bound * (3 * K + 10) * Fraction(10) ** (1 - dps)
+    F = math.ceil(dps * math.log2(10)) + 8
+    partial = _partial_sum_fixed(n, K, F)
 
     import mpmath
 
     with mpmath.workdps(dps):
-        partial = mpmath.mpf(0)
-        for k in range(1, K + 1):
-            hk = math.comb(k + n - 2, n - 2) + math.comb(k - 1, n - 2)
-            partial += mpmath.mpf(hk) / k**n
         total = (
-            partial
+            mpmath.mpf((partial, -F))
             + _to_mpf(tail_mid)
             - _to_mpf(_convention_gap(n, conv))
         ) / scale
@@ -256,6 +256,17 @@ def leading_coefficient_series(
         error_bound=error_bound,
         digits=digits,
         truncation_K=K,
+    )
+
+
+def _partial_sum_fixed(n: int, K: int, F: int) -> int:
+    """floor(2^F h(k) / k^n) summed over k = 1..K: the partial sum of
+    sum_k k^-n h(k) in fixed point with F fraction bits, below the exact
+    sum by less than K 2^-F."""
+    comb = math.comb
+    return sum(
+        ((comb(k + n - 2, n - 2) + comb(k - 1, n - 2)) << F) // k**n
+        for k in range(1, K + 1)
     )
 
 

@@ -9,9 +9,9 @@ identical flags produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
-import itertools
 import json
 import math
 import sys
@@ -84,11 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="tabulate (eigenvalue, multiplicity) pairs")
     add_common(p)
-    p.add_argument("--lambda-max", type=float, required=True, dest="lambda_max")
+    p.add_argument("--lambda-max", type=_exact_real, required=True, dest="lambda_max")
 
     p = sub.add_parser("count", help="evaluate the counting function N(lambda)")
     add_common(p)
-    p.add_argument("--lambda", type=float, required=True, dest="lam")
+    p.add_argument("--lambda", type=_exact_real, required=True, dest="lam")
     p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("coeff", help="leading coefficient of N(lambda)/lambda^n")
@@ -133,6 +133,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     return parser
+
+
+def _exact_real(text: str) -> Fraction | float:
+    """A finite number parsed exactly, as a ``Fraction``.
+
+    The accepted spellings are a float's, with a float's usage error.
+    Values a float cannot hold (inf, nan, 1e400) stay floats, which the
+    library rejects as not finite.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    return Fraction(text) if math.isfinite(value) else value
 
 
 def parse_lambda_spec(spec: str) -> list[float]:
@@ -180,12 +194,14 @@ def _conventions(name: str) -> list[CountingConvention]:
     return list(CONVENTIONS.values()) if name == "both" else [CONVENTIONS[name]]
 
 
+def _output(out: str | None):
+    """The output stream: stdout, or the ``--out`` file, opened for writing."""
+    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w")
+
+
 def _emit(text: str, out: str | None) -> int:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    with _output(out) as stream:
+        stream.write(text)
     return 0
 
 
@@ -221,23 +237,19 @@ def _report_text(report: CoefficientReport, record: dict) -> str:
 def cmd_spectrum(args) -> int:
     conv = CONVENTIONS[args.convention]
     entries = spectrum.spectrum_table(args.n, args.lambda_max, conv)
-    if args.format == "json":
-        cumulative = itertools.accumulate(e.multiplicity for e in entries)
-        payload = {
-            "n": args.n,
-            "convention": conv.value,
-            "lambda_max": args.lambda_max,
-            "entries": [
-                dict(eigenvalue=e.eigenvalue, multiplicity=e.multiplicity, cumulative=c)
-                for e, c in zip(entries, cumulative)
-            ],
-        }
-        return _json(payload, args.out)
-    # the text table is the csv file with spaces for commas
-    buf = io.StringIO()
-    delimiter = "," if args.format == "csv" else " "
-    spectrum.write_spectrum_csv(entries, buf, delimiter=delimiter)
-    return _emit(buf.getvalue(), args.out)
+    with _output(args.out) as stream:
+        if args.format == "json":
+            header = {
+                "n": args.n,
+                "convention": conv.value,
+                "lambda_max": float(args.lambda_max),
+            }
+            spectrum.write_spectrum_json(entries, stream, header)
+        else:
+            # the text table is the csv file with spaces for commas
+            delimiter = "," if args.format == "csv" else " "
+            spectrum.write_spectrum_csv(entries, stream, delimiter=delimiter)
+    return 0
 
 
 def cmd_count(args) -> int:
@@ -246,13 +258,13 @@ def cmd_count(args) -> int:
     if args.format == "json":
         payload = {
             "n": args.n,
-            "lambda": args.lam,
+            "lambda": float(args.lam),
             "convention": conv.value,
             "count": count,
         }
         return _json(payload, args.out)
     if args.format == "csv":
-        row = [args.n, repr(args.lam), conv.value, count]
+        row = [args.n, repr(float(args.lam)), conv.value, count]
         return _csv(["n", "lambda", "convention", "count"], [row], args.out)
     return _emit(f"{count}\n", args.out)
 

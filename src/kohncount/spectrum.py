@@ -10,13 +10,13 @@ differ in whether the boundary eigenspaces H_{0,q} are included
 
 from __future__ import annotations
 
-import csv
 import enum
+import itertools
+import json
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 __all__ = [
     "CountingConvention",
@@ -25,7 +25,17 @@ __all__ = [
     "count_N",
     "spectrum_table",
     "write_spectrum_csv",
+    "write_spectrum_json",
 ]
+
+# Rows per ``write()`` call of the table writers. Unbuffered stdout
+# (PYTHONUNBUFFERED=1) passes each call straight to the OS, so a write per row
+# would cost a system call per row.
+WRITE_BLOCK_ROWS = 4096
+
+# ``count_N`` runs serially below this isqrt(X): there the count takes less
+# time than starting a process pool.
+POOL_MIN_SQRT_X = 2**14
 
 
 class CountingConvention(enum.Enum):
@@ -40,8 +50,7 @@ class CountingConvention(enum.Enum):
     FULL_SPECTRUM = "full_spectrum"
 
 
-@dataclass(frozen=True, slots=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     eigenvalue: int
     multiplicity: int
 
@@ -117,7 +126,8 @@ def count_N(
     cost. With ``workers`` > 1 the pool runs one process per worker, at most
     one per CPU, and the index range [1, isqrt(X)] is split into one chunk of
     equal width per process; integer addition makes the result identical to
-    the serial run. When that leaves one process, no pool is started.
+    the serial run. When that leaves one process, or isqrt(X) is below
+    ``POOL_MIN_SQRT_X``, no pool is started.
     """
     validate_sphere_n(n)
     if workers < 1:
@@ -132,7 +142,7 @@ def count_N(
         return 0
     s = math.isqrt(X)
     procs = min(workers, os.cpu_count() or 1)
-    if procs == 1 or X - pmin < 1024:
+    if procs == 1 or s < POOL_MIN_SQRT_X:
         return _count_index_range(n, X, pmin, 1, s)
     bounds = [1 + s * k // procs for k in range(procs + 1)]
     chunks = [(n, X, pmin, lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])]
@@ -154,7 +164,9 @@ def spectrum_table(
     The multiplicity of 2m is the sum of f(p, m/p) over divisors p of m with
     p >= n (paper_restricted) or p >= n-1 (full_spectrum). One sieve over the
     (p, q) pairs with pq <= M = floor(lambda_max) // 2 adds every f(p, q) to
-    its m, in O(M log M) steps.
+    its m, in O(M log M) steps. Every m >= pmin has the divisor pair
+    (m, 1), and no m < pmin has one, so the table lists exactly m in
+    [pmin, M].
     """
     validate_sphere_n(n)
     if lambda_max < 2:
@@ -172,11 +184,12 @@ def spectrum_table(
         a, b = math.comb(p - 1, n - 2), math.comb(p, n - 1)
         for m, A_q, B_q in zip(range(p, M + 1, p), A, B):
             mult[m] += a * A_q + b * B_q
-    return [
-        SpectrumEntry(eigenvalue=2 * m, multiplicity=mult[m])
-        for m in range(1, M + 1)
-        if mult[m] > 0
-    ]
+    return list(map(SpectrumEntry, range(2 * pmin, 2 * M + 1, 2), mult[pmin:]))
+
+
+def _write_blocks(stream: TextIO, lines: Iterator[str]) -> None:
+    while block := "".join(itertools.islice(lines, WRITE_BLOCK_ROWS)):
+        stream.write(block)
 
 
 def write_spectrum_csv(
@@ -187,9 +200,33 @@ def write_spectrum_csv(
     Every field is an integer, so no field is ever quoted; ``delimiter=" "``
     gives the plain-text table.
     """
-    writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(["eigenvalue", "multiplicity", "cumulative"])
-    cumulative = 0
-    for entry in entries:
-        cumulative += entry.multiplicity
-        writer.writerow([entry.eigenvalue, entry.multiplicity, cumulative])
+    d = delimiter
+    stream.write(f"eigenvalue{d}multiplicity{d}cumulative\n")
+    cumulative = itertools.accumulate(m for _, m in entries)
+    rows = (f"{ev}{d}{m}{d}{c}\n" for (ev, m), c in zip(entries, cumulative))
+    _write_blocks(stream, rows)
+
+
+def write_spectrum_json(
+    entries: Sequence[SpectrumEntry], stream: TextIO, header: dict
+) -> None:
+    """JSON export: the bytes of ``json.dumps(payload, indent=2) + "\\n"``.
+
+    ``payload`` is ``header`` followed by ``"entries"``, a list of objects
+    with keys eigenvalue, multiplicity and cumulative. The header scalars go
+    through ``json.dumps``; the entries, all integers, are formatted directly.
+    """
+    stream.write(
+        "{\n"
+        + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in header.items())
+        + '  "entries": ['
+    )
+    cumulative = itertools.accumulate(m for _, m in entries)
+    separators = itertools.chain(["\n"], itertools.repeat(",\n"))
+    items = (
+        f'{sep}    {{\n      "eigenvalue": {ev},\n      "multiplicity": {m},'
+        f'\n      "cumulative": {c}\n    }}'
+        for sep, (ev, m), c in zip(separators, entries, cumulative)
+    )
+    _write_blocks(stream, items)
+    stream.write("\n  ]\n}\n" if entries else "]\n}\n")

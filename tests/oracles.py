@@ -7,9 +7,15 @@ instead of by the Dirichlet hyperbola method. The formulas (total binomials,
 hockey-stick sums, dim H_{p,q}, eigenvalues, the h polynomial and the
 partial-sum lemma ratio) are the paper's definitions, written out directly.
 ``parse_pi_string`` reads back what ``PiPolynomial.to_string`` writes, so the
-tests can check that rendering.
+tests can check that rendering. ``spectrum_csv`` and ``spectrum_json`` render
+spectrum tables through the ``csv`` and ``json`` modules, for the library's
+direct writers to match byte for byte.
 """
 
+import csv
+import io
+import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -191,3 +197,28 @@ def parse_pi_string(text):
         coeff, exponent = _parse_pi_term(term.strip())
         result = result + PiPolynomial.from_pi_power(coeff, exponent)
     return result
+
+
+def spectrum_csv(entries, delimiter=","):
+    """The spectrum table through ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(["eigenvalue", "multiplicity", "cumulative"])
+    cumulative = 0
+    for entry in entries:
+        cumulative += entry.multiplicity
+        writer.writerow([entry.eigenvalue, entry.multiplicity, cumulative])
+    return buf.getvalue()
+
+
+def spectrum_json(entries, header):
+    """The spectrum table as one dict payload, through ``json.dumps(indent=2)``."""
+    cumulative = itertools.accumulate(e.multiplicity for e in entries)
+    payload = {
+        **header,
+        "entries": [
+            dict(eigenvalue=e.eigenvalue, multiplicity=e.multiplicity, cumulative=c)
+            for e, c in zip(entries, cumulative)
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"

@@ -16,6 +16,7 @@ import pytest
 from kohncount.asymptotics import (
     CoefficientReport,
     PrecisionUnattainableError,
+    _partial_sum_fixed,
     closed_scale,
     empirical_ratio,
     empirical_report,
@@ -131,6 +132,16 @@ def test_series_matches_closed_small_n():
             closed = leading_coefficient_closed(n, conv)
             assert series.error_bound <= 1e-12
             assert abs(float(series.value) - float(closed.value)) <= 2e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("K", [1, 37, 2000])
+@pytest.mark.parametrize("F", [8, 208])
+def test_series_fixed_point_partial_sum(n, K, F):
+    # each of the K floors drops less than 2^-F
+    exact = sum(Fraction(h_poly(n, k), k**n) for k in range(1, K + 1))
+    error = exact - Fraction(_partial_sum_fixed(n, K, F), 2**F)
+    assert 0 <= error < Fraction(K, 2**F)
 
 
 def test_series_n2_reference_values():

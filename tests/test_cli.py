@@ -13,7 +13,8 @@ from kohncount.asymptotics import (
     leading_coefficient_series,
     report_to_record,
 )
-from kohncount.cli import main, parse_lambda_spec
+from kohncount import spectrum
+from kohncount.cli import build_parser, main, parse_lambda_spec
 from kohncount.spectrum import CountingConvention, count_N
 
 
@@ -56,6 +57,17 @@ def test_spectrum_empty_table(capsys):
     rc, out, _ = run_cli(capsys, "spectrum", "--n", "5", "--lambda-max", "2")
     assert rc == 0
     assert out.splitlines() == ["eigenvalue multiplicity cumulative"]
+
+
+def test_spectrum_out_not_created_on_exit_2(capsys, tmp_path):
+    path = tmp_path / "table.csv"
+    rc, out, err = run_cli(
+        capsys, "spectrum", "--n", "3", "--lambda-max", "1", "--out", str(path)
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == "kohncount: lambda_max must be >= 2\n"
+    assert not path.exists()
 
 
 def test_spectrum_rejects_n1(capsys):
@@ -120,6 +132,32 @@ def test_count_workers_agree(capsys):
     )
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_lambda_parses_exactly(capsys, monkeypatch):
+    # 2^53 + 1 is the first integer a float cannot hold
+    parser = build_parser()
+    args = parser.parse_args(["count", "--n", "2", "--lambda", "9007199254740993"])
+    assert args.lam == 2**53 + 1
+    args = parser.parse_args(
+        ["spectrum", "--n", "2", "--lambda-max", "9007199254740993"]
+    )
+    assert args.lambda_max == 2**53 + 1
+    # the count sees X = 2^53 + 1 from lambda = 2^54 + 2; a float would give 2^53,
+    # and the output still prints lambda as a float
+    seen = []
+
+    def record(n, X, pmin, i_lo, i_hi):
+        seen.append(X)
+        return 0
+
+    monkeypatch.setattr(spectrum, "_count_index_range", record)
+    rc, out, _ = run_cli(
+        capsys, "count", "--n", "2", "--lambda", str(2**54 + 2), "--format", "json"
+    )
+    assert rc == 0
+    assert seen == [2**53 + 1]
+    assert json.loads(out)["lambda"] == float(2**54)
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -418,10 +456,12 @@ def test_non_finite_values_exit_2(capsys, argv):
         [],
         ["count", "--n", "3", "--lambda", "1e4", "--format", "json"],
         ["spectrum", "--n", "3", "--lambda-max", "100", "--format", "csv"],
+        ["count", "--n", "3", "--workers", "2", "--lambda", "1e4"],
     ],
 )
 def test_cli_imports_stay_lazy(argv):
-    # mpmath and the process pool are loaded only by the commands that use them
+    # mpmath and the process pool are loaded only by the commands that use
+    # them, and the pool only for counts above its cut-off
     code = (
         "import sys\n"
         "from kohncount import cli\n"

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from kohncount import spectrum
 from kohncount.spectrum import (
@@ -20,6 +20,7 @@ from kohncount.spectrum import (
     count_N,
     spectrum_table,
     write_spectrum_csv,
+    write_spectrum_json,
 )
 from tests.oracles import (
     count_block_range,
@@ -28,6 +29,8 @@ from tests.oracles import (
     eigenvalue,
     f_value,
     hpq_dim,
+    spectrum_csv,
+    spectrum_json,
 )
 
 PAPER = CountingConvention.PAPER_RESTRICTED
@@ -263,9 +266,10 @@ def test_count_N_monotone_and_step(lam1, lam2):
 
 
 def test_count_M_parallel_matches_serial():
+    # X = 2^28 (isqrt 2^14) is the smallest X at which a real pool starts
     for conv in (FULL, PAPER):
-        serial = count_N(3, 2 * 20000, conv, workers=1)
-        parallel = count_N(3, 2 * 20000, conv, workers=2)
+        serial = count_N(3, 2 * 2**28, conv, workers=1)
+        parallel = count_N(3, 2 * 2**28, conv, workers=2)
         assert serial == parallel
 
 
@@ -276,6 +280,7 @@ def test_count_M_caps_pool_at_cpu_count(monkeypatch, workers, cpus, expected):
     # A fake pool records max_workers and the number of chunks and runs the
     # chunks in this process, so no large number of processes is ever started.
     # When the cap leaves one process, the count is serial and builds no pool.
+    # X = 2^28 is the smallest X at which the pool is used at all.
     seen = []
     mapped = []
 
@@ -296,10 +301,23 @@ def test_count_M_caps_pool_at_cpu_count(monkeypatch, workers, cpus, expected):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert count_N(3, 2 * 5000, FULL, workers=workers) == count_N(3, 2 * 5000, FULL)
+    X = 2**28
+    assert count_N(3, 2 * X, FULL, workers=workers) == count_N(3, 2 * X, FULL)
     pools = [expected] if expected > 1 else []
     assert seen == pools
     assert mapped == pools
+
+
+def test_count_N_stays_serial_below_pool_cut_off(monkeypatch):
+    # below isqrt(X) = 2^14 the pool would cost more than the count
+    def no_pool(max_workers):
+        raise AssertionError("pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    X = 2**28 - 1
+    for conv in (FULL, PAPER):
+        assert count_N(3, 2 * X, conv, workers=2) == count_N(3, 2 * X, conv)
 
 
 def test_count_M_rejects_negative():
@@ -390,3 +408,37 @@ def test_spectrum_csv_round_trip():
         running += entry.multiplicity
         assert line == f"{entry.eigenvalue},{entry.multiplicity},{running}"
     assert len(lines) == len(entries) + 1
+
+
+class CountingStream(io.StringIO):
+    """A text stream that counts its ``write`` calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.sampled_from([FULL, PAPER]),
+    st.floats(min_value=2, max_value=3000),
+)
+@example(5, FULL, 2.0)  # an empty table
+@example(5, PAPER, 9.5)  # an empty table
+@example(2, FULL, 20000.0)  # 10000 rows: three write blocks
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_writers_match_csv_and_json_modules(n, conv, lam_max):
+    entries = spectrum_table(n, lam_max, conv)
+    blocks = -(-len(entries) // spectrum.WRITE_BLOCK_ROWS)
+    for delimiter in (",", " "):
+        stream = CountingStream()
+        write_spectrum_csv(entries, stream, delimiter=delimiter)
+        assert stream.getvalue() == spectrum_csv(entries, delimiter)
+        assert stream.writes == 1 + blocks
+    header = {"n": n, "convention": conv.value, "lambda_max": lam_max}
+    stream = CountingStream()
+    write_spectrum_json(entries, stream, header)
+    assert stream.getvalue() == spectrum_json(entries, header)
+    assert stream.writes == 2 + blocks
