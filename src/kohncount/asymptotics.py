@@ -16,7 +16,6 @@ convention drops the H_{0,q} eigenspaces.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,7 +70,7 @@ class CoefficientReport:
     error_bound: float
     digits: int = DEFAULT_DIGITS
     truncation_K: int | None = None
-    lam: float | None = None
+    lam: Fraction | float | None = None
 
 
 @dataclass(frozen=True)
@@ -294,21 +293,17 @@ def leading_coefficient_closed(
     """Exact leading coefficient as a rational polynomial in pi^2.
 
     S(n) = sum_j 2/(n-2)! * s(n-1, j) * zeta(n-j+1) over j with n-j+1 even;
-    the coefficient is (S(n) - gap) / (2^n n!).
+    the coefficient is (S(n) - gap) / (2^n n!). Each zeta(2m) is a rational
+    multiple of (pi^2)^m, so the coefficient of (pi^2)^m is the one term
+    with j = n+1-2m; j = 0 (m = (n+1)/2) drops out, as s(n-1, 0) = 0.
     """
     validate_sphere_n(n)
     front = Fraction(2, math.factorial(n - 2))
-    S = PiPolynomial.zero()
-    for j in range(n):
-        l = n - j + 1
-        if l % 2 != 0:
-            continue
-        s = stirling_first_signed(n - 1, j)
-        if s == 0:
-            continue
-        S = S + (front * s) * zeta_even(l)
-    gap = _convention_gap(n, conv)
-    exact = (S - PiPolynomial.constant(gap)) * Fraction(1, closed_scale(n))
+    coeffs = [-_convention_gap(n, conv)]
+    for m in range(1, n // 2 + 1):
+        s = stirling_first_signed(n - 1, n + 1 - 2 * m)
+        coeffs.append(front * s * zeta_even(2 * m).coeffs[m])
+    exact = PiPolynomial(tuple(coeffs)) * Fraction(1, closed_scale(n))
     value = pipoly_eval(exact, digits)
     return CoefficientReport(
         n=n,
@@ -321,7 +316,7 @@ def leading_coefficient_closed(
     )
 
 
-def empirical_ratio(n: int, lam: float, conv: CountingConvention) -> float:
+def empirical_ratio(n: int, lam: Fraction | float, conv: CountingConvention) -> float:
     """Finite-lambda ratio N(lambda)/lambda^n, correctly rounded.
 
     The quotient is taken in exact rationals, since lambda^n overflows a
@@ -336,7 +331,7 @@ def empirical_ratio(n: int, lam: float, conv: CountingConvention) -> float:
 
 def empirical_report(
     n: int,
-    lam: float,
+    lam: Fraction | float,
     conv: CountingConvention,
     digits: int = DEFAULT_DIGITS,
 ) -> CoefficientReport:
@@ -360,13 +355,15 @@ def empirical_report(
 
 
 def remainder_profile(
-    n: int, lambdas: Sequence[float], conv: CountingConvention
+    n: int, lambdas: Sequence[Fraction | float], conv: CountingConvention
 ) -> RemainderProfile:
     """Residuals against the closed-form constant over ascending lambdas.
 
-    Normalization divides by lambda^{n-1} ln(lambda), the expected size of
-    the remainder term; boundedness of the normalized column is the
-    empirical signature that the constant matches the enumerated spectrum.
+    The count and c*lambda^n take lambda exactly; the samples record it as
+    a float. Normalization divides by lambda^{n-1} ln(lambda), the expected
+    size of the remainder term, in floats; boundedness of the normalized
+    column is the empirical signature that the constant matches the
+    enumerated spectrum.
     """
     validate_sphere_n(n)
     if not lambdas:
@@ -382,21 +379,13 @@ def remainder_profile(
     with mpmath.workdps(DEFAULT_DIGITS + 10):
         for lam in lambdas:
             count = count_N(n, lam, conv)
-            residual = float(count - closed.value * mpmath.mpf(lam) ** n)
-            normalized = residual / (lam ** (n - 1) * math.log(lam))
-            samples.append(
-                ProfileSample(
-                    lam=float(lam),
-                    count=count,
-                    residual=residual,
-                    normalized=normalized,
-                )
-            )
+            residual = float(count - closed.value * _to_mpf(Fraction(lam)) ** n)
+            x = float(lam)
+            normalized = residual / (x ** (n - 1) * math.log(x))
+            samples.append(ProfileSample(x, count, residual, normalized))
     upper = samples[len(samples) // 2 :]
     fitted_C = max(abs(s.normalized) for s in upper)
-    return RemainderProfile(
-        n=n, convention=conv, samples=tuple(samples), fitted_C=fitted_C
-    )
+    return RemainderProfile(n, conv, tuple(samples), fitted_C)
 
 
 def weyl_ball_constant(n: int, normalization: str = "paper_text") -> PiPolynomial:
@@ -428,21 +417,24 @@ def report_to_record(report: CoefficientReport) -> dict:
         "convention": report.convention.value,
         "method": report.method,
         "exact": report.exact.to_string() if report.exact is not None else None,
-        "value": mpmath.nstr(
-            report.value, report.digits, strip_zeros=False
-        ),
+        "value": mpmath.nstr(report.value, report.digits, strip_zeros=False),
         "error_bound": repr(report.error_bound),
         "digits": report.digits,
     }
     if report.method == "series":
         record["K"] = report.truncation_K
     if report.method == "empirical":
-        record["lambda"] = report.lam
+        record["lambda"] = float(report.lam)
     return record
 
 
 def write_profile_csv(profile: RemainderProfile, stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["lambda", "count", "residual", "normalized"])
-    for s in profile.samples:
-        writer.writerow([repr(s.lam), s.count, repr(s.residual), repr(s.normalized)])
+    """CSV export: header ``lambda,count,residual,normalized``. Every field
+    is an int or a float repr, so none needs quoting."""
+    stream.write("lambda,count,residual,normalized\n")
+    stream.write(
+        "".join(
+            f"{s.lam!r},{s.count},{s.residual!r},{s.normalized!r}\n"
+            for s in profile.samples
+        )
+    )

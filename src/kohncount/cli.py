@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import json
 import math
 import sys
@@ -71,11 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, convention_default="full"):
+    def add_common(p, conventions=tuple(CONVENTIONS), convention_default="full"):
         p.add_argument("--n", type=int, required=True, help="sphere parameter n >= 2")
         p.add_argument(
             "--convention",
-            choices=["paper", "full", "both"],
+            choices=conventions,
             default=convention_default,
             help="divisor restriction: paper (p >= n) or full (p >= n-1)",
         )
@@ -92,29 +90,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("coeff", help="leading coefficient of N(lambda)/lambda^n")
-    add_common(p, convention_default="both")
-    p.add_argument(
-        "--method",
-        choices=[*METHODS, "all"],
-        default="all",
-    )
+    add_common(p, (*CONVENTIONS, "both"), "both")
+    p.add_argument("--method", choices=[*METHODS, "all"], default="all")
     p.add_argument("--eps", type=float, default=1e-12, help="series tolerance")
     p.add_argument(
         "--precision", type=int, default=50, help="evaluation precision in digits"
     )
     p.add_argument(
         "--lambda",
-        type=float,
-        default=2e5,
+        type=_exact_real,
+        default="2e5",
         dest="lam",
         help="sample point for the empirical method",
     )
 
     p = sub.add_parser("converge", help="remainder profile over a lambda sweep")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--convention", choices=["paper", "full"], default="full"
-    )
+    p.add_argument("--convention", choices=tuple(CONVENTIONS), default="full")
     p.add_argument(
         "--lambdas",
         required=True,
@@ -135,6 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _InvalidNumber(argparse.ArgumentTypeError, ValueError):
+    """A number that does not parse: argparse prints it as a usage error,
+    and in ``--lambdas`` it is the ``ValueError`` that exits 2."""
+
+
 def _exact_real(text: str) -> Fraction | float:
     """A finite number parsed exactly, as a ``Fraction``.
 
@@ -145,13 +142,18 @@ def _exact_real(text: str) -> Fraction | float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        raise _InvalidNumber(f"invalid float value: {text!r}") from None
     return Fraction(text) if math.isfinite(value) else value
 
 
-def parse_lambda_spec(spec: str) -> list[float]:
+def parse_lambda_spec(spec: str) -> list[Fraction | float]:
     """Parse ``--lambdas``: a comma list, a single value, or START:STOP:STEP
-    where STEP is xFACTOR (geometric) or +INCREMENT (arithmetic)."""
+    where STEP is xFACTOR (geometric) or +INCREMENT (arithmetic).
+
+    List items are parsed exactly, like ``count --lambda``. Range points
+    are floats: START * FACTOR^k in exact arithmetic would grow to numerators
+    of some 10^5 digits within the range cap.
+    """
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
@@ -168,26 +170,23 @@ def parse_lambda_spec(spec: str) -> list[float]:
             factor, increment = float(step[1:]), 0.0
             if factor <= 1:
                 raise ValueError("geometric factor must be > 1")
-            steps = math.log(top / start) / math.log(factor)
         elif step.startswith("+"):
             factor, increment = 1.0, float(step[1:])
             if increment <= 0:
                 raise ValueError("arithmetic step must be > 0")
-            steps = (top - start) / increment
         else:
             raise ValueError(f"malformed lambda step {step!r}")
-        # the range has floor(steps) + 1 values, up to rounding
-        if steps >= MAX_LAMBDAS:
-            raise ValueError(
-                f"lambda range {spec!r} has more than {MAX_LAMBDAS} values"
-            )
         values = []
         v = start
         while v <= top:
+            if len(values) == MAX_LAMBDAS:
+                raise ValueError(
+                    f"lambda range {spec!r} has more than {MAX_LAMBDAS} values"
+                )
             values.append(v)
             v = v * factor + increment
         return values
-    return [float(part) for part in spec.split(",") if part.strip()]
+    return [_exact_real(part) for part in spec.split(",") if part.strip()]
 
 
 def _conventions(name: str) -> list[CountingConvention]:
@@ -196,7 +195,12 @@ def _conventions(name: str) -> list[CountingConvention]:
 
 def _output(out: str | None):
     """The output stream: stdout, or the ``--out`` file, opened for writing."""
-    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w")
+    if out is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out!r}: {exc.strerror}") from None
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -206,11 +210,11 @@ def _emit(text: str, out: str | None) -> int:
 
 
 def _csv(header: list[str], rows, out: str | None) -> int:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return _emit(buf.getvalue(), out)
+    """CSV with fields joined by commas. Every field is an int, a float repr,
+    a name, a decimal, a pi-string or empty, and none holds a comma, a quote
+    or a line break, so none needs quoting."""
+    lines = [header, *rows]
+    return _emit("".join(",".join(map(str, row)) + "\n" for row in lines), out)
 
 
 def _json(payload: dict, out: str | None) -> int:
@@ -255,17 +259,16 @@ def cmd_spectrum(args) -> int:
 def cmd_count(args) -> int:
     conv = CONVENTIONS[args.convention]
     count = spectrum.count_N(args.n, args.lam, conv, workers=args.workers)
+    record = {
+        "n": args.n,
+        "lambda": float(args.lam),
+        "convention": conv.value,
+        "count": count,
+    }
     if args.format == "json":
-        payload = {
-            "n": args.n,
-            "lambda": float(args.lam),
-            "convention": conv.value,
-            "count": count,
-        }
-        return _json(payload, args.out)
+        return _json(record, args.out)
     if args.format == "csv":
-        row = [args.n, repr(float(args.lam)), conv.value, count]
-        return _csv(["n", "lambda", "convention", "count"], [row], args.out)
+        return _csv(list(record), [record.values()], args.out)
     return _emit(f"{count}\n", args.out)
 
 
@@ -305,29 +308,23 @@ def cmd_converge(args) -> int:
     conv = CONVENTIONS[args.convention]
     lambdas = parse_lambda_spec(args.lambdas)
     profile = asymptotics.remainder_profile(args.n, lambdas, conv)
-    buf = io.StringIO()
-    asymptotics.write_profile_csv(profile, buf)
-    return _emit(buf.getvalue(), args.out)
+    with _output(args.out) as stream:
+        asymptotics.write_profile_csv(profile, stream)
+    return 0
 
 
 def cmd_weyl(args) -> int:
     normalization = args.normalization.replace("-", "_")
     poly = asymptotics.weyl_ball_constant(args.n, normalization)
-    exact = poly.to_string()
+    record = {"n": args.n, "normalization": normalization, "exact": poly.to_string()}
     if args.format == "json":
         import mpmath
 
-        payload = {
-            "n": args.n,
-            "normalization": normalization,
-            "exact": exact,
-            "value": mpmath.nstr(asymptotics.pipoly_eval(poly), 50, strip_zeros=False),
-        }
-        return _json(payload, args.out)
+        value = mpmath.nstr(asymptotics.pipoly_eval(poly), 50, strip_zeros=False)
+        return _json({**record, "value": value}, args.out)
     if args.format == "csv":
-        row = [args.n, normalization, exact]
-        return _csv(["n", "normalization", "exact"], [row], args.out)
-    return _emit(exact + "\n", args.out)
+        return _csv(list(record), [record.values()], args.out)
+    return _emit(record["exact"] + "\n", args.out)
 
 
 HANDLERS = {

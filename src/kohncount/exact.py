@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -86,10 +87,6 @@ class PiPolynomial:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
-    def zero(cls) -> "PiPolynomial":
-        return cls(())
-
-    @classmethod
     def constant(cls, value) -> "PiPolynomial":
         return cls((Fraction(value),))
 
@@ -101,32 +98,16 @@ class PiPolynomial:
         coeffs = (Fraction(0),) * (exponent // 2) + (Fraction(coefficient),)
         return cls(coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, j: int) -> Fraction:
-        """Coefficient of (pi^2)^j (zero beyond the stored degree)."""
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else Fraction(0)
-
-    def terms(self) -> list[tuple[Fraction, int]]:
-        """Nonzero terms as (rational coefficient, power of pi) pairs."""
-        return [(c, 2 * j) for j, c in enumerate(self.coeffs) if c != 0]
-
     def __add__(self, other: "PiPolynomial") -> "PiPolynomial":
         if not isinstance(other, PiPolynomial):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PiPolynomial(
-            tuple(self.coefficient(j) + other.coefficient(j) for j in range(n))
-        )
-
-    def __neg__(self) -> "PiPolynomial":
-        return PiPolynomial(tuple(-c for c in self.coeffs))
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return PiPolynomial(tuple(a + b for a, b in pairs))
 
     def __sub__(self, other: "PiPolynomial") -> "PiPolynomial":
         if not isinstance(other, PiPolynomial):
             return NotImplemented
-        return self + (-other)
+        return self + other * -1
 
     def __mul__(self, other) -> "PiPolynomial":
         """Scale by an ``int`` or ``Fraction``."""
@@ -138,11 +119,11 @@ class PiPolynomial:
 
     def to_string(self) -> str:
         """Render as e.g. ``-1/1024 + 1/18*pi^2 + 11/270*pi^4`` (ascending)."""
-        trms = self.terms()
-        if not trms:
+        terms = [(c, 2 * j) for j, c in enumerate(self.coeffs) if c != 0]
+        if not terms:
             return "0"
         parts: list[str] = []
-        for i, (c, e) in enumerate(trms):
+        for i, (c, e) in enumerate(terms):
             mag = -c if c < 0 else c
             if e == 0:
                 body = str(mag)
@@ -153,9 +134,6 @@ class PiPolynomial:
             else:
                 parts.append(f"- {body}" if c < 0 else f"+ {body}")
         return " ".join(parts)
-
-    def __str__(self) -> str:
-        return self.to_string()
 
 
 def zeta_even(two_m: int) -> PiPolynomial:
@@ -178,8 +156,6 @@ def pipoly_eval(poly: PiPolynomial, digits: int = 50) -> mpmath.mpf:
     import mpmath
 
     with mpmath.workdps(digits + 10):
-        if poly.is_zero():
-            return mpmath.mpf(0)
         pi2 = mpmath.pi**2
         acc = mpmath.mpf(0)
         for c in reversed(poly.coeffs):

@@ -33,9 +33,9 @@ __all__ = [
 # would cost a system call per row.
 WRITE_BLOCK_ROWS = 4096
 
-# ``count_N`` runs serially below this isqrt(X): there the count takes less
-# time than starting a process pool.
-POOL_MIN_SQRT_X = 2**14
+# ``count_N`` runs serially below this isqrt(X): there, on two cores, the
+# pool's start-up costs more than its second process saves.
+POOL_MIN_SQRT_X = 2**16
 
 
 class CountingConvention(enum.Enum):
@@ -134,7 +134,7 @@ def count_N(
         raise ValueError("workers must be >= 1")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    if not math.isfinite(lam):
+    if isinstance(lam, float) and not math.isfinite(lam):
         raise ValueError("lambda must be finite")
     X = math.floor(lam) // 2
     pmin = _divisor_floor(conv, n)

@@ -7,9 +7,10 @@ instead of by the Dirichlet hyperbola method. The formulas (total binomials,
 hockey-stick sums, dim H_{p,q}, eigenvalues, the h polynomial and the
 partial-sum lemma ratio) are the paper's definitions, written out directly.
 ``parse_pi_string`` reads back what ``PiPolynomial.to_string`` writes, so the
-tests can check that rendering. ``spectrum_csv`` and ``spectrum_json`` render
-spectrum tables through the ``csv`` and ``json`` modules, for the library's
-direct writers to match byte for byte.
+tests can check that rendering. ``csv_text`` renders rows through
+``csv.writer``, and ``spectrum_csv`` and ``spectrum_json`` render spectrum
+tables through the ``csv`` and ``json`` modules, for the library's and the
+CLI's direct writers to match byte for byte.
 """
 
 import csv
@@ -189,26 +190,28 @@ def parse_pi_string(text):
     """Inverse of ``PiPolynomial.to_string``; odd powers of pi raise ValueError."""
     text = text.strip()
     if text == "0":
-        return PiPolynomial.zero()
+        return PiPolynomial()
     # normalize "a - b" into "a + -b" then split on " + "
     normalized = text.replace(" - ", " + -")
-    result = PiPolynomial.zero()
+    result = PiPolynomial()
     for term in normalized.split(" + "):
         coeff, exponent = _parse_pi_term(term.strip())
         result = result + PiPolynomial.from_pi_power(coeff, exponent)
     return result
 
 
+def csv_text(rows, delimiter=","):
+    """Rows through ``csv.writer``, which quotes any field that needs it."""
+    buf = io.StringIO()
+    csv.writer(buf, delimiter=delimiter, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def spectrum_csv(entries, delimiter=","):
     """The spectrum table through ``csv.writer``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(["eigenvalue", "multiplicity", "cumulative"])
-    cumulative = 0
-    for entry in entries:
-        cumulative += entry.multiplicity
-        writer.writerow([entry.eigenvalue, entry.multiplicity, cumulative])
-    return buf.getvalue()
+    cumulative = itertools.accumulate(e.multiplicity for e in entries)
+    rows = [(e.eigenvalue, e.multiplicity, c) for e, c in zip(entries, cumulative)]
+    return csv_text([("eigenvalue", "multiplicity", "cumulative"), *rows], delimiter)
 
 
 def spectrum_json(entries, header):

@@ -1,10 +1,12 @@
 """CLI surface: flags, formats, exit codes, determinism, round-trips."""
 
+import argparse
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from kohncount.asymptotics import (
@@ -14,14 +16,91 @@ from kohncount.asymptotics import (
     report_to_record,
 )
 from kohncount import spectrum
-from kohncount.cli import build_parser, main, parse_lambda_spec
+from kohncount.cli import COEFF_CSV_FIELDS, build_parser, main, parse_lambda_spec
 from kohncount.spectrum import CountingConvention, count_N
+from tests.oracles import csv_text
 
 
 def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def record_kernel(monkeypatch):
+    """Replace the counting kernel by one that records its X and counts 0."""
+    seen = []
+
+    def record(n, X, pmin, i_lo, i_hi):
+        seen.append(X)
+        return 0
+
+    monkeypatch.setattr(spectrum, "_count_index_range", record)
+    return seen
+
+
+# the required arguments of each subcommand, with small, quick values
+BASE_ARGV = {
+    "spectrum": ["--n", "2", "--lambda-max", "20"],
+    "count": ["--n", "2", "--lambda", "20"],
+    "coeff": ["--n", "2", "--lambda", "64", "--eps", "1e-6"],
+    "converge": ["--n", "2", "--lambdas", "64"],
+    "weyl": ["--n", "2"],
+}
+
+
+def _advertised_choices():
+    parser = build_parser()
+    (commands,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    for command, subparser in commands.choices.items():
+        for action in subparser._actions:
+            for choice in action.choices or ():
+                yield command, action.option_strings[0], choice
+
+
+# ---------------------------------------------------------------------------
+# every command
+
+
+@pytest.mark.parametrize("command, option, choice", list(_advertised_choices()))
+def test_every_advertised_choice_runs(capsys, command, option, choice):
+    rc, out, err = run_cli(capsys, command, *BASE_ARGV[command], option, choice)
+    assert rc == 0, err
+    assert out
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", list(BASE_ARGV))
+def test_out_under_missing_directory_exits_2(capsys, tmp_path, command):
+    path = str(tmp_path / "missing" / "out.txt")
+    rc, out, err = run_cli(capsys, command, *BASE_ARGV[command], "--out", path)
+    assert rc == 2
+    assert out == ""
+    assert err == f"kohncount: cannot write {path!r}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "3", "--lambda", "123456.5"],
+        ["weyl", "--n", "3"],
+        ["coeff", "--n", "3", "--lambda", "4096"],
+    ],
+)
+def test_csv_rows_match_csv_writer(capsys, argv):
+    # The CLI joins CSV fields with commas. csv.writer, given the same fields
+    # as the JSON output holds them, writes the same bytes: no field is quoted.
+    _, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+    _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    payload = json.loads(json_out)
+    if argv[0] == "coeff":
+        header, records = COEFF_CSV_FIELDS, payload["reports"]
+    else:
+        header, records = [k for k in payload if k != "value"], [payload]
+    rows = [["" if r.get(f) is None else r[f] for f in header] for r in records]
+    assert csv_out == csv_text([header, *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -145,19 +224,57 @@ def test_lambda_parses_exactly(capsys, monkeypatch):
     assert args.lambda_max == 2**53 + 1
     # the count sees X = 2^53 + 1 from lambda = 2^54 + 2; a float would give 2^53,
     # and the output still prints lambda as a float
-    seen = []
-
-    def record(n, X, pmin, i_lo, i_hi):
-        seen.append(X)
-        return 0
-
-    monkeypatch.setattr(spectrum, "_count_index_range", record)
+    seen = record_kernel(monkeypatch)
     rc, out, _ = run_cli(
         capsys, "count", "--n", "2", "--lambda", str(2**54 + 2), "--format", "json"
     )
     assert rc == 0
     assert seen == [2**53 + 1]
     assert json.loads(out)["lambda"] == float(2**54)
+
+
+def test_coeff_and_converge_lambdas_parse_exactly(capsys, monkeypatch):
+    assert build_parser().parse_args(["coeff", "--n", "2"]).lam == Fraction(200_000)
+    assert parse_lambda_spec("4.1,1e20") == [Fraction("4.1"), 10**20]
+    seen = record_kernel(monkeypatch)
+    lam = str(2**54 + 2)
+    # the empirical method counts at lambda and at lambda / 2, both exact
+    rc, out, _ = run_cli(
+        capsys, "coeff", "--n", "2", "--method", "empirical", "--convention", "full",
+        "--lambda", lam, "--format", "json",
+    )
+    assert rc == 0
+    assert seen == [2**53 + 1, 2**52]
+    assert json.loads(out)["reports"][0]["lambda"] == float(2**54)
+    seen.clear()
+    rc, out, _ = run_cli(capsys, "converge", "--n", "2", "--lambdas", lam)
+    assert rc == 0
+    assert seen == [2**53 + 1]
+    assert out.splitlines()[1].startswith(f"{float(2**54)!r},0,")
+
+
+def test_converge_residual_takes_lambda_exactly(capsys):
+    # c * lambda^n is taken at lambda = 100000.1 exactly, not at the nearest
+    # float, which moves the residual in its 10th digit
+    rc, out, _ = run_cli(capsys, "converge", "--n", "2", "--lambdas", "100000.1")
+    assert rc == 0
+    lam, count, residual, _ = out.splitlines()[1].split(",")
+    closed = leading_coefficient_closed(2, CountingConvention.FULL_SPECTRUM).value
+    with mpmath.workdps(60):
+        expected = float(int(count) - closed * (mpmath.mpf(1000001) / 10) ** 2)
+    assert lam == "100000.1"
+    assert float(residual) == expected
+
+
+def test_lambda_items_reject_non_numbers(capsys):
+    rc, out, err = run_cli(capsys, "converge", "--n", "2", "--lambdas", "4,abc")
+    assert rc == 2
+    assert out == ""
+    assert err == "kohncount: invalid float value: 'abc'\n"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["coeff", "--n", "2", "--lambda", "abc"])
+    assert excinfo.value.code == 2
+    assert "argument --lambda: invalid float value: 'abc'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -219,8 +219,8 @@ def test_pipoly_canonical_form():
     assert PiPolynomial((Fraction(1), Fraction(0), Fraction(0))).coeffs == (
         Fraction(1),
     )
-    assert PiPolynomial((0, 0)).is_zero()
-    assert PiPolynomial.zero().to_string() == "0"
+    assert PiPolynomial((0, 0)) == PiPolynomial()
+    assert PiPolynomial().to_string() == "0"
 
 
 @given(poly_strategy, poly_strategy)
@@ -257,7 +257,7 @@ def test_pipoly_rejects_odd_pi_powers():
 
 
 def test_pipoly_eval_zero():
-    assert pipoly_eval(PiPolynomial.zero(), 30) == 0
+    assert pipoly_eval(PiPolynomial(), 30) == 0
 
 
 def test_pipoly_eval_zeta2_30_digits():
@@ -280,4 +280,4 @@ def test_pipoly_eval_two_precision_consistency():
 
 def test_pipoly_eval_rejects_low_precision():
     with pytest.raises(ValueError):
-        pipoly_eval(PiPolynomial.zero(), 8)
+        pipoly_eval(PiPolynomial(), 8)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 
 from kohncount import spectrum
 from kohncount.spectrum import (
+    POOL_MIN_SQRT_X,
     CountingConvention,
     SpectrumEntry,
     _count_index_range,
@@ -35,6 +36,8 @@ from tests.oracles import (
 
 PAPER = CountingConvention.PAPER_RESTRICTED
 FULL = CountingConvention.FULL_SPECTRUM
+# the smallest X at which count_N starts a pool (isqrt(X) = 2^16)
+POOL_X = POOL_MIN_SQRT_X**2
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +269,10 @@ def test_count_N_monotone_and_step(lam1, lam2):
 
 
 def test_count_M_parallel_matches_serial():
-    # X = 2^28 (isqrt 2^14) is the smallest X at which a real pool starts
+    # a real pool starts at X = POOL_X
     for conv in (FULL, PAPER):
-        serial = count_N(3, 2 * 2**28, conv, workers=1)
-        parallel = count_N(3, 2 * 2**28, conv, workers=2)
+        serial = count_N(3, 2 * POOL_X, conv, workers=1)
+        parallel = count_N(3, 2 * POOL_X, conv, workers=2)
         assert serial == parallel
 
 
@@ -280,7 +283,7 @@ def test_count_M_caps_pool_at_cpu_count(monkeypatch, workers, cpus, expected):
     # A fake pool records max_workers and the number of chunks and runs the
     # chunks in this process, so no large number of processes is ever started.
     # When the cap leaves one process, the count is serial and builds no pool.
-    # X = 2^28 is the smallest X at which the pool is used at all.
+    # X = POOL_X is the smallest X at which the pool is used at all.
     seen = []
     mapped = []
 
@@ -301,7 +304,7 @@ def test_count_M_caps_pool_at_cpu_count(monkeypatch, workers, cpus, expected):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    X = 2**28
+    X = POOL_X
     assert count_N(3, 2 * X, FULL, workers=workers) == count_N(3, 2 * X, FULL)
     pools = [expected] if expected > 1 else []
     assert seen == pools
@@ -309,13 +312,13 @@ def test_count_M_caps_pool_at_cpu_count(monkeypatch, workers, cpus, expected):
 
 
 def test_count_N_stays_serial_below_pool_cut_off(monkeypatch):
-    # below isqrt(X) = 2^14 the pool would cost more than the count
+    # below isqrt(X) = 2^16 the pool would cost more than it saves
     def no_pool(max_workers):
         raise AssertionError("pool started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    X = 2**28 - 1
+    X = POOL_X - 1
     for conv in (FULL, PAPER):
         assert count_N(3, 2 * X, conv, workers=2) == count_N(3, 2 * X, conv)
 
@@ -343,6 +346,9 @@ def test_count_N_rejects_workers_below_one(workers):
         (2**54 + 3, 2**53 + 1),
         (Fraction(2**54 + 5, 2), 2**52 + 1),
         (12.5, 6),
+        # beyond the largest float: finite, and never converted to one
+        pytest.param(10**400, 10**400 // 2, id="int-1e400"),
+        pytest.param(Fraction(10**400 + 1, 3), (10**400 + 1) // 6, id="fraction-1e400"),
     ],
 )
 def test_count_N_floors_lambda_exactly(monkeypatch, lam, X):
