@@ -17,9 +17,8 @@ convention drops the H_{0,q} eigenspaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence, TextIO
+from typing import TYPE_CHECKING, NamedTuple, Sequence, TextIO
 
 from .exact import PiPolynomial, pipoly_eval, stirling_first_signed, zeta_even
 from .spectrum import CountingConvention, count_N, validate_sphere_n
@@ -52,8 +51,7 @@ class PrecisionUnattainableError(Exception):
     """Requested tolerance needs more series terms than the configured cap."""
 
 
-@dataclass(frozen=True)
-class CoefficientReport:
+class CoefficientReport(NamedTuple):
     """One determination of the leading coefficient.
 
     ``exact`` is populated for the closed form only. For the series method
@@ -73,16 +71,14 @@ class CoefficientReport:
     lam: Fraction | float | None = None
 
 
-@dataclass(frozen=True)
-class ProfileSample:
+class ProfileSample(NamedTuple):
     lam: float
     count: int
     residual: float
     normalized: float
 
 
-@dataclass(frozen=True)
-class RemainderProfile:
+class RemainderProfile(NamedTuple):
     """Residuals N(lambda) - c*lambda^n scaled by the lambda^{n-1} ln(lambda)
     envelope; ``fitted_C`` is the max |normalized| over the upper half of the
     (ascending) samples, which ignores small-lambda transients."""

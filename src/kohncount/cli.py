@@ -10,35 +10,35 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import asymptotics, spectrum
-from .asymptotics import (
-    CoefficientReport,
-    PrecisionUnattainableError,
-    closed_scale,
-    report_to_record,
-)
-from .exact import MIN_EVAL_DIGITS
+from . import spectrum
 from .spectrum import CountingConvention
+
+if TYPE_CHECKING:
+    from .asymptotics import CoefficientReport
+
+# ``asymptotics``, ``exact`` and ``json`` are imported by the commands that
+# use them: ``count`` and ``spectrum`` start without them.
 
 CONVENTIONS = {
     "paper": CountingConvention.PAPER_RESTRICTED,
     "full": CountingConvention.FULL_SPECTRUM,
 }
 
-# coefficient routes, in the order that ``--method all`` runs them
+# coefficient routes, in the order that ``--method all`` runs them; each
+# takes the ``asymptotics`` module, which ``cmd_coeff`` imports
 METHODS = {
-    "series": lambda args, conv: asymptotics.leading_coefficient_series(
+    "series": lambda asy, args, conv: asy.leading_coefficient_series(
         args.n, eps=args.eps, conv=conv, digits=args.precision
     ),
-    "closed": lambda args, conv: asymptotics.leading_coefficient_closed(
+    "closed": lambda asy, args, conv: asy.leading_coefficient_closed(
         args.n, conv, digits=args.precision
     ),
-    "empirical": lambda args, conv: asymptotics.empirical_report(
+    "empirical": lambda asy, args, conv: asy.empirical_report(
         args.n, args.lam, conv, digits=args.precision
     ),
 }
@@ -137,29 +137,31 @@ def _exact_real(text: str) -> Fraction | float:
 
     The accepted spellings are a float's, with a float's usage error.
     Values a float cannot hold (inf, nan, 1e400) stay floats, which the
-    library rejects as not finite.
+    library rejects as not finite. Digit underscores are dropped before the
+    ``Fraction``, which accepts them only from Python 3.11 on.
     """
     try:
         value = float(text)
     except ValueError:
         raise _InvalidNumber(f"invalid float value: {text!r}") from None
-    return Fraction(text) if math.isfinite(value) else value
+    return Fraction(text.replace("_", "")) if math.isfinite(value) else value
 
 
 def parse_lambda_spec(spec: str) -> list[Fraction | float]:
     """Parse ``--lambdas``: a comma list, a single value, or START:STOP:STEP
     where STEP is xFACTOR (geometric) or +INCREMENT (arithmetic).
 
-    List items are parsed exactly, like ``count --lambda``. Range points
-    are floats: START * FACTOR^k in exact arithmetic would grow to numerators
-    of some 10^5 digits within the range cap.
+    List items are parsed exactly, like ``count --lambda``. Range fields
+    are parsed the same way, then rounded: range points are floats, since
+    START * FACTOR^k in exact arithmetic would grow to numerators of some
+    10^5 digits within the range cap.
     """
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"malformed lambda range {spec!r}")
-        start, stop = float(parts[0]), float(parts[1])
+        start, stop = float(_exact_real(parts[0])), float(_exact_real(parts[1]))
         step = parts[2].strip()
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError(f"lambda range {spec!r} must be finite")
@@ -167,11 +169,11 @@ def parse_lambda_spec(spec: str) -> list[Fraction | float]:
             raise ValueError(f"malformed lambda range {spec!r}")
         top = stop * (1 + 1e-9)
         if step.startswith("x"):
-            factor, increment = float(step[1:]), 0.0
+            factor, increment = float(_exact_real(step[1:])), 0.0
             if factor <= 1:
                 raise ValueError("geometric factor must be > 1")
         elif step.startswith("+"):
-            factor, increment = 1.0, float(step[1:])
+            factor, increment = 1.0, float(_exact_real(step[1:]))
             if increment <= 0:
                 raise ValueError("arithmetic step must be > 0")
         else:
@@ -218,10 +220,14 @@ def _csv(header: list[str], rows, out: str | None) -> int:
 
 
 def _json(payload: dict, out: str | None) -> int:
+    import json
+
     return _emit(json.dumps(payload, indent=2) + "\n", out)
 
 
 def _factored_string(report: CoefficientReport) -> str:
+    from .asymptotics import closed_scale
+
     scale = closed_scale(report.n)
     inner = report.exact * Fraction(scale)
     return f"1/{scale} * ({inner.to_string()})"
@@ -272,24 +278,27 @@ def cmd_count(args) -> int:
     return _emit(f"{count}\n", args.out)
 
 
-def _coeff_reports(args, conv: CountingConvention) -> list[CoefficientReport]:
-    methods = list(METHODS) if args.method == "all" else [args.method]
-    return [METHODS[method](args, conv) for method in methods]
-
-
 def cmd_coeff(args) -> int:
+    from . import asymptotics
+    from .exact import MIN_EVAL_DIGITS
+
     if args.precision < MIN_EVAL_DIGITS:
         raise ValueError(f"precision must be >= {MIN_EVAL_DIGITS} digits")
+    methods = list(METHODS) if args.method == "all" else [args.method]
     all_reports: list[CoefficientReport] = []
     gaps: dict[str, float] = {}
     for conv in _conventions(args.convention):
-        reports = _coeff_reports(args, conv)
+        try:
+            reports = [METHODS[m](asymptotics, args, conv) for m in methods]
+        except asymptotics.PrecisionUnattainableError as exc:
+            print(f"kohncount: {exc}", file=sys.stderr)
+            return 3
         all_reports.extend(reports)
         for i, r1 in enumerate(reports):
             for r2 in reports[i + 1 :]:
                 key = f"{conv.value}:{r1.method}_vs_{r2.method}"
                 gaps[key] = abs(float(r1.value) - float(r2.value))
-    records = [report_to_record(r) for r in all_reports]
+    records = [asymptotics.report_to_record(r) for r in all_reports]
     if args.format == "json":
         return _json({"reports": records, "gaps": gaps}, args.out)
     if args.format == "csv":
@@ -305,6 +314,8 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    from . import asymptotics
+
     conv = CONVENTIONS[args.convention]
     lambdas = parse_lambda_spec(args.lambdas)
     profile = asymptotics.remainder_profile(args.n, lambdas, conv)
@@ -314,6 +325,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_weyl(args) -> int:
+    from . import asymptotics
+
     normalization = args.normalization.replace("-", "_")
     poly = asymptotics.weyl_ball_constant(args.n, normalization)
     record = {"n": args.n, "normalization": normalization, "exact": poly.to_string()}
@@ -341,9 +354,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return HANDLERS[args.command](args)
-    except PrecisionUnattainableError as exc:
-        print(f"kohncount: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"kohncount: {exc}", file=sys.stderr)
         return 2

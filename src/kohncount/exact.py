@@ -8,7 +8,6 @@ is represented symbolically as a rational multiple of a power of pi^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -69,22 +68,42 @@ def bernoulli(l: int) -> Fraction:
     return -acc / (l + 1)
 
 
-@dataclass(frozen=True)
 class PiPolynomial:
-    """Polynomial in pi^2 with exact rational coefficients.
+    """Polynomial in pi^2 with exact rational coefficients; immutable.
 
     ``coeffs[j]`` is the coefficient of (pi^2)^j; index 0 is the rational
     constant term. Odd powers of pi are not representable: no formula in
     scope produces one. Canonical form: no trailing zero coefficients.
     """
 
-    coeffs: tuple[Fraction, ...] = field(default=())
+    __slots__ = ("coeffs",)
+    coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        cs = [Fraction(c) for c in self.coeffs]
+    def __init__(self, coeffs=()) -> None:
+        cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PiPolynomial is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("PiPolynomial is immutable")
+
+    def __reduce__(self):
+        return PiPolynomial, (self.coeffs,)
+
+    def __eq__(self, other):
+        if not isinstance(other, PiPolynomial):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"PiPolynomial(coeffs={self.coeffs!r})"
 
     @classmethod
     def constant(cls, value) -> "PiPolynomial":

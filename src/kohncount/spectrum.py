@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import json
 import math
 import os
 from fractions import Fraction
@@ -216,6 +215,8 @@ def write_spectrum_json(
     with keys eigenvalue, multiplicity and cumulative. The header scalars go
     through ``json.dumps``; the entries, all integers, are formatted directly.
     """
+    import json
+
     stream.write(
         "{\n"
         + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in header.items())

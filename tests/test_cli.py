@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,7 +17,13 @@ from kohncount.asymptotics import (
     report_to_record,
 )
 from kohncount import spectrum
-from kohncount.cli import COEFF_CSV_FIELDS, build_parser, main, parse_lambda_spec
+from kohncount.cli import (
+    COEFF_CSV_FIELDS,
+    _exact_real,
+    build_parser,
+    main,
+    parse_lambda_spec,
+)
 from kohncount.spectrum import CountingConvention, count_N
 from tests.oracles import csv_text
 
@@ -233,6 +240,16 @@ def test_lambda_parses_exactly(capsys, monkeypatch):
     assert json.loads(out)["lambda"] == float(2**54)
 
 
+def test_lambda_accepts_digit_underscores(capsys):
+    # float() takes PEP 515 underscores on every supported Python, Fraction()
+    # only from 3.11 on
+    assert _exact_real("1_000.5") == Fraction(2001, 2)
+    assert run_cli(capsys, "count", "--n", "3", "--lambda", "1_000") == run_cli(
+        capsys, "count", "--n", "3", "--lambda", "1000"
+    )
+    assert parse_lambda_spec("1_000:4_000:x2") == [1000.0, 2000.0, 4000.0]
+
+
 def test_coeff_and_converge_lambdas_parse_exactly(capsys, monkeypatch):
     assert build_parser().parse_args(["coeff", "--n", "2"]).lam == Fraction(200_000)
     assert parse_lambda_spec("4.1,1e20") == [Fraction("4.1"), 10**20]
@@ -267,10 +284,12 @@ def test_converge_residual_takes_lambda_exactly(capsys):
 
 
 def test_lambda_items_reject_non_numbers(capsys):
-    rc, out, err = run_cli(capsys, "converge", "--n", "2", "--lambdas", "4,abc")
-    assert rc == 2
-    assert out == ""
-    assert err == "kohncount: invalid float value: 'abc'\n"
+    # a bad list item and a bad range field get the same message
+    for spec in ("4,abc", "abc:100:x2", "4:abc:x2", "4:100:xabc", "4:100:+abc"):
+        rc, out, err = run_cli(capsys, "converge", "--n", "2", "--lambdas", spec)
+        assert rc == 2
+        assert out == ""
+        assert err == "kohncount: invalid float value: 'abc'\n"
     with pytest.raises(SystemExit) as excinfo:
         main(["coeff", "--n", "2", "--lambda", "abc"])
     assert excinfo.value.code == 2
@@ -567,30 +586,58 @@ def test_non_finite_values_exit_2(capsys, argv):
     assert "finite" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        [],
-        ["count", "--n", "3", "--lambda", "1e4", "--format", "json"],
-        ["spectrum", "--n", "3", "--lambda-max", "100", "--format", "csv"],
-        ["count", "--n", "3", "--workers", "2", "--lambda", "1e4"],
-    ],
+# the modules that only some commands need
+LAZY = (
+    "kohncount.asymptotics",
+    "kohncount.exact",
+    "json",
+    "dataclasses",
+    "mpmath",
+    "concurrent.futures.process",
 )
+ASY = "kohncount.asymptotics kohncount.exact"
+# what each command loads of LAZY beyond the bare interpreter's modules
+LAZY_LOADS = {
+    "": "",
+    "count --n 3 --lambda 1e4 --format json": "json",
+    "spectrum --n 3 --lambda-max 100 --format csv": "",
+    "count --n 3 --workers 2 --lambda 1e4": "",
+    "count --n 3 --lambda 1e4": "",
+    "count --n 3 --lambda 1e4 --format csv": "",
+    "spectrum --n 3 --lambda-max 100": "",
+    "spectrum --n 3 --lambda-max 9 --format json": "json",
+    "weyl --n 2": ASY,
+    "weyl --n 2 --format csv": ASY,
+    "weyl --n 2 --format json": f"{ASY} json mpmath",
+    "coeff --n 2 --method closed": f"{ASY} mpmath",
+    "coeff --n 2 --eps 1e-6 --lambda 64 --format json": f"{ASY} json mpmath",
+    "converge --n 2 --lambdas 64:256:x2": f"{ASY} mpmath",
+}
+
+
+@pytest.mark.parametrize("argv", [command.split() for command in LAZY_LOADS])
 def test_cli_imports_stay_lazy(argv):
-    # mpmath and the process pool are loaded only by the commands that use
-    # them, and the pool only for counts above its cut-off
+    # each command loads only what it uses, and the process pool only for
+    # counts above its cut-off; no command loads dataclasses. The modules
+    # are compared against those of the bare interpreter, which site may
+    # have loaded already.
     code = (
         "import sys\n"
+        "bare = set(sys.modules)\n"
         "from kohncount import cli\n"
-        "if sys.argv[1:]:\n"
-        "    cli.main(sys.argv[1:])\n"
-        "lazy = ('mpmath', 'concurrent.futures.process')\n"
-        "print(' '.join(m for m in lazy if m in sys.modules), file=sys.stderr)\n"
+        "if sys.argv[2:]:\n"
+        "    cli.main(sys.argv[2:])\n"
+        "lazy = sys.argv[1].split()\n"
+        "print(' '.join(m for m in lazy if m in sys.modules and m not in bare),\n"
+        "      file=sys.stderr)\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, " ".join(LAZY), *argv],
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert result.stderr.strip() == ""
+    assert result.stderr.strip() == LAZY_LOADS[" ".join(argv)]
 
 
 def test_module_entry_point_exit_codes():
@@ -604,3 +651,13 @@ def test_module_entry_point_exit_codes():
         capture_output=True,
     )
     assert result.returncode == 2
+    # exit 3 and its message come from cmd_coeff, not from main
+    result = subprocess.run(
+        [sys.executable, "-m", "kohncount"]
+        + ["coeff", "--n", "2", "--method", "series", "--eps", "1e-100"],
+        capture_output=True,
+    )
+    assert result.returncode == 3
+    assert result.stdout == b""
+    golden = pathlib.Path(__file__).parent / "golden" / "exit3-series-eps.stderr"
+    assert result.stderr == golden.read_bytes()

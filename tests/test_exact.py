@@ -4,7 +4,9 @@ Expected values are frozen from independent oracles defined in this file
 (direct products, polynomial expansion, brute-force sums, numeric series).
 """
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -221,6 +223,21 @@ def test_pipoly_canonical_form():
     )
     assert PiPolynomial((0, 0)) == PiPolynomial()
     assert PiPolynomial().to_string() == "0"
+
+
+def test_pipoly_value_semantics():
+    # immutable, equal and hashed by the canonical coefficients, and copied
+    # or pickled through its constructor
+    p = PiPolynomial((1, Fraction(1, 6), 0))
+    q = PiPolynomial(coeffs=(Fraction(1), Fraction(1, 6)))
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p != PiPolynomial((1,)) and p != p.coeffs
+    for mutate in (lambda: setattr(p, "coeffs", ()), lambda: delattr(p, "coeffs")):
+        with pytest.raises(AttributeError):
+            mutate()
+    assert p.coeffs == (Fraction(1), Fraction(1, 6))
+    assert copy.deepcopy(p) == p and pickle.loads(pickle.dumps(p)) == p
+    assert repr(p) == "PiPolynomial(coeffs=(Fraction(1, 1), Fraction(1, 6)))"
 
 
 @given(poly_strategy, poly_strategy)
