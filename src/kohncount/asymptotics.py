@@ -32,7 +32,6 @@ __all__ = [
     "ProfileSample",
     "PrecisionUnattainableError",
     "closed_scale",
-    "h_polynomial_coeffs",
     "leading_coefficient_series",
     "leading_coefficient_closed",
     "empirical_ratio",
@@ -94,41 +93,19 @@ def closed_scale(n: int) -> int:
     return 2**n * math.factorial(n)
 
 
-def h_polynomial_coeffs(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of h as a polynomial in k, by expanding both products.
-
-    The rising product (k+1)...(k+n-2) and falling product (k-1)...(k-n+2)
-    are convolved directly, so this expansion is independent of the Stirling
-    recurrence used by the closed form.
-    """
-    validate_sphere_n(n)
-    rising = [1]
-    falling = [1]
-    for i in range(1, n - 1):
-        rising = [0] + rising
-        falling = [0] + falling
-        for j in range(len(rising) - 1):
-            rising[j] += i * rising[j + 1]
-            falling[j] += -i * falling[j + 1]
-    denom = math.factorial(n - 2)
-    return tuple(Fraction(r + f, denom) for r, f in zip(rising, falling))
-
-
 def _inverse_power_coeffs(n: int) -> dict[int, Fraction]:
-    """g(k) = k^-n h(k) = sum_m a_m k^-2m with every a_m > 0.
+    """h(k)/k^n = sum_m a_m k^-2m, as {m: a_m} for m = 1..n//2.
 
-    Odd powers of k cancel between the rising and falling halves (h has the
-    parity of n), which is what makes the sum a polynomial in k^-2.
+    k(n-2)! h(k) is x(x-1)...(x-n+2) = sum_j s(n-1, j) x^j at x = k plus
+    (-1)^(n-1) times it at x = -k: the terms with n-1-j odd cancel and the
+    others double, so a_m = 2 s(n-1, n+1-2m) / (n-2)! > 0, as s(n-1, j) has
+    the sign (-1)^(n-1-j). The series' tail and the closed form read these.
     """
-    coeffs = {}
-    for j, c in enumerate(h_polynomial_coeffs(n)):
-        if c == 0:
-            continue
-        e = n - j
-        if e % 2 != 0 or e < 2 or c < 0:
-            raise AssertionError(f"unexpected term {c}*k^-{e} in h/k^n for n={n}")
-        coeffs[e // 2] = c
-    return coeffs
+    front = Fraction(2, math.factorial(n - 2))
+    return {
+        m: front * stirling_first_signed(n - 1, n + 1 - 2 * m)
+        for m in range(1, n // 2 + 1)
+    }
 
 
 def _tail_derivative_bounds(
@@ -257,7 +234,8 @@ def leading_coefficient_series(
 def _partial_sum_fixed(n: int, K: int, F: int) -> int:
     """floor(2^F h(k) / k^n) summed over k = 1..K: the partial sum of
     sum_k k^-n h(k) in fixed point with F fraction bits, below the exact
-    sum by less than K 2^-F."""
+    sum by less than K 2^-F. It takes h(k) from binomials, not from the a_m
+    of ``_inverse_power_coeffs``, so the series checks that expansion."""
     comb = math.comb
     return sum(
         ((comb(k + n - 2, n - 2) + comb(k - 1, n - 2)) << F) // k**n
@@ -288,17 +266,15 @@ def leading_coefficient_closed(
 ) -> CoefficientReport:
     """Exact leading coefficient as a rational polynomial in pi^2.
 
-    S(n) = sum_j 2/(n-2)! * s(n-1, j) * zeta(n-j+1) over j with n-j+1 even;
-    the coefficient is (S(n) - gap) / (2^n n!). Each zeta(2m) is a rational
-    multiple of (pi^2)^m, so the coefficient of (pi^2)^m is the one term
-    with j = n+1-2m; j = 0 (m = (n+1)/2) drops out, as s(n-1, 0) = 0.
+    The coefficient is (S(n) - gap) / (2^n n!) with S(n) = sum_m a_m zeta(2m)
+    over the a_m of ``_inverse_power_coeffs``. Each zeta(2m) is a rational
+    multiple of (pi^2)^m, so a_m zeta(2m) is the whole coefficient of
+    (pi^2)^m.
     """
     validate_sphere_n(n)
-    front = Fraction(2, math.factorial(n - 2))
+    a = _inverse_power_coeffs(n)
     coeffs = [-_convention_gap(n, conv)]
-    for m in range(1, n // 2 + 1):
-        s = stirling_first_signed(n - 1, n + 1 - 2 * m)
-        coeffs.append(front * s * zeta_even(2 * m).coeffs[m])
+    coeffs += [c * zeta_even(2 * m).coeffs[m] for m, c in a.items()]
     exact = PiPolynomial(tuple(coeffs)) * Fraction(1, closed_scale(n))
     value = pipoly_eval(exact, digits)
     return CoefficientReport(
@@ -336,14 +312,12 @@ def empirical_report(
     ratio_half = empirical_ratio(n, max(lam / 2, 2.0), conv)
     import mpmath
 
-    with mpmath.workdps(digits + 10):
-        value = mpmath.mpf(ratio)
     return CoefficientReport(
         n=n,
         convention=conv,
         method="empirical",
         exact=None,
-        value=value,
+        value=mpmath.mpf(ratio),
         error_bound=abs(ratio - ratio_half),
         digits=digits,
         lam=lam,

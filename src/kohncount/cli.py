@@ -1,9 +1,9 @@
 """Command-line front end: spectrum tables, counting, coefficients, profiles.
 
 Subcommands: ``spectrum``, ``count``, ``coeff``, ``converge``, ``weyl``.
-Exit codes: 0 success, 2 usage/validation error, 3 requested series
-precision unattainable under the term cap. All output is deterministic:
-identical flags produce byte-identical bytes.
+Exit codes: 0 success, 2 usage/validation error or failed write, 3
+requested series precision unattainable under the term cap, 141 stdout
+closed by its reader. Identical flags produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -187,6 +188,8 @@ def parse_lambda_spec(spec: str) -> list[Fraction | float]:
                 )
             values.append(v)
             v = v * factor + increment
+            if v <= values[-1]:
+                raise ValueError(f"lambda range {spec!r} does not advance past {v!r}")
         return values
     return [_exact_real(part) for part in spec.split(",") if part.strip()]
 
@@ -195,14 +198,27 @@ def _conventions(name: str) -> list[CountingConvention]:
     return list(CONVENTIONS.values()) if name == "both" else [CONVENTIONS[name]]
 
 
+@contextlib.contextmanager
 def _output(out: str | None):
-    """The output stream: stdout, or the ``--out`` file, opened for writing."""
-    if out is None:
-        return contextlib.nullcontext(sys.stdout)
+    """The output stream: stdout, or the ``--out`` file, opened for writing.
+    A failed open, write, flush or close raises ``ValueError``; a closed pipe
+    stays a ``BrokenPipeError`` for ``main``. A failed stdout is pointed at
+    the null device, so that exit does not fail again on what it buffers."""
     try:
-        return open(out, "w")
+        if out is None:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(out, "w") as stream:
+                yield stream
     except OSError as exc:
-        raise ValueError(f"cannot write {out!r}: {exc.strerror}") from None
+        if out is None:
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise
+        name = "<stdout>" if out is None else out
+        raise ValueError(f"cannot write {name!r}: {exc.strerror}") from None
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -357,6 +373,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"kohncount: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        return 141  # the reader left: end quietly, as a SIGPIPE death would
 
 
 if __name__ == "__main__":

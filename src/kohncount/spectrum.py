@@ -11,6 +11,7 @@ differ in whether the boundary eigenspaces H_{0,q} are included
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import os
@@ -144,15 +145,11 @@ def count_N(
     if procs == 1 or s < POOL_MIN_SQRT_X:
         return _count_index_range(n, X, pmin, 1, s)
     bounds = [1 + s * k // procs for k in range(procs + 1)]
-    chunks = [(n, X, pmin, lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])]
+    kernel = functools.partial(_count_index_range, n, X, pmin)
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=procs) as pool:
-        return sum(pool.map(_count_chunk, chunks))
-
-
-def _count_chunk(args: tuple[int, int, int, int, int]) -> int:
-    return _count_index_range(*args)
+        return sum(pool.map(kernel, bounds[:-1], [b - 1 for b in bounds[1:]]))
 
 
 def spectrum_table(

@@ -1,8 +1,9 @@
 """Leading-coefficient routes and remainder profiling.
 
 The three routes (certified series, exact closed form, empirical counts) are
-pitted against each other; expected exact values are frozen from the
-independent product-form expansion, and numeric ones from direct summation.
+pitted against each other; the expansion of h that the series and the
+closed form share is checked against the binomial oracle ``h_poly``, and
+numeric values against direct summation.
 """
 
 import csv
@@ -13,14 +14,15 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from kohncount import asymptotics
 from kohncount.asymptotics import (
     CoefficientReport,
     PrecisionUnattainableError,
+    _inverse_power_coeffs,
     _partial_sum_fixed,
     closed_scale,
     empirical_ratio,
     empirical_report,
-    h_polynomial_coeffs,
     leading_coefficient_closed,
     leading_coefficient_series,
     remainder_profile,
@@ -48,16 +50,39 @@ def test_h_poly_values():
     assert all(h_poly(5, k) == (k**3 + 11 * k) // 3 for k in range(1, 30))
 
 
-def test_h_polynomial_coeffs_match_h_poly():
-    for n in range(2, 11):
-        coeffs = h_polynomial_coeffs(n)
-        for k in range(-10, 11):
-            value = sum(c * k**j for j, c in enumerate(coeffs))
-            assert value == h_poly(n, k)
+def test_inverse_power_coeffs_expand_h():
+    # sum_m a_m k^(n-2m) is h(k) at the 2n points k = +-1..+-n, more than
+    # the n-1 that pin a polynomial of degree n-2
+    for n in range(2, 61):
+        a = _inverse_power_coeffs(n)
+        assert list(a) == list(range(1, n // 2 + 1))
+        assert all(c > 0 for c in a.values())
+        for k in (*range(-n, 0), *range(1, n + 1)):
+            assert sum(c * k ** (n - 2 * m) for m, c in a.items()) == h_poly(n, k)
+    assert _inverse_power_coeffs(5) == {1: Fraction(1, 3), 2: Fraction(11, 3)}
 
 
-def test_h_polynomial_coeffs_n5():
-    assert h_polynomial_coeffs(5) == (0, Fraction(11, 3), 0, Fraction(1, 3))
+@pytest.mark.parametrize("n", [4, 5])
+def test_series_catches_an_expansion_error(monkeypatch, n):
+    # The series' partial sum evaluates h(k) from binomials and never reads
+    # the a_m, so a wrong a_2 moves the closed form well outside the series'
+    # certified bound.
+    expand = asymptotics._inverse_power_coeffs
+
+    def perturbed(n):
+        a = expand(n)
+        a[2] += Fraction(1, 1000)
+        return a
+
+    for conv in (PAPER, FULL):
+        series = leading_coefficient_series(n, 1e-12, conv)
+        closed = leading_coefficient_closed(n, conv)
+        assert abs(series.value - closed.value) <= series.error_bound
+    monkeypatch.setattr(asymptotics, "_inverse_power_coeffs", perturbed)
+    for conv in (PAPER, FULL):
+        series = leading_coefficient_series(n, 1e-12, conv)
+        closed = leading_coefficient_closed(n, conv)
+        assert abs(series.value - closed.value) > series.error_bound
 
 
 def test_h_parity():

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -86,6 +87,52 @@ def test_out_under_missing_directory_exits_2(capsys, tmp_path, command):
     assert rc == 2
     assert out == ""
     assert err == f"kohncount: cannot write {path!r}: No such file or directory\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "3", "--lambda", "1e6"],
+        ["count", "--n", "3", "--lambda", "1e6", "--out", "/dev/full"],
+        # some 150 kB: several blocks of the table writer
+        ["spectrum", "--n", "2", "--lambda-max", "2e4"],
+        ["spectrum", "--n", "2", "--lambda-max", "2e4", "--out", "/dev/full"],
+    ],
+    ids=["count-stdout", "count-out", "spectrum-stdout", "spectrum-out"],
+)
+def test_write_error_exits_2(argv, unbuffered):
+    # a full device fails the write or, when stdout is buffered, the flush;
+    # either way the command ends with one line on stderr, not a traceback
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "kohncount", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    name = "/dev/full" if "--out" in argv else "<stdout>"
+    assert result.returncode == 2
+    assert result.stderr == (
+        f"kohncount: cannot write {name!r}: No space left on device\n".encode()
+    )
+
+
+def test_closed_pipe_ends_quietly():
+    # the table is some 2 MB, far more than a pipe holds, so the writer is
+    # still writing when the reader leaves
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kohncount", "spectrum", "--n", "2"]
+        + ["--lambda-max", "2e5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"eigenvalue multiplicity cumulative\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == 141
 
 
 @pytest.mark.parametrize(
@@ -505,10 +552,24 @@ def test_parse_lambda_spec_caps_range_length():
         "1:2e5:+1",
         "4:1e12:+1",
         "1:1e100:x1.002",
-        "1e20:1e20:+1",  # endless: adding 1 to 1e20 does not change it
     ):
         with pytest.raises(ValueError, match="has more than 100000 values"):
             parse_lambda_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, point",
+    [
+        ("1e20:1e20:+1", "1e+20"),  # adding 1 to 1e20 does not change it
+        ("4:100:+1e-300", "4.0"),
+        ("1e16:1e17:+1", "1e+16"),
+    ],
+)
+def test_converge_rejects_range_that_cannot_step(capsys, spec, point):
+    rc, out, err = run_cli(capsys, "converge", "--n", "2", "--lambdas", spec)
+    assert rc == 2
+    assert out == ""
+    assert err == f"kohncount: lambda range {spec!r} does not advance past {point}\n"
 
 
 def test_converge_rejects_long_range(capsys):

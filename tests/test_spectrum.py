@@ -297,10 +297,10 @@ def test_count_M_caps_pool_at_cpu_count(monkeypatch, workers, cpus, expected):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, chunks):
-            chunks = list(chunks)
-            mapped.append(len(chunks))
-            return map(fn, chunks)
+        def map(self, fn, *iterables):
+            iterables = [list(it) for it in iterables]
+            mapped.append(len(iterables[0]))
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
