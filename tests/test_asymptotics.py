@@ -50,7 +50,7 @@ def test_h_poly_values():
     assert all(h_poly(5, k) == (k**3 + 11 * k) // 3 for k in range(1, 30))
 
 
-def test_inverse_power_coeffs_expand_h():
+def test_h_polynomial_coeffs_match_h_poly():
     # sum_m a_m k^(n-2m) is h(k) at the 2n points k = +-1..+-n, more than
     # the n-1 that pin a polynomial of degree n-2
     for n in range(2, 61):
@@ -59,6 +59,10 @@ def test_inverse_power_coeffs_expand_h():
         assert all(c > 0 for c in a.values())
         for k in (*range(-n, 0), *range(1, n + 1)):
             assert sum(c * k ** (n - 2 * m) for m, c in a.items()) == h_poly(n, k)
+
+
+def test_h_polynomial_coeffs_n5():
+    # h(k) = (k^3 + 11k)/3 for n = 5
     assert _inverse_power_coeffs(5) == {1: Fraction(1, 3), 2: Fraction(11, 3)}
 
 
