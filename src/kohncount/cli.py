@@ -60,8 +60,16 @@ COEFF_CSV_FIELDS = [
 ]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose ``--help`` fails to write like any other
+    output; argparse's own ``print_help`` ignores a failed write."""
+
+    def print_help(self, file=None) -> None:
+        _emit(self.format_help(), None)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kohncount",
         description=(
             "Exact spectrum and Weyl-type leading coefficient of the Kohn "
@@ -366,9 +374,8 @@ HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"kohncount: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ import itertools
 import math
 import os
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
 
 __all__ = [
     "CountingConvention",
@@ -33,9 +33,9 @@ __all__ = [
 # would cost a system call per row.
 WRITE_BLOCK_ROWS = 4096
 
-# ``count_N`` runs serially below this isqrt(X): there, on two cores, the
-# pool's start-up costs more than its second process saves.
-POOL_MIN_SQRT_X = 2**16
+# ``count_N`` runs serially below this isqrt(X): there, on two cores, forking
+# a second process costs more than it saves.
+PARALLEL_MIN_SQRT_X = 2**14
 
 
 class CountingConvention(enum.Enum):
@@ -75,7 +75,10 @@ def _count_index_range(n: int, X: int, pmin: int, i_lo: int, i_hi: int) -> int:
     lo = max(s, pmin-1): the index i in [1, s] stands for the column p = i
     (every q <= X//i, when i >= pmin) and the row q = i (lo < p <= X//i).
     These cover each lattice point once, and this sums the columns and rows
-    of i in [i_lo, i_hi], a subrange of [1, s]. Each needs one big binomial.
+    of i in [i_lo, i_hi], a subrange of [1, s]. One loop takes the indices
+    whose row and column are both non-empty, with Q = X//i and its linear
+    factor computed once for the pair; before it come the rows of i < pmin
+    (at most n-1), after it the columns past the last row (at most one).
     """
     comb = math.comb
     m = n - 1
@@ -84,30 +87,111 @@ def _count_index_range(n: int, X: int, pmin: int, i_lo: int, i_hi: int) -> int:
     # binomial * linear factor) / (n(n-1)) minus a part that does not depend
     # on X//i. The numerators go to ``acc``, divided once at the end; the
     # other parts are hockey-stick sums, collected in ``rest``.
-    acc = rest = 0
     # Rows: over lo < p <= Q = X//i, a(p) sums to C(Q, n-1) - C(lo, n-1) and
     # b(p) to C(Q+1, n) - C(lo+1, n) = C(Q, n-1) (Q+1)/n - C(lo+1, n); also
     # A(i) = B(i) i/(n-1). The row is empty once Q <= lo.
-    j = min(i_hi, X // (lo + 1))
-    if i_lo <= j:
-        w = comb(i_lo + n - 2, n - 2)  # B(i), updated in place
-        for i in range(i_lo, j + 1):
-            Q = X // i
-            acc += w * comb(Q, m) * (n * i + m * (Q + 1))
-            w = w * (i + m) // (i + 1)
-        rest += comb(lo, m) * (comb(j + m, n) - comb(i_lo + n - 2, n))
-        rest += comb(lo + 1, n) * (comb(j + m, m) - comb(i_lo + n - 2, m))
     # Columns: over q <= Q = X//i, A(q) sums to C(Q+n-1, n) = D Q/n with
     # D = C(Q+n-1, n-1) and B(q) to D - 1; also b(i) = a(i) i/(n-1).
-    k = max(i_lo, pmin)
+    # With L = (n-1)Q + n i, row i adds B(i) C(Q, n-1) (L + n-1) to ``acc``
+    # and column i adds a(i) D L.
+    acc = rest = 0
+    j = min(i_hi, X // (lo + 1))  # the last non-empty row
+    k = max(i_lo, pmin)  # the first column
+    w = comb(i_lo + n - 2, n - 2)  # B(i), updated in place
+    for i in range(i_lo, min(j, k - 1) + 1):
+        Q = X // i
+        acc += w * comb(Q, m) * (m * Q + n * i + m)
+        w = w * (i + m) // (i + 1)
+    a = comb(k - 1, n - 2)  # a(i), updated in place
+    for i in range(k, j + 1):
+        Q = X // i
+        L = m * Q + n * i
+        acc += w * comb(Q, m) * (L + m) + a * comb(Q + m, m) * L
+        w = w * (i + m) // (i + 1)
+        a = a * i // (i - n + 2)
+    for i in range(max(k, j + 1), i_hi + 1):
+        Q = X // i
+        acc += a * comb(Q + m, m) * (m * Q + n * i)
+        a = a * i // (i - n + 2)
+    if i_lo <= j:
+        rest += comb(lo, m) * (comb(j + m, n) - comb(i_lo + n - 2, n))
+        rest += comb(lo + 1, n) * (comb(j + m, m) - comb(i_lo + n - 2, m))
     if k <= i_hi:
-        a = comb(k - 1, n - 2)  # a(i), updated in place
-        for i in range(k, i_hi + 1):
-            Q = X // i
-            acc += a * comb(Q + m, m) * (m * Q + n * i)
-            a = a * i // (i - n + 2)
         rest += comb(i_hi + 1, n) - comb(k, n)
     return acc // (n * m) - rest
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has
+    one, else every CPU of the machine."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fork_join(
+    kernel: Callable[[int, int], int], chunks: Sequence[tuple[int, int]]
+) -> int:
+    """The sum of ``kernel(lo, hi)`` over ``chunks``, one process per chunk.
+
+    This process computes the first chunk while a forked child computes each
+    other one and sends its value down a pipe as signed little-endian bytes.
+    A child always leaves through ``os._exit``, so it never returns into the
+    caller's stack. If any child fails, this raises ``ChildProcessError``
+    rather than return a partial sum. On every exit all pipe ends are closed
+    and every child is reaped; a child still running is killed first.
+    """
+    pids: list[int] = []  # children not yet reaped
+    pipes: list[BinaryIO] = []  # the read end of each child's pipe, in order
+    try:
+        for lo, hi in chunks[1:]:
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                if (pid := os.fork()) == 0:
+                    _send_and_exit(w, kernel, lo, hi)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        total = kernel(*chunks[0])
+        for pipe, pid in zip(pipes, list(pids)):
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            pids.remove(pid)
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise ChildProcessError(f"counting process {pid} exited with {code}")
+            total += int.from_bytes(data, "little", signed=True)
+        return total
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if pids:
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _send_and_exit(
+    w: int, kernel: Callable[[int, int], int], lo: int, hi: int
+) -> NoReturn:
+    """In a forked child: write ``kernel(lo, hi)`` to the pipe end ``w`` and
+    exit, with status 0 on success and 1 on any error, after its traceback."""
+    status = 1
+    try:
+        v = kernel(lo, hi)
+        with open(w, "wb") as pipe:
+            pipe.write(v.to_bytes(v.bit_length() // 8 + 1, "little", signed=True))
+        status = 0
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        os._exit(status)
 
 
 def count_N(
@@ -122,12 +206,16 @@ def count_N(
     sum of f(p, q) over pq <= X = floor(lambda) // 2, p >= n (or n-1); X is
     exact for ``int``, ``Fraction`` and ``float`` lambda. The zero eigenvalue
     (q = 0, the infinite-dimensional space of CR functions) is never counted.
-    The Dirichlet hyperbola method takes about 2 isqrt(X) steps of equal
-    cost. With ``workers`` > 1 the pool runs one process per worker, at most
-    one per CPU, and the index range [1, isqrt(X)] is split into one chunk of
-    equal width per process; integer addition makes the result identical to
-    the serial run. When that leaves one process, or isqrt(X) is below
-    ``POOL_MIN_SQRT_X``, no pool is started.
+    The Dirichlet hyperbola method takes about isqrt(X) steps of equal cost.
+    With ``workers`` > 1 the count runs in one process per worker, at most
+    one per CPU that this process may use: the index range [1, isqrt(X)] is
+    split into one chunk of equal width per process, this process counts the
+    first, and a child forked for each other chunk sends back its part.
+    Integer addition makes the result identical to the serial run; a failed
+    child makes this raise ``ChildProcessError``. The count is serial when that
+    leaves one process, when isqrt(X) is below ``PARALLEL_MIN_SQRT_X``, or
+    where ``os.fork`` does not exist. Forking is unsafe in a process that
+    runs threads, so call it there with ``workers`` = 1.
     """
     validate_sphere_n(n)
     if workers < 1:
@@ -141,15 +229,12 @@ def count_N(
     if X < pmin:
         return 0
     s = math.isqrt(X)
-    procs = min(workers, os.cpu_count() or 1)
-    if procs == 1 or s < POOL_MIN_SQRT_X:
+    procs = min(workers, _usable_cpus()) if hasattr(os, "fork") else 1
+    if procs == 1 or s < PARALLEL_MIN_SQRT_X:
         return _count_index_range(n, X, pmin, 1, s)
     bounds = [1 + s * k // procs for k in range(procs + 1)]
     kernel = functools.partial(_count_index_range, n, X, pmin)
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=procs) as pool:
-        return sum(pool.map(kernel, bounds[:-1], [b - 1 for b in bounds[1:]]))
+    return _fork_join(kernel, [(b, c - 1) for b, c in zip(bounds, bounds[1:])])
 
 
 def spectrum_table(

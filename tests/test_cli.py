@@ -99,8 +99,18 @@ def test_out_under_missing_directory_exits_2(capsys, tmp_path, command):
         # some 150 kB: several blocks of the table writer
         ["spectrum", "--n", "2", "--lambda-max", "2e4"],
         ["spectrum", "--n", "2", "--lambda-max", "2e4", "--out", "/dev/full"],
+        # argparse's own help printer would ignore the failed write
+        ["--help"],
+        ["count", "--help"],
     ],
-    ids=["count-stdout", "count-out", "spectrum-stdout", "spectrum-out"],
+    ids=[
+        "count-stdout",
+        "count-out",
+        "spectrum-stdout",
+        "spectrum-out",
+        "help",
+        "count-help",
+    ],
 )
 def test_write_error_exits_2(argv, unbuffered):
     # a full device fails the write or, when stdout is buffered, the flush;
@@ -655,6 +665,7 @@ LAZY = (
     "dataclasses",
     "mpmath",
     "concurrent.futures.process",
+    "multiprocessing",
 )
 ASY = "kohncount.asymptotics kohncount.exact"
 # what each command loads of LAZY beyond the bare interpreter's modules
@@ -673,13 +684,15 @@ LAZY_LOADS = {
     "coeff --n 2 --method closed": f"{ASY} mpmath",
     "coeff --n 2 --eps 1e-6 --lambda 64 --format json": f"{ASY} json mpmath",
     "converge --n 2 --lambdas 64:256:x2": f"{ASY} mpmath",
+    # above the parallel cut-off: a plain fork, with no pool module
+    "count --n 3 --workers 2 --lambda 1e9": "",
 }
 
 
 @pytest.mark.parametrize("argv", [command.split() for command in LAZY_LOADS])
 def test_cli_imports_stay_lazy(argv):
-    # each command loads only what it uses, and the process pool only for
-    # counts above its cut-off; no command loads dataclasses. The modules
+    # each command loads only what it uses; no command loads dataclasses, and
+    # a parallel count loads no process-pool module. The modules
     # are compared against those of the bare interpreter, which site may
     # have loaded already.
     code = (

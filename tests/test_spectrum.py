@@ -2,10 +2,10 @@
 divisor sums by trial division (``oracles.py``), a brute-force (p, q) lattice
 sieve, and the literal per-m double loop on small inputs."""
 
-import concurrent.futures
 import io
 import math
 import os
+import time
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 
 from kohncount import spectrum
 from kohncount.spectrum import (
-    POOL_MIN_SQRT_X,
+    PARALLEL_MIN_SQRT_X,
     CountingConvention,
     SpectrumEntry,
     _count_index_range,
@@ -36,8 +36,8 @@ from tests.oracles import (
 
 PAPER = CountingConvention.PAPER_RESTRICTED
 FULL = CountingConvention.FULL_SPECTRUM
-# the smallest X at which count_N starts a pool (isqrt(X) = 2^16)
-POOL_X = POOL_MIN_SQRT_X**2
+# the smallest X at which count_N forks (isqrt(X) = PARALLEL_MIN_SQRT_X)
+POOL_X = PARALLEL_MIN_SQRT_X**2
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +240,39 @@ def test_count_index_range_chunks_add_up(X, n, conv, cuts):
     assert sum(parts) == _count_index_range(n, X, pmin, 1, s)
 
 
+def chunk_oracle(n, X, pmin, i_lo, i_hi):
+    """The part of the hyperbola sum that the kernel's chunk [i_lo, i_hi]
+    stands for: the columns p = i >= pmin by the block oracle, the rows q = i
+    (p > max(isqrt(X), pmin-1)) one lattice point at a time."""
+    lo = max(math.isqrt(X), pmin - 1)
+    columns = count_block_range(n, X, max(i_lo, pmin), i_hi)
+    rows = sum(
+        f_value(n, p, q)
+        for q in range(i_lo, i_hi + 1)
+        for p in range(lo + 1, X // q + 1)
+    )
+    return columns + rows
+
+
+@pytest.mark.parametrize("conv", [FULL, PAPER])
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_count_index_range_matches_block_oracle_at_loop_edges(n, conv):
+    # a second chunk that starts where the kernel's loops hand over: before
+    # and at the first column pmin, at and after the last row X//(lo+1), and
+    # at isqrt(X)
+    pmin = n if conv is PAPER else n - 1
+    for X in (pmin, pmin + 1, 99, 100, 2000, 9999, 10000, 10001, 12345):
+        s = math.isqrt(X)
+        last_row = X // (max(s, pmin - 1) + 1)
+        for cut in {pmin - 1, pmin, last_row, last_row + 1, s}:
+            if not 1 <= cut <= s:
+                continue
+            chunks = [(1, cut - 1), (cut, s)]
+            parts = [_count_index_range(n, X, pmin, *chunk) for chunk in chunks]
+            assert parts == [chunk_oracle(n, X, pmin, *chunk) for chunk in chunks]
+            assert sum(parts) == count_block_range(n, X, pmin, X)
+
+
 def test_count_M_convention_gap():
     # full - paper = sum_{q <= x/(n-1)} dim H_{0,q}
     for n in (2, 3, 5):
@@ -269,7 +302,7 @@ def test_count_N_monotone_and_step(lam1, lam2):
 
 
 def test_count_M_parallel_matches_serial():
-    # a real pool starts at X = POOL_X
+    # a real fork-join starts at X = POOL_X
     for conv in (FULL, PAPER):
         serial = count_N(3, 2 * POOL_X, conv, workers=1)
         parallel = count_N(3, 2 * POOL_X, conv, workers=2)
@@ -280,47 +313,110 @@ def test_count_M_parallel_matches_serial():
     "workers, cpus, expected", [(100_000, 2, 2), (3, 8, 3), (5, None, 1)]
 )
 def test_count_M_caps_pool_at_cpu_count(monkeypatch, workers, cpus, expected):
-    # A fake pool records max_workers and the number of chunks and runs the
-    # chunks in this process, so no large number of processes is ever started.
-    # When the cap leaves one process, the count is serial and builds no pool.
-    # X = POOL_X is the smallest X at which the pool is used at all.
+    # Where the OS has no affinity mask, os.cpu_count() caps the processes.
+    # A stand-in for the fork-join records the chunks and runs them in this
+    # process, so no large number of processes is ever started. When the cap
+    # leaves one process, the count is serial and never reaches the
+    # fork-join. X = POOL_X is the smallest X at which it is used at all.
     seen = []
-    mapped = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
+    def in_process(kernel, chunks):
+        seen.append(list(chunks))
+        return sum(kernel(lo, hi) for lo, hi in chunks)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            iterables = [list(it) for it in iterables]
-            mapped.append(len(iterables[0]))
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(spectrum, "_fork_join", in_process)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     X = POOL_X
     assert count_N(3, 2 * X, FULL, workers=workers) == count_N(3, 2 * X, FULL)
-    pools = [expected] if expected > 1 else []
-    assert seen == pools
-    assert mapped == pools
+    assert [len(chunks) for chunks in seen] == ([expected] if expected > 1 else [])
+    for chunks in seen:  # contiguous, of equal width, covering [1, isqrt(X)]
+        assert [lo for lo, _ in chunks[1:]] == [hi + 1 for _, hi in chunks[:-1]]
+        assert chunks[0][0] == 1 and chunks[-1][1] == math.isqrt(X)
+        widths = [hi - lo for lo, hi in chunks]
+        assert max(widths) - min(widths) <= 1
+
+
+def forbid_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("process forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+def test_count_N_caps_processes_at_cpu_affinity(monkeypatch):
+    # os.cpu_count() counts every CPU of the machine; a process that may run
+    # on one CPU only counts serially and forks nothing
+    forbid_fork(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for conv in (FULL, PAPER):
+        assert count_N(3, 2 * POOL_X, conv, workers=2) == count_N(3, 2 * POOL_X, conv)
 
 
 def test_count_N_stays_serial_below_pool_cut_off(monkeypatch):
-    # below isqrt(X) = 2^16 the pool would cost more than it saves
-    def no_pool(max_workers):
-        raise AssertionError("pool started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # below isqrt(X) = PARALLEL_MIN_SQRT_X a fork costs more than it saves
+    forbid_fork(monkeypatch)
+    monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
     X = POOL_X - 1
     for conv in (FULL, PAPER):
         assert count_N(3, 2 * X, conv, workers=2) == count_N(3, 2 * X, conv)
+
+
+def test_count_N_runs_serially_without_fork(monkeypatch):
+    # where os.fork does not exist, --workers gives the serial count
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+    for conv in (FULL, PAPER):
+        assert count_N(3, 2 * POOL_X, conv, workers=2) == count_N(3, 2 * POOL_X, conv)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [2**100000, -(2**100000), -(2 ** (2**20))],
+    ids=["2^100000", "-2^100000", "-2^2^20"],
+)
+def test_fork_join_returns_big_values(value):
+    # 2^100000 has 30103 digits, far past the 4300-digit limit of int <-> str,
+    # and 2^(2^20) takes 128 KiB, more than a pipe holds before it is read
+    chunks = [(0, 0), (1, 1), (2, 2)]
+    assert spectrum._fork_join(lambda lo, hi: lo * value, chunks) == 3 * value
+    assert_no_child_left()
+
+
+def test_count_N_raises_when_a_child_fails(monkeypatch, capfd):
+    parent = os.getpid()
+
+    def kernel(n, X, pmin, i_lo, i_hi):
+        if os.getpid() != parent:
+            raise RuntimeError("the child's kernel fails")
+        return _count_index_range(n, X, pmin, i_lo, i_hi)
+
+    monkeypatch.setattr(spectrum, "_count_index_range", kernel)
+    monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+    with pytest.raises(ChildProcessError, match="exited with 1"):
+        count_N(3, 2 * POOL_X, FULL, workers=2)
+    assert_no_child_left()
+    assert "RuntimeError: the child's kernel fails" in capfd.readouterr().err
+
+
+def test_fork_join_kills_children_when_the_parent_fails():
+    def kernel(lo, hi):
+        if lo == 0:
+            raise RuntimeError("the parent's kernel fails")
+        time.sleep(30)
+        return 0
+
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="parent's kernel"):
+        spectrum._fork_join(kernel, [(0, 0), (1, 1)])
+    assert time.monotonic() - t0 < 10
+    assert_no_child_left()
 
 
 def test_count_M_rejects_negative():
