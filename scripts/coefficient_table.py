@@ -11,12 +11,11 @@ Usage:
 
 import argparse
 
-import mpmath
-
 from kohncount.asymptotics import (
     leading_coefficient_closed,
     leading_coefficient_series,
 )
+from kohncount.exact import format_significant
 from kohncount.spectrum import CountingConvention
 
 
@@ -36,7 +35,7 @@ def main() -> None:
             )
             gap = abs(float(closed.value) - float(series.value))
             print(
-                f"n={n:2d}  {mpmath.nstr(closed.value, 20):>24}"
+                f"n={n:2d}  {format_significant(closed.value, 20):>24}"
                 f"  series gap {gap:.1e} (K={series.truncation_K})"
             )
             print(f"       = {closed.exact.to_string()}")

@@ -14,8 +14,7 @@ Usage:
 import argparse
 import math
 import os
-
-import mpmath
+from fractions import Fraction
 
 from kohncount.asymptotics import (
     leading_coefficient_closed,
@@ -64,13 +63,12 @@ def main() -> None:
             )
             print(f"n={n} counts={conv.value}  (profiles -> {path})")
             print(f"  fitted C against own constant: {profile.fitted_C:.4f}")
-            with mpmath.workdps(60):
-                c_other = constants[other].value
-                mismatched = [
-                    float(s.count - c_other * mpmath.mpf(s.lam) ** n)
-                    / (s.lam ** (n - 1) * math.log(s.lam))
-                    for s in profile.samples
-                ]
+            c_other = constants[other].value
+            mismatched = [
+                float(s.count - c_other * Fraction(s.lam) ** n)
+                / (s.lam ** (n - 1) * math.log(s.lam))
+                for s in profile.samples
+            ]
             print(
                 f"  normalized residual vs {other.value} constant: "
                 f"{mismatched[0]:.1f} -> {mismatched[-1]:.1f} (unbounded)"

@@ -18,13 +18,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
-from .exact import PiPolynomial, pipoly_eval, stirling_first_signed, zeta_even
+from .exact import (
+    PiPolynomial,
+    _floor_log10,
+    _to_float,
+    format_significant,
+    pipoly_eval,
+    stirling_first_signed,
+    zeta_even,
+)
 from .spectrum import CountingConvention, count_N, validate_sphere_n
-
-if TYPE_CHECKING:
-    import mpmath
 
 __all__ = [
     "CoefficientReport",
@@ -53,6 +58,8 @@ class PrecisionUnattainableError(Exception):
 class CoefficientReport(NamedTuple):
     """One determination of the leading coefficient.
 
+    ``value`` is a ``Fraction``: the series' value exactly, the empirical
+    ratio's float exactly, and the closed form to relative 10^-(digits+20).
     ``exact`` is populated for the closed form only. For the series method
     ``error_bound`` is a certified bound on |true - value|; for the closed
     form it is 0; for the empirical method it is a self-consistency heuristic
@@ -63,7 +70,7 @@ class CoefficientReport(NamedTuple):
     convention: CountingConvention
     method: str
     exact: PiPolynomial | None
-    value: mpmath.mpf
+    value: Fraction
     error_bound: float
     digits: int = DEFAULT_DIGITS
     truncation_K: int | None = None
@@ -195,10 +202,10 @@ def leading_coefficient_series(
     tail_mid, tail_half_width = _tail_bracket(a, K)
 
     # Round-off allocation: the sum is below 2 * sum(a_m) (zeta(2m) < 2), and
-    # (3K + 10) errors of one working ulp each are allowed for. The partial
-    # sum is taken in fixed point with F > dps log2(10) fraction bits, so it
-    # errs by less than K 2^-F < K 10^-dps, and the few mpmath roundings
-    # after it by a working ulp each.
+    # (3K + 10) errors of one working ulp 10^(1-dps) each are allowed for.
+    # The partial sum is taken in fixed point with F > dps log2(10) fraction
+    # bits, so it errs by less than K 2^-F < K 10^-dps; the rest is exact,
+    # so the allowance over-covers.
     sum_bound = 2 * sum(a.values()) + 1
     denom = target / (100 * sum_bound * (3 * K + 10))
     need_dps = 1 + max(0, -_floor_log10(denom))
@@ -206,16 +213,7 @@ def leading_coefficient_series(
     rounding = sum_bound * (3 * K + 10) * Fraction(10) ** (1 - dps)
     F = math.ceil(dps * math.log2(10)) + 8
     partial = _partial_sum_fixed(n, K, F)
-
-    import mpmath
-
-    with mpmath.workdps(dps):
-        total = (
-            mpmath.mpf((partial, -F))
-            + _to_mpf(tail_mid)
-            - _to_mpf(_convention_gap(n, conv))
-        ) / scale
-        value = +total
+    value = (Fraction(partial, 2**F) + tail_mid - _convention_gap(n, conv)) / scale
 
     bound_fraction = (tail_half_width + rounding) / scale
     error_bound = float(bound_fraction) * (1 + 2**-40) + 5e-324
@@ -241,22 +239,6 @@ def _partial_sum_fixed(n: int, K: int, F: int) -> int:
         ((comb(k + n - 2, n - 2) + comb(k - 1, n - 2)) << F) // k**n
         for k in range(1, K + 1)
     )
-
-
-def _floor_log10(x: Fraction) -> int:
-    if x <= 0:
-        raise ValueError("positive value required")
-    # Exact enough via bit lengths; refined by at most a couple of steps.
-    est = int((x.numerator.bit_length() - x.denominator.bit_length()) * 0.30103) - 2
-    while Fraction(10) ** (est + 1) <= x:
-        est += 1
-    return est
-
-
-def _to_mpf(x: Fraction) -> mpmath.mpf:
-    import mpmath
-
-    return mpmath.mpf(x.numerator) / x.denominator
 
 
 def leading_coefficient_closed(
@@ -310,14 +292,12 @@ def empirical_report(
     """Empirical coefficient with a half-lambda self-consistency heuristic."""
     ratio = empirical_ratio(n, lam, conv)
     ratio_half = empirical_ratio(n, max(lam / 2, 2.0), conv)
-    import mpmath
-
     return CoefficientReport(
         n=n,
         convention=conv,
         method="empirical",
         exact=None,
-        value=mpmath.mpf(ratio),
+        value=Fraction(ratio),
         error_bound=abs(ratio - ratio_half),
         digits=digits,
         lam=lam,
@@ -329,11 +309,12 @@ def remainder_profile(
 ) -> RemainderProfile:
     """Residuals against the closed-form constant over ascending lambdas.
 
-    The count and c*lambda^n take lambda exactly; the samples record it as
-    a float. Normalization divides by lambda^{n-1} ln(lambda), the expected
-    size of the remainder term, in floats; boundedness of the normalized
-    column is the empirical signature that the constant matches the
-    enumerated spectrum.
+    The count and c*lambda^n take lambda exactly, and the residual is
+    rounded to a float once; the samples record lambda as a float.
+    Normalization divides by lambda^{n-1} ln(lambda), the expected size of
+    the remainder term, in floats, so that must be a finite float at the
+    largest lambda. Boundedness of the normalized column is the empirical
+    signature that the constant matches the enumerated spectrum.
     """
     validate_sphere_n(n)
     if not lambdas:
@@ -342,17 +323,25 @@ def remainder_profile(
         raise ValueError("all lambdas must be >= 4 (so ln(lambda) > 1)")
     if list(lambdas) != sorted(lambdas):
         raise ValueError("lambdas must be ascending")
-    closed = leading_coefficient_closed(n, conv)
+    # the envelope grows with lambda: the largest one bounds every sample's
+    try:
+        top = float(lambdas[-1])
+        envelope = top ** (n - 1) * math.log(top)
+    except OverflowError:
+        envelope = math.inf
+    if not math.isfinite(envelope):
+        raise ValueError(
+            f"lambda^(n-1) ln(lambda) is not a finite float at n = {n}, "
+            f"lambda = {lambdas[-1]}"
+        )
+    c = leading_coefficient_closed(n, conv).value
     samples = []
-    import mpmath
-
-    with mpmath.workdps(DEFAULT_DIGITS + 10):
-        for lam in lambdas:
-            count = count_N(n, lam, conv)
-            residual = float(count - closed.value * _to_mpf(Fraction(lam)) ** n)
-            x = float(lam)
-            normalized = residual / (x ** (n - 1) * math.log(x))
-            samples.append(ProfileSample(x, count, residual, normalized))
+    for lam in lambdas:
+        count = count_N(n, lam, conv)
+        residual = _to_float(count - c * Fraction(lam) ** n)
+        x = float(lam)
+        normalized = residual / (x ** (n - 1) * math.log(x))
+        samples.append(ProfileSample(x, count, residual, normalized))
     upper = samples[len(samples) // 2 :]
     fitted_C = max(abs(s.normalized) for s in upper)
     return RemainderProfile(n, conv, tuple(samples), fitted_C)
@@ -380,14 +369,12 @@ def weyl_ball_constant(n: int, normalization: str = "paper_text") -> PiPolynomia
 
 
 def report_to_record(report: CoefficientReport) -> dict:
-    import mpmath
-
     record = {
         "n": report.n,
         "convention": report.convention.value,
         "method": report.method,
         "exact": report.exact.to_string() if report.exact is not None else None,
-        "value": mpmath.nstr(report.value, report.digits, strip_zeros=False),
+        "value": format_significant(report.value, report.digits),
         "error_bound": repr(report.error_bound),
         "digits": report.digits,
     }

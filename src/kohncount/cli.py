@@ -304,7 +304,7 @@ def cmd_count(args) -> int:
 
 def cmd_coeff(args) -> int:
     from . import asymptotics
-    from .exact import MIN_EVAL_DIGITS
+    from .exact import MIN_EVAL_DIGITS, _to_float
 
     if args.precision < MIN_EVAL_DIGITS:
         raise ValueError(f"precision must be >= {MIN_EVAL_DIGITS} digits")
@@ -321,7 +321,7 @@ def cmd_coeff(args) -> int:
         for i, r1 in enumerate(reports):
             for r2 in reports[i + 1 :]:
                 key = f"{conv.value}:{r1.method}_vs_{r2.method}"
-                gaps[key] = abs(float(r1.value) - float(r2.value))
+                gaps[key] = abs(_to_float(r1.value) - _to_float(r2.value))
     records = [asymptotics.report_to_record(r) for r in all_reports]
     if args.format == "json":
         return _json({"reports": records, "gaps": gaps}, args.out)
@@ -350,14 +350,13 @@ def cmd_converge(args) -> int:
 
 def cmd_weyl(args) -> int:
     from . import asymptotics
+    from .exact import format_significant
 
     normalization = args.normalization.replace("-", "_")
     poly = asymptotics.weyl_ball_constant(args.n, normalization)
     record = {"n": args.n, "normalization": normalization, "exact": poly.to_string()}
     if args.format == "json":
-        import mpmath
-
-        value = mpmath.nstr(asymptotics.pipoly_eval(poly), 50, strip_zeros=False)
+        value = format_significant(asymptotics.pipoly_eval(poly), 50)
         return _json({**record, "value": value}, args.out)
     if args.format == "csv":
         return _csv(list(record), [record.values()], args.out)

@@ -3,6 +3,9 @@
 Everything here is arbitrary-precision and deterministic: Bernoulli and
 Stirling numbers are exact rationals and integers, and zeta at even integers
 is represented symbolically as a rational multiple of a power of pi^2.
+Values are evaluated with integers and ``Fraction`` alone: pi comes from
+Machin's formula in fixed point, and ``format_significant`` prints a
+rational to a given number of significant digits.
 """
 
 from __future__ import annotations
@@ -11,10 +14,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import mpmath
 
 __all__ = [
     "PiPolynomial",
@@ -22,6 +21,7 @@ __all__ = [
     "bernoulli",
     "zeta_even",
     "pipoly_eval",
+    "format_significant",
 ]
 
 MIN_EVAL_DIGITS = 16
@@ -163,20 +163,146 @@ def zeta_even(two_m: int) -> PiPolynomial:
     return PiPolynomial.from_pi_power(coeff, two_m)
 
 
-def pipoly_eval(poly: PiPolynomial, digits: int = 50) -> mpmath.mpf:
-    """Evaluate ``poly`` with pi computed to at least ``digits`` decimal digits.
+def _arccot(x: int, one: int) -> int:
+    """arccot(x) = sum_k (-1)^k / ((2k+1) x^(2k+1)) in fixed point, with
+    ``one`` for 1; each term is floored, and with it its power of 1/x."""
+    x2 = x * x
+    power = total = one // x
+    k = 3
+    while power:
+        power //= x2
+        total += (power // k) if k % 4 == 1 else -(power // k)
+        k += 2
+    return total
 
-    Works at digits + 10 internally so doubling the requested precision moves
-    the result by far less than 10^-(digits-2). Temporarily adjusts the
-    process-global mpmath precision.
+
+@lru_cache(maxsize=None)
+def _pi_squared(bits: int) -> int:
+    """pi^2 2^bits, within 2 of the true value.
+
+    Machin's formula pi = 16 arccot(5) - 4 arccot(239) is summed with guard
+    bits that hold its floors: each term errs by less than 2 units, and
+    there are fewer than (bits + guard)/4 of them. pi is taken to bits + 4
+    bits, so its square errs by less than 1 unit before the last floor.
+    """
+    guard = bits.bit_length() + 8
+    one = 1 << (bits + 4 + guard)
+    pi = (16 * _arccot(5, one) - 4 * _arccot(239, one)) >> guard
+    return (pi * pi) >> (bits + 8)
+
+
+def pipoly_eval(poly: PiPolynomial, digits: int = 50) -> Fraction:
+    """``poly`` at pi, as a ``Fraction`` within relative 10^-(digits+20).
+
+    Horner's rule runs in integers on C_j = floor(c_j 2^S) with pi^2 to B
+    bits, so the sum stands for the value times 2^S. Each step floors twice,
+    and each floor is carried through at most deg factors pi^2 < 10; pi^2
+    errs by less than 2^(1-B). Together the sum errs by less than ``slack``.
+    S is set so that the sum is about 2^B, and S and B grow until ``slack``
+    is relative 10^-(digits+20). The bound is relative, as the coefficient
+    at n = 600 is about 10^-1590.
     """
     if digits < MIN_EVAL_DIGITS:
         raise ValueError(f"precision must be >= {MIN_EVAL_DIGITS} digits")
-    import mpmath
+    coeffs = poly.coeffs
+    if not coeffs:
+        return Fraction(0)
+    deg = len(coeffs) - 1
+    floors = 3 * 10**deg
+    bits = (floors * 10 ** (digits + 20)).bit_length() + 8
+    # log2 of the largest term, as pi^2 > 2^3
+    top = max(
+        c.numerator.bit_length() - c.denominator.bit_length() + 3 * j
+        for j, c in enumerate(coeffs)
+        if c
+    )
+    while True:
+        shift = bits - top
+        pi2 = _pi_squared(bits)
+        scaled = [
+            (c.numerator << shift) // c.denominator
+            if shift >= 0
+            else c.numerator // (c.denominator << -shift)
+            for c in coeffs
+        ]
+        acc = 0
+        for c in reversed(scaled):
+            acc = ((acc * pi2) >> bits) + c
+        # |c_j| 2^S < |C_j| + 1 bounds what the error of pi^2 moves
+        moved = sum(
+            j * (abs(c) + 1) * 10 ** (j - 1) for j, c in enumerate(scaled[1:], start=1)
+        )
+        slack = floors + (2 * moved >> bits) + 1
+        # this makes slack <= 10^-(digits+20) (|acc| - slack)
+        need = slack * (10 ** (digits + 20) + 1)
+        if abs(acc) >= need:
+            return Fraction(acc, 1 << shift) if shift >= 0 else Fraction(acc << -shift)
+        bits += max(need.bit_length() - abs(acc).bit_length() + 1, 16)
 
-    with mpmath.workdps(digits + 10):
-        pi2 = mpmath.pi**2
-        acc = mpmath.mpf(0)
-        for c in reversed(poly.coeffs):
-            acc = acc * pi2 + mpmath.mpf(c.numerator) / c.denominator
-        return +acc
+
+def _floor_log10(x: Fraction) -> int:
+    if x <= 0:
+        raise ValueError("positive value required")
+    p, q = x.numerator, x.denominator
+    # log10(2) < 0.30103 puts this estimate at or below floor(log10 x)
+    est = int((p.bit_length() - q.bit_length()) * 0.30103) - 2
+    # x >= 10^(est+1), in integers
+    while p * 10 ** max(-est - 1, 0) >= q * 10 ** max(est + 1, 0):
+        est += 1
+    return est
+
+
+def format_significant(x: Fraction, digits: int) -> str:
+    """x rounded half up to ``digits`` significant digits, with trailing zeros.
+
+    With e = floor(log10 |x|) after rounding, it is spelled in fixed point
+    when min(-(digits // 3), -5) < e < digits, else as ``D.DDDe+E`` or
+    ``D.DDDe-E``. At e = digits - 1 the fixed form ends in ``.``; zero is
+    ``0.0``. These are the spellings of mpmath's ``nstr(x, digits,
+    strip_zeros=False)``, in which the outputs were first pinned.
+    """
+    if x == 0:
+        return "0.0"
+    sign = "-" if x < 0 else ""
+    e = _floor_log10(abs(x))
+    shift = digits - 1 - e
+    num, den = abs(x.numerator), x.denominator
+    if shift >= 0:
+        num *= 10**shift
+    else:
+        den *= 10**-shift
+    m = (2 * num + den) // (2 * den)
+    if m == 10**digits:
+        m //= 10
+        e += 1
+    s = str(m)
+    if min(-(digits // 3), -5) < e < digits:
+        if e < 0:
+            return f"{sign}0.{'0' * (-e - 1)}{s}"
+        return f"{sign}{s[: e + 1]}.{s[e + 1 :]}"
+    return f"{sign}{s[0]}.{s[1:]}e{e:+d}"
+
+
+def _to_float(x: Fraction) -> float:
+    """x rounded to 53 significant bits, ties to even, then scaled by its
+    power of two: a subnormal result is rounded twice, and one beyond the
+    float range is +-inf. ``float(x)`` rounds once and raises
+    ``OverflowError``; this is the rule the pinned outputs were made with.
+    """
+    p, q = x.numerator, x.denominator
+    if p == 0:
+        return 0.0
+    a = abs(p)
+    # a/q * 2^shift in [2^52, 2^53)
+    shift = 53 - (a.bit_length() - q.bit_length())
+    num, den = (a << shift, q) if shift >= 0 else (a, q << -shift)
+    if num >= den << 53:
+        shift -= 1
+        num, den = (a << shift, q) if shift >= 0 else (a, q << -shift)
+    m, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and m & 1):
+        m += 1
+    try:
+        return math.ldexp(m if p > 0 else -m, -shift)
+    except OverflowError:
+        return math.inf if p > 0 else -math.inf

@@ -10,7 +10,8 @@ partial-sum lemma ratio) are the paper's definitions, written out directly.
 tests can check that rendering. ``csv_text`` renders rows through
 ``csv.writer``, and ``spectrum_csv`` and ``spectrum_json`` render spectrum
 tables through the ``csv`` and ``json`` modules, for the library's and the
-CLI's direct writers to match byte for byte.
+CLI's direct writers to match byte for byte. ``to_mpf`` takes a report's
+``Fraction`` value into mpmath, which the tests use as a numeric oracle.
 """
 
 import csv
@@ -20,8 +21,15 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
+
 from kohncount.exact import PiPolynomial
 from kohncount.spectrum import CountingConvention, validate_sphere_n
+
+
+def to_mpf(x: Fraction) -> mpmath.mpf:
+    """x at mpmath's working precision."""
+    return mpmath.mpf(x.numerator) / x.denominator
 
 
 def binomial(a, b):

@@ -32,7 +32,7 @@ from kohncount.asymptotics import (
 )
 from kohncount.exact import PiPolynomial, pipoly_eval
 from kohncount.spectrum import CountingConvention
-from tests.oracles import h_poly, lemma_ratio, parse_pi_string
+from tests.oracles import h_poly, lemma_ratio, parse_pi_string, to_mpf
 
 PAPER = CountingConvention.PAPER_RESTRICTED
 FULL = CountingConvention.FULL_SPECTRUM
@@ -121,7 +121,7 @@ def test_closed_form_n2_both_conventions():
     full = leading_coefficient_closed(2, FULL)
     assert full.exact == PiPolynomial((0, Fraction(1, 24)))
     with mpmath.workdps(40):
-        assert abs(full.value - mpmath.pi**2 / 24) < mpmath.mpf(10) ** -38
+        assert abs(to_mpf(full.value) - mpmath.pi**2 / 24) < mpmath.mpf(10) ** -38
 
 
 def test_closed_form_convention_gap_exact():
@@ -176,9 +176,10 @@ def test_series_fixed_point_partial_sum(n, K, F):
 def test_series_n2_reference_values():
     with mpmath.workdps(40):
         full = leading_coefficient_series(2, 1e-12, FULL)
-        assert abs(full.value - mpmath.pi**2 / 24) <= 1e-12
+        assert abs(to_mpf(full.value) - mpmath.pi**2 / 24) <= 1e-12
         paper = leading_coefficient_series(2, 1e-12, PAPER)
-        assert abs(paper.value - (mpmath.pi**2 / 24 - Fraction(1, 8))) <= 1e-12
+        expected = mpmath.pi**2 / 24 - to_mpf(Fraction(1, 8))
+        assert abs(to_mpf(paper.value) - expected) <= 1e-12
 
 
 def test_series_certificate_is_sound():
@@ -263,7 +264,7 @@ def test_remainder_profile_discriminates_conventions():
     closed_full = leading_coefficient_closed(2, FULL)
     with mpmath.workdps(60):
         wrong = [
-            float(s.count - closed_full.value * mpmath.mpf(s.lam) ** 2)
+            float(s.count - to_mpf(closed_full.value) * mpmath.mpf(s.lam) ** 2)
             / (s.lam * math.log(s.lam))
             for s in own.samples
         ]
@@ -279,6 +280,28 @@ def test_remainder_profile_validation():
         remainder_profile(2, [2.0], FULL)  # below ln > 1 floor
     with pytest.raises(ValueError):
         remainder_profile(2, [512.0, 256.0], FULL)
+
+
+@pytest.mark.parametrize(
+    "n, lambdas",
+    [
+        (150, [1000.0, 2000.0]),  # lambda^(n-1) overflows
+        (100, [1290]),  # lambda^(n-1) does not, lambda^(n-1) ln(lambda) does
+        (2, [Fraction(10**400)]),  # lambda itself is beyond the float range
+    ],
+)
+def test_remainder_profile_rejects_envelope_beyond_floats(monkeypatch, n, lambdas):
+    # checked at the largest lambda, before anything is counted
+    monkeypatch.setattr(asymptotics, "count_N", None)
+    with pytest.raises(ValueError, match=r"ln\(lambda\) is not a finite float"):
+        remainder_profile(n, lambdas, FULL)
+
+
+def test_remainder_profile_keeps_envelope_inside_floats():
+    # at n = 100, lambda = 1200, lambda^99 ln(lambda) is about 5e305
+    profile = remainder_profile(100, [1200], FULL)
+    assert math.isfinite(profile.samples[0].normalized)
+    assert profile.samples[0].normalized != 0
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +368,8 @@ def test_report_record_round_trip():
         assert (parse_pi_string(exact) if exact else None) == report.exact
         with mpmath.workdps(report.digits + 10):
             value = mpmath.mpf(record["value"])
-            assert abs(value - report.value) <= abs(report.value) * 10.0 ** (
+            reference = to_mpf(report.value)
+            assert abs(value - reference) <= abs(reference) * 10.0 ** (
                 1 - report.digits
             )
         assert float(record["error_bound"]) == report.error_bound

@@ -1,6 +1,7 @@
 """CLI surface: flags, formats, exit codes, determinism, round-trips."""
 
 import argparse
+import ast
 import json
 import os
 import pathlib
@@ -26,7 +27,7 @@ from kohncount.cli import (
     parse_lambda_spec,
 )
 from kohncount.spectrum import CountingConvention, count_N
-from tests.oracles import csv_text
+from tests.oracles import csv_text, to_mpf
 
 
 def run_cli(capsys, *argv):
@@ -335,7 +336,7 @@ def test_converge_residual_takes_lambda_exactly(capsys):
     lam, count, residual, _ = out.splitlines()[1].split(",")
     closed = leading_coefficient_closed(2, CountingConvention.FULL_SPECTRUM).value
     with mpmath.workdps(60):
-        expected = float(int(count) - closed * (mpmath.mpf(1000001) / 10) ** 2)
+        expected = float(int(count) - to_mpf(closed) * (mpmath.mpf(1000001) / 10) ** 2)
     assert lam == "100000.1"
     assert float(residual) == expected
 
@@ -589,6 +590,21 @@ def test_converge_rejects_long_range(capsys):
     assert err == "kohncount: lambda range '1:2e5:+1' has more than 100000 values\n"
 
 
+@pytest.mark.parametrize(
+    "n, lambdas, top", [("150", "1000,2000", "2000"), ("100", "1290", "1290")]
+)
+def test_converge_rejects_envelope_beyond_floats(capsys, n, lambdas, top):
+    # the normalization lambda^(n-1) ln(lambda) is not a finite float there:
+    # at n = 150 the power overflows, at n = 100 only its product with ln
+    rc, out, err = run_cli(capsys, "converge", "--n", n, "--lambdas", lambdas)
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        "kohncount: lambda^(n-1) ln(lambda) is not a finite float at "
+        f"n = {n}, lambda = {top}\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # weyl
 
@@ -680,10 +696,10 @@ LAZY_LOADS = {
     "spectrum --n 3 --lambda-max 9 --format json": "json",
     "weyl --n 2": ASY,
     "weyl --n 2 --format csv": ASY,
-    "weyl --n 2 --format json": f"{ASY} json mpmath",
-    "coeff --n 2 --method closed": f"{ASY} mpmath",
-    "coeff --n 2 --eps 1e-6 --lambda 64 --format json": f"{ASY} json mpmath",
-    "converge --n 2 --lambdas 64:256:x2": f"{ASY} mpmath",
+    "weyl --n 2 --format json": f"{ASY} json",
+    "coeff --n 2 --method closed": ASY,
+    "coeff --n 2 --eps 1e-6 --lambda 64 --format json": f"{ASY} json",
+    "converge --n 2 --lambdas 64:256:x2": ASY,
     # above the parallel cut-off: a plain fork, with no pool module
     "count --n 3 --workers 2 --lambda 1e9": "",
 }
@@ -691,10 +707,10 @@ LAZY_LOADS = {
 
 @pytest.mark.parametrize("argv", [command.split() for command in LAZY_LOADS])
 def test_cli_imports_stay_lazy(argv):
-    # each command loads only what it uses; no command loads dataclasses, and
-    # a parallel count loads no process-pool module. The modules
-    # are compared against those of the bare interpreter, which site may
-    # have loaded already.
+    # each command loads only what it uses; no command loads dataclasses or
+    # mpmath, and a parallel count loads no process-pool module.
+    # The modules are compared against those of the bare interpreter, which
+    # site may have loaded already.
     code = (
         "import sys\n"
         "bare = set(sys.modules)\n"
@@ -712,6 +728,19 @@ def test_cli_imports_stay_lazy(argv):
         check=True,
     )
     assert result.stderr.strip() == LAZY_LOADS[" ".join(argv)]
+
+
+def test_library_imports_neither_mpmath_nor_decimal():
+    # values are evaluated and printed with integers and Fraction alone.
+    # decimal is still loaded by every command: fractions imports it.
+    for path in sorted(pathlib.Path(spectrum.__file__).parent.glob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+        assert not imported & {"mpmath", "decimal"}, path.name
 
 
 def test_module_entry_point_exit_codes():

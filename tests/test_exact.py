@@ -1,4 +1,5 @@
-"""Exact-arithmetic layer: binomials, Stirling/Bernoulli, zeta, pi-polynomials.
+"""Exact-arithmetic layer: binomials, Stirling/Bernoulli, zeta, pi-polynomials,
+and the decimal and float rendering of exact values (against mpmath).
 
 Expected values are frozen from independent oracles defined in this file
 (direct products, polynomial expansion, brute-force sums, numeric series).
@@ -15,14 +16,19 @@ import pytest
 from hypothesis import given, settings
 
 from kohncount import exact
+from kohncount.asymptotics import leading_coefficient_closed
 from kohncount.exact import (
     PiPolynomial,
+    _pi_squared,
+    _to_float,
     bernoulli,
+    format_significant,
     pipoly_eval,
     stirling_first_signed,
     zeta_even,
 )
-from tests.oracles import binomial, hockey_stick_sum, parse_pi_string
+from kohncount.spectrum import CountingConvention
+from tests.oracles import binomial, hockey_stick_sum, parse_pi_string, to_mpf
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -281,7 +287,7 @@ def test_pipoly_eval_zeta2_30_digits():
     value = pipoly_eval(zeta_even(2), 30)
     with mpmath.workdps(40):
         reference = mpmath.mpf("1.64493406684822643647241516664602518922")
-        assert abs(value - reference) < mpmath.mpf(10) ** -28
+        assert abs(to_mpf(value) - reference) < mpmath.mpf(10) ** -28
 
 
 def test_pipoly_eval_two_precision_consistency():
@@ -292,9 +298,140 @@ def test_pipoly_eval_two_precision_consistency():
         v1 = pipoly_eval(poly, digits)
         v2 = pipoly_eval(poly, 2 * digits)
         with mpmath.workdps(4 * digits):
-            assert abs(v1 - v2) < mpmath.mpf(10) ** -(digits - 2)
+            assert abs(to_mpf(v1) - to_mpf(v2)) < mpmath.mpf(10) ** -(digits - 2)
 
 
 def test_pipoly_eval_rejects_low_precision():
     with pytest.raises(ValueError):
         pipoly_eval(PiPolynomial(), 8)
+
+
+@pytest.mark.parametrize("bits", [1, 8, 64, 300, 5000])
+def test_pi_squared_within_two_units(bits):
+    with mpmath.workdps(bits // 3 + 60):
+        assert abs(_pi_squared(bits) - mpmath.pi**2 * 2**bits) < 2
+
+
+@pytest.mark.parametrize("n", [2, 5, 60, 600])
+@pytest.mark.parametrize("conv", list(CountingConvention), ids=lambda c: c.value)
+@pytest.mark.parametrize("digits", [16, 50])
+def test_pipoly_eval_error_is_relative(n, conv, digits):
+    # the coefficient is about 10^-1590 at n = 600
+    poly = leading_coefficient_closed(n, conv, digits).exact
+    value = pipoly_eval(poly, digits)
+    with mpmath.workdps(digits + 60):
+        pi2 = mpmath.pi**2
+        reference = sum(to_mpf(c) * pi2**j for j, c in enumerate(poly.coeffs))
+        assert abs(to_mpf(value) - reference) <= abs(reference) * mpmath.mpf(10) ** -(
+            digits + 20
+        )
+
+
+def test_pipoly_eval_under_cancellation():
+    # pi^2 - 9.8696044 is about 1.1e-8: the sum must gain the bits it cancels
+    poly = PiPolynomial((Fraction(-98696044, 10**7), 1))
+    value = pipoly_eval(poly, 30)
+    with mpmath.workdps(120):
+        reference = mpmath.pi**2 - to_mpf(Fraction(98696044, 10**7))
+        assert abs(to_mpf(value) - reference) <= abs(reference) * mpmath.mpf(10) ** -50
+
+
+# ---------------------------------------------------------------------------
+# decimal and float rendering of exact values, against mpmath
+
+FORMAT_DIGITS = st.sampled_from([16, 17, 30, 50, 80])
+
+
+def nstr(x: Fraction, digits: int) -> str:
+    with mpmath.workdps(digits + 60):
+        return mpmath.nstr(to_mpf(x), digits, strip_zeros=False)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), FORMAT_DIGITS)
+@settings(derandomize=True, max_examples=400)
+def test_format_significant_matches_nstr_on_floats(x, digits):
+    expected = mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=False)
+    assert format_significant(Fraction(x), digits) == expected
+
+
+@given(
+    st.integers(min_value=-(10**30), max_value=10**30).filter(bool),
+    st.integers(min_value=1, max_value=10**30),
+    st.integers(min_value=-1600, max_value=1600),
+    st.integers(min_value=0, max_value=40),
+    FORMAT_DIGITS,
+)
+@settings(derandomize=True, max_examples=400)
+def test_format_significant_matches_nstr_on_pi_powers(num, den, ten, k, digits):
+    # r pi^2k is evaluated 60 digits past the printed ones, on both sides;
+    # |exponents| past about 1050 take mpmath's scaled path
+    r = Fraction(num, den) * Fraction(10) ** ten
+    value = pipoly_eval(PiPolynomial.from_pi_power(r, 2 * k), digits + 60)
+    with mpmath.workdps(digits + 60):
+        reference = to_mpf(r) * mpmath.pi ** (2 * k)
+        expected = mpmath.nstr(reference, digits, strip_zeros=False)
+    assert format_significant(value, digits) == expected
+
+
+@pytest.mark.parametrize(
+    "x, digits, expected",
+    [
+        # fixed while min(-(digits // 3), -5) < e < digits
+        ("1.2345e-4", 16, "0.0001234500000000000"),
+        ("1.2345e-5", 16, "1.234500000000000e-5"),
+        ("1.5e-9", 30, "0.00000000150000000000000000000000000000"),
+        ("1.5e-10", 30, "1.50000000000000000000000000000e-10"),
+        # at e = digits - 1 the fixed form ends in its point
+        ("1.2e15", 16, "1200000000000000."),
+        ("1.2e16", 16, "1.200000000000000e+16"),
+        # a carry out of the last digit moves the exponent
+        ("9.99999999999999999", 16, "10.00000000000000"),
+        ("9.9999999999999999e15", 16, "1.000000000000000e+16"),
+        ("0.99999999999999996", 16, "1.000000000000000"),
+        ("0.99999999999999994", 16, "0.9999999999999999"),
+        # 2^-23 = 1.1920928955078125e-7: a tie, rounded half up
+        ("1.1920928955078125e-7", 16, "1.192092895507813e-7"),
+        ("-1.25e-7", 16, "-1.250000000000000e-7"),
+        ("-2/3", 17, "-0.66666666666666667"),
+        ("0", 16, "0.0"),
+    ],
+)
+def test_format_significant_cases(x, digits, expected):
+    assert format_significant(Fraction(x), digits) == expected
+    assert nstr(Fraction(x), digits) == expected
+
+
+def test_format_significant_rounds_exact_ties_up():
+    # a decimal tie that no binary value holds: nstr sees a neighbour
+    for x, expected in [
+        ("0.99999999999999995", "1.000000000000000"),
+        ("-0.12345678901234565", "-0.1234567890123457"),
+    ]:
+        assert format_significant(Fraction(x), 16) == expected
+
+
+@given(
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.integers(min_value=1, max_value=2**80),
+    st.integers(min_value=-1200, max_value=1100),
+)
+@settings(derandomize=True, max_examples=400)
+def test_to_float_matches_mpmath(num, den, two):
+    x = Fraction(num, den) * Fraction(2) ** two
+    with mpmath.workdps(200):
+        assert _to_float(x) == float(to_mpf(x))
+
+
+def test_to_float_rounds_subnormals_twice_and_saturates():
+    tiny = Fraction(2) ** -1074  # the least subnormal
+    # 1.5 units less a little: 53 bits give 1.5, which ties to even at 2
+    x = 3 * tiny / 2 - Fraction(2) ** -1200
+    with mpmath.workdps(200):
+        assert _to_float(x) == float(to_mpf(x)) == 2 * 5e-324
+    assert float(x) == 5e-324
+    assert _to_float(Fraction(10**400)) == math.inf
+    assert _to_float(Fraction(-(10**400))) == -math.inf
+    with pytest.raises(OverflowError):
+        float(Fraction(10**400))
+    assert _to_float(Fraction(0)) == 0.0
+    assert _to_float(Fraction(1, 3)) == 1 / 3

@@ -10,7 +10,9 @@ Regenerate only when an output change is intended, and review the diff:
 """
 
 import io
+import json
 import pathlib
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -104,6 +106,36 @@ def test_golden_output(case, tmp_path):
         path = GOLDEN / f"{case}.{stream}"
         expected = path.read_bytes() if path.exists() else b""
         assert text.encode() == expected, f"{case}: {stream} differs from {path.name}"
+
+
+def test_values_print_without_mpmath():
+    # every coeff and converge case, and weyl's JSON, print their pinned
+    # bytes in an interpreter where importing mpmath fails
+    cases = [
+        (case, CASES[case][0], str(GOLDEN / f"{case}.stdout"))
+        for case in sorted(CASES)
+        if case.startswith(("coeff-", "converge-"))
+        or (case.startswith("weyl-") and case.endswith("-json"))
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from kohncount.cli import main\n"
+        "for case, argv, path in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        rc = main(argv)\n"
+        "    with open(path, 'rb') as fh:\n"
+        "        print(case, rc, out.getvalue().encode() == fh.read())\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(cases)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert len(cases) == 42
+    assert result.stdout.splitlines() == [f"{case} 0 True" for case, _, _ in cases]
 
 
 def regenerate() -> None:
