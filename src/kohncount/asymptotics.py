@@ -86,13 +86,11 @@ class ProfileSample(NamedTuple):
 
 class RemainderProfile(NamedTuple):
     """Residuals N(lambda) - c*lambda^n scaled by the lambda^{n-1} ln(lambda)
-    envelope; ``fitted_C`` is the max |normalized| over the upper half of the
-    (ascending) samples, which ignores small-lambda transients."""
+    envelope, one sample per (ascending) lambda."""
 
     n: int
     convention: CountingConvention
     samples: tuple[ProfileSample, ...]
-    fitted_C: float
 
 
 def closed_scale(n: int) -> int:
@@ -342,9 +340,7 @@ def remainder_profile(
         x = float(lam)
         normalized = residual / (x ** (n - 1) * math.log(x))
         samples.append(ProfileSample(x, count, residual, normalized))
-    upper = samples[len(samples) // 2 :]
-    fitted_C = max(abs(s.normalized) for s in upper)
-    return RemainderProfile(n, conv, tuple(samples), fitted_C)
+    return RemainderProfile(n, conv, tuple(samples))
 
 
 def weyl_ball_constant(n: int, normalization: str = "paper_text") -> PiPolynomial:

@@ -259,8 +259,11 @@ def format_significant(x: Fraction, digits: int) -> str:
     when min(-(digits // 3), -5) < e < digits, else as ``D.DDDe+E`` or
     ``D.DDDe-E``. At e = digits - 1 the fixed form ends in ``.``; zero is
     ``0.0``. These are the spellings of mpmath's ``nstr(x, digits,
-    strip_zeros=False)``, in which the outputs were first pinned.
+    strip_zeros=False)``, in which the outputs were first pinned. Raises
+    ``ValueError`` when ``digits`` < 1.
     """
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
     if x == 0:
         return "0.0"
     sign = "-" if x < 0 else ""

@@ -7,6 +7,7 @@ rationals.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -28,7 +29,13 @@ from kohncount.exact import (
     stirling_first_signed,
     zeta_even,
 )
-from kohncount.spectrum import CountingConvention, count_N, spectrum_table
+from kohncount.spectrum import (
+    PARALLEL_MIN_SQRT_X,
+    CountingConvention,
+    _usable_cpus,
+    count_N,
+    spectrum_table,
+)
 from tests.oracles import (
     binomial,
     delta_M,
@@ -168,12 +175,33 @@ def test_criterion_5_convention_discrimination():
         assert gap == PiPolynomial.constant(
             Fraction(1, closed_scale(n) * (n - 1) ** n)
         )
+    # Over lambda = 256 * 2^k up to 262144, each enumeration's remainder
+    # stays inside the lambda^(n-1) ln(lambda) envelope of its own constant
+    # (the fitted C, over the upper half of the samples, is below 1), while
+    # against the other constant it grows like lambda / ln(lambda).
+    lams = [256 * 2**k for k in range(11)]
+    profiles = []
+    for n in (2, 3):
+        for count_conv, other in ((PAPER, FULL), (FULL, PAPER)):
+            samples = remainder_profile(n, lams, count_conv).samples
+            fitted = max(abs(s.normalized) for s in samples[len(samples) // 2 :])
+            assert fitted < 1.0
+            c_other = leading_coefficient_closed(n, other).value
+            wrong = [
+                float(s.count - c_other * lam**n) / (lam ** (n - 1) * math.log(lam))
+                for s, lam in zip(samples, lams)
+            ]
+            assert abs(wrong[-1]) >= 100 * abs(wrong[0])
+            profiles.append(
+                f"n={n} {count_conv.value}: C = {fitted:.4f}, vs "
+                f"{other.value} {wrong[0]:.1f} -> {wrong[-1]:.1f}"
+            )
     report(
         5,
         time.perf_counter() - t0,
         30.0,
         "each enumeration matches exactly its own constant; exact gap "
-        "identity holds for n = 2..10",
+        "identity holds for n = 2..10; " + "; ".join(profiles),
     )
 
 
@@ -224,17 +252,17 @@ def test_criterion_8_lemma_leading_behavior():
             deviations = {
                 y: abs(lemma_ratio(a, b, y) - 1.0) for y in (1e2, 1e3, 1e4)
             }
-            fitted_C = max(d * y for y, d in deviations.items())
-            worst_C = max(worst_C, fitted_C)
+            C = max(d * y for y, d in deviations.items())
+            worst_C = max(worst_C, C)
             for y, d in deviations.items():
-                assert d <= fitted_C / y + 1e-15
+                assert d <= C / y + 1e-15
             # leading term y^{a+1}/(a+1)! is right: the fitted constant stays
             # O(1) instead of growing with y
-            assert fitted_C <= 20.0
+            assert C <= 20.0
     report(8, time.perf_counter() - t0, 10.0, f"max fitted C = {worst_C:.3f} <= 20")
 
 
-def test_criterion_9_performance_budget():
+def test_criterion_9_performance_budget(monkeypatch):
     t0 = time.perf_counter()
     result = subprocess.run(
         [
@@ -252,16 +280,31 @@ def test_criterion_9_performance_budget():
     cli_elapsed = time.perf_counter() - t0
     assert result.returncode == 0
     assert cli_elapsed <= 10.0
-    cli_count = int(result.stdout.strip())
+    assert int(result.stdout.strip()) == count_N(3, 1e6, PAPER)
+    # 2^29 is the smallest lambda at which workers=2 forks, isqrt(X) = 2^14
+    # = PARALLEL_MIN_SQRT_X; a counter on os.fork shows that it did
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    lam = 2**29
+    assert math.isqrt(lam // 2) == PARALLEL_MIN_SQRT_X
+    forked = _usable_cpus() >= 2
     for conv in (PAPER, FULL):
-        serial = count_N(3, 2 * 5e5, conv, workers=1)
-        parallel = count_N(3, 2 * 5e5, conv, workers=2)
+        serial = count_N(3, lam, conv, workers=1)
+        assert forks == []
+        parallel = count_N(3, lam, conv, workers=2)
+        assert len(forks) == (1 if forked else 0)
+        forks.clear()
         assert serial == parallel
-        if conv is PAPER:
-            assert serial == cli_count
     report(
         9,
         time.perf_counter() - t0,
         20.0,
-        f"CLI count(n=3, 1e6) in {cli_elapsed:.2f}s <= 10s; parallel == serial",
+        f"CLI count(n=3, 1e6) in {cli_elapsed:.2f}s <= 10s; parallel == serial "
+        f"at 2^29 ({'forked' if forked else 'one CPU, not forked'})",
     )

@@ -241,7 +241,6 @@ def test_empirical_report_fields():
 def test_remainder_profile_single_sample():
     profile = remainder_profile(2, [1024.0], FULL)
     assert len(profile.samples) == 1
-    assert profile.fitted_C == abs(profile.samples[0].normalized)
 
 
 def test_remainder_profile_normalization():
@@ -339,9 +338,9 @@ def test_lemma_ratio_inverse_y_decay():
     for a in range(5):
         for b in range(5):
             deviations = {y: abs(lemma_ratio(a, b, y) - 1) for y in (1e2, 1e3, 1e4)}
-            fitted_C = max(d * y for y, d in deviations.items())
-            assert fitted_C <= 20.0
-            assert all(d <= fitted_C / y + 1e-15 for y, d in deviations.items())
+            C = max(d * y for y, d in deviations.items())
+            assert C <= 20.0
+            assert all(d <= C / y + 1e-15 for y, d in deviations.items())
 
 
 # ---------------------------------------------------------------------------

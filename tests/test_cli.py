@@ -220,10 +220,11 @@ def test_spectrum_rejects_n1(capsys):
     assert ">= 2" in err
 
 
-def test_spectrum_csv_round_trip(capsys, tmp_path):
+@pytest.mark.parametrize("command", list(BASE_ARGV))
+def test_out_round_trip(capsys, tmp_path, command):
     # --out writes to the file exactly the bytes the command prints
-    path = tmp_path / "spectrum.csv"
-    argv = ["spectrum", "--n", "3", "--lambda-max", "60", "--format", "csv"]
+    path = tmp_path / "out"
+    argv = [command, *BASE_ARGV[command]]
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0 and out
     rc, printed, _ = run_cli(capsys, *argv, "--out", str(path))
@@ -269,11 +270,22 @@ def test_count_json(capsys):
     }
 
 
-def test_count_workers_agree(capsys):
-    rc1, out1, _ = run_cli(capsys, "count", "--n", "3", "--lambda", "60000")
-    rc2, out2, _ = run_cli(
-        capsys, "count", "--n", "3", "--lambda", "60000", "--workers", "2"
-    )
+def test_count_workers_agree(capsys, monkeypatch):
+    # 2^29 is the smallest lambda at which --workers 2 forks, isqrt(X) = 2^14
+    # = PARALLEL_MIN_SQRT_X; a counter on os.fork shows that it did
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    argv = ["count", "--n", "3", "--lambda", str(2**29)]
+    rc1, out1, _ = run_cli(capsys, *argv)
+    assert forks == []
+    rc2, out2, _ = run_cli(capsys, *argv, "--workers", "2")
+    assert len(forks) == (1 if spectrum._usable_cpus() >= 2 else 0)
     assert rc1 == rc2 == 0
     assert out1 == out2
 

@@ -401,6 +401,13 @@ def test_format_significant_cases(x, digits, expected):
     assert nstr(Fraction(x), digits) == expected
 
 
+@pytest.mark.parametrize("x, digits", [(Fraction(1, 3), 0), (Fraction(12345), -1)])
+def test_format_significant_rejects_digits_below_one(x, digits):
+    # these gave '0.0' and '0.e+4'
+    with pytest.raises(ValueError, match="digits must be >= 1"):
+        format_significant(x, digits)
+
+
 def test_format_significant_rounds_exact_ties_up():
     # a decimal tie that no binary value holds: nstr sees a neighbour
     for x, expected in [
