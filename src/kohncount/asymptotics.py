@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence, TextIO
+from typing import NamedTuple, Sequence
 
 from .exact import (
     PiPolynomial,
     _floor_log10,
     _to_float,
-    format_significant,
     pipoly_eval,
     stirling_first_signed,
     zeta_even,
@@ -43,8 +42,6 @@ __all__ = [
     "empirical_report",
     "remainder_profile",
     "weyl_ball_constant",
-    "report_to_record",
-    "write_profile_csv",
 ]
 
 DEFAULT_DIGITS = 50
@@ -56,14 +53,17 @@ class PrecisionUnattainableError(Exception):
 
 
 class CoefficientReport(NamedTuple):
-    """One determination of the leading coefficient.
+    """One determination of the leading coefficient, as values: the CLI
+    chooses the digits it prints.
 
     ``value`` is a ``Fraction``: the series' value exactly, the empirical
     ratio's float exactly, and the closed form to relative 10^-(digits+20).
-    ``exact`` is populated for the closed form only. For the series method
-    ``error_bound`` is a certified bound on |true - value|; for the closed
-    form it is 0; for the empirical method it is a self-consistency heuristic
-    (change of the ratio between lambda/2 and lambda).
+    ``exact`` is populated for the closed form only, ``truncation_K`` for
+    the series only and ``lam`` for the empirical method only. For the
+    series method ``error_bound`` is a certified bound on |true - value|;
+    for the closed form it is 0; for the empirical method it is a
+    self-consistency heuristic (change of the ratio between lambda/2 and
+    lambda).
     """
 
     n: int
@@ -72,7 +72,6 @@ class CoefficientReport(NamedTuple):
     exact: PiPolynomial | None
     value: Fraction
     error_bound: float
-    digits: int = DEFAULT_DIGITS
     truncation_K: int | None = None
     lam: Fraction | float | None = None
 
@@ -222,7 +221,6 @@ def leading_coefficient_series(
         exact=None,
         value=value,
         error_bound=error_bound,
-        digits=digits,
         truncation_K=K,
     )
 
@@ -264,7 +262,6 @@ def leading_coefficient_closed(
         exact=exact,
         value=value,
         error_bound=0.0,
-        digits=digits,
     )
 
 
@@ -282,10 +279,7 @@ def empirical_ratio(n: int, lam: Fraction | float, conv: CountingConvention) -> 
 
 
 def empirical_report(
-    n: int,
-    lam: Fraction | float,
-    conv: CountingConvention,
-    digits: int = DEFAULT_DIGITS,
+    n: int, lam: Fraction | float, conv: CountingConvention
 ) -> CoefficientReport:
     """Empirical coefficient with a half-lambda self-consistency heuristic."""
     ratio = empirical_ratio(n, lam, conv)
@@ -297,7 +291,6 @@ def empirical_report(
         exact=None,
         value=Fraction(ratio),
         error_bound=abs(ratio - ratio_half),
-        digits=digits,
         lam=lam,
     )
 
@@ -358,36 +351,3 @@ def weyl_ball_constant(n: int, normalization: str = "paper_text") -> PiPolynomia
     if normalization == "conventional":
         return PiPolynomial.constant(omega_sq / 4**n)
     raise ValueError(f"unknown normalization {normalization!r}")
-
-
-# ---------------------------------------------------------------------------
-# flat-record serialization
-
-
-def report_to_record(report: CoefficientReport) -> dict:
-    record = {
-        "n": report.n,
-        "convention": report.convention.value,
-        "method": report.method,
-        "exact": report.exact.to_string() if report.exact is not None else None,
-        "value": format_significant(report.value, report.digits),
-        "error_bound": repr(report.error_bound),
-        "digits": report.digits,
-    }
-    if report.method == "series":
-        record["K"] = report.truncation_K
-    if report.method == "empirical":
-        record["lambda"] = float(report.lam)
-    return record
-
-
-def write_profile_csv(profile: RemainderProfile, stream: TextIO) -> None:
-    """CSV export: header ``lambda,count,residual,normalized``. Every field
-    is an int or a float repr, so none needs quoting."""
-    stream.write("lambda,count,residual,normalized\n")
-    stream.write(
-        "".join(
-            f"{s.lam!r},{s.count},{s.residual!r},{s.normalized!r}\n"
-            for s in profile.samples
-        )
-    )

@@ -39,9 +39,7 @@ METHODS = {
     "closed": lambda asy, args, conv: asy.leading_coefficient_closed(
         args.n, conv, digits=args.precision
     ),
-    "empirical": lambda asy, args, conv: asy.empirical_report(
-        args.n, args.lam, conv, digits=args.precision
-    ),
+    "empirical": lambda asy, args, conv: asy.empirical_report(args.n, args.lam, conv),
 }
 
 # the longest ``converge --lambdas`` range
@@ -249,6 +247,27 @@ def _json(payload: dict, out: str | None) -> int:
     return _emit(json.dumps(payload, indent=2) + "\n", out)
 
 
+def _report_record(report: CoefficientReport, digits: int) -> dict:
+    """The flat record behind a report's JSON, CSV and text forms, with
+    ``value`` printed to ``digits`` significant digits."""
+    from .exact import format_significant
+
+    record = {
+        "n": report.n,
+        "convention": report.convention.value,
+        "method": report.method,
+        "exact": report.exact.to_string() if report.exact is not None else None,
+        "value": format_significant(report.value, digits),
+        "error_bound": repr(report.error_bound),
+        "digits": digits,
+    }
+    if report.method == "series":
+        record["K"] = report.truncation_K
+    if report.method == "empirical":
+        record["lambda"] = float(report.lam)
+    return record
+
+
 def _factored_string(report: CoefficientReport) -> str:
     from .asymptotics import closed_scale
 
@@ -322,7 +341,7 @@ def cmd_coeff(args) -> int:
             for r2 in reports[i + 1 :]:
                 key = f"{conv.value}:{r1.method}_vs_{r2.method}"
                 gaps[key] = abs(_to_float(r1.value) - _to_float(r2.value))
-    records = [asymptotics.report_to_record(r) for r in all_reports]
+    records = [_report_record(r, args.precision) for r in all_reports]
     if args.format == "json":
         return _json({"reports": records, "gaps": gaps}, args.out)
     if args.format == "csv":
@@ -343,9 +362,8 @@ def cmd_converge(args) -> int:
     conv = CONVENTIONS[args.convention]
     lambdas = parse_lambda_spec(args.lambdas)
     profile = asymptotics.remainder_profile(args.n, lambdas, conv)
-    with _output(args.out) as stream:
-        asymptotics.write_profile_csv(profile, stream)
-    return 0
+    header = ["lambda", "count", "residual", "normalized"]
+    return _csv(header, profile.samples, args.out)
 
 
 def cmd_weyl(args) -> int:
@@ -373,6 +391,12 @@ HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Python 3.11+ refuses int <-> str conversions past 4300 digits, and
+    # exact inputs and outputs can be longer, so the command runs with no
+    # cap and restores the caller's after. Python 3.10 has no cap.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         return HANDLERS[args.command](args)
@@ -381,6 +405,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         return 141  # the reader left: end quietly, as a SIGPIPE death would
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,6 @@ closed form share is checked against the binomial oracle ``h_poly``, and
 numeric values against direct summation.
 """
 
-import csv
-import json
 import math
 from fractions import Fraction
 
@@ -16,7 +14,6 @@ import pytest
 
 from kohncount import asymptotics
 from kohncount.asymptotics import (
-    CoefficientReport,
     PrecisionUnattainableError,
     _inverse_power_coeffs,
     _partial_sum_fixed,
@@ -26,13 +23,11 @@ from kohncount.asymptotics import (
     leading_coefficient_closed,
     leading_coefficient_series,
     remainder_profile,
-    report_to_record,
     weyl_ball_constant,
-    write_profile_csv,
 )
 from kohncount.exact import PiPolynomial, pipoly_eval
 from kohncount.spectrum import CountingConvention
-from tests.oracles import h_poly, lemma_ratio, parse_pi_string, to_mpf
+from tests.oracles import h_poly, lemma_ratio, to_mpf
 
 PAPER = CountingConvention.PAPER_RESTRICTED
 FULL = CountingConvention.FULL_SPECTRUM
@@ -342,50 +337,3 @@ def test_lemma_ratio_inverse_y_decay():
             assert C <= 20.0
             assert all(d <= C / y + 1e-15 for y, d in deviations.items())
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _sample_reports():
-    return [
-        leading_coefficient_series(3, 1e-10, FULL),
-        leading_coefficient_closed(3, PAPER),
-        empirical_report(2, 512, FULL),
-    ]
-
-
-def test_report_record_round_trip():
-    # every field of the flat record reads back to the report it came from
-    for report in _sample_reports():
-        record = report_to_record(report)
-        assert json.loads(json.dumps(record)) == record
-        assert record["n"] == report.n
-        assert CountingConvention(record["convention"]) is report.convention
-        assert record["method"] == report.method
-        exact = record["exact"]
-        assert (parse_pi_string(exact) if exact else None) == report.exact
-        with mpmath.workdps(report.digits + 10):
-            value = mpmath.mpf(record["value"])
-            reference = to_mpf(report.value)
-            assert abs(value - reference) <= abs(reference) * 10.0 ** (
-                1 - report.digits
-            )
-        assert float(record["error_bound"]) == report.error_bound
-        assert record["digits"] == report.digits
-        assert record.get("K") == report.truncation_K
-        assert record.get("lambda") == report.lam
-
-
-def test_profile_csv_round_trip(tmp_path):
-    profile = remainder_profile(2, [256.0, 512.0, 1024.0], FULL)
-    path = tmp_path / "profile.csv"
-    with open(path, "w") as fh:
-        write_profile_csv(profile, fh)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["lambda", "count", "residual", "normalized"]
-    assert rows[1:] == [
-        [repr(s.lam), str(s.count), repr(s.residual), repr(s.normalized)]
-        for s in profile.samples
-    ]

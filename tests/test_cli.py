@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import contextlib
 import json
 import os
 import pathlib
@@ -16,18 +17,23 @@ from kohncount.asymptotics import (
     empirical_report,
     leading_coefficient_closed,
     leading_coefficient_series,
-    report_to_record,
+    remainder_profile,
+    weyl_ball_constant,
 )
 from kohncount import spectrum
 from kohncount.cli import (
     COEFF_CSV_FIELDS,
     _exact_real,
+    _report_record,
     build_parser,
     main,
     parse_lambda_spec,
 )
 from kohncount.spectrum import CountingConvention, count_N
-from tests.oracles import csv_text, to_mpf
+from tests.oracles import csv_text, parse_pi_string, to_mpf
+
+PAPER = CountingConvention.PAPER_RESTRICTED
+FULL = CountingConvention.FULL_SPECTRUM
 
 
 def run_cli(capsys, *argv):
@@ -151,17 +157,33 @@ def test_closed_pipe_ends_quietly():
     [
         ["count", "--n", "3", "--lambda", "123456.5"],
         ["weyl", "--n", "3"],
-        ["coeff", "--n", "3", "--lambda", "4096"],
+        ["coeff", "--n", "3", "--lambda", "4096", "--method", "all"]
+        + ["--convention", "both"],
+        ["converge", "--n", "3", "--lambdas", "256:4096:x2"],
     ],
 )
 def test_csv_rows_match_csv_writer(capsys, argv):
     # The CLI joins CSV fields with commas. csv.writer, given the same fields
-    # as the JSON output holds them, writes the same bytes: no field is quoted.
+    # as the JSON output or the library's profile holds them, writes the same
+    # bytes: no field is quoted.
+    if argv[0] == "converge":
+        # the profile is CSV only, one row of float reprs per sample
+        _, csv_out, _ = run_cli(capsys, *argv)
+        header = ["lambda", "count", "residual", "normalized"]
+        samples = remainder_profile(3, parse_lambda_spec(argv[-1]), FULL).samples
+        rows = [
+            (repr(s.lam), s.count, repr(s.residual), repr(s.normalized))
+            for s in samples
+        ]
+        assert csv_out == csv_text([header, *rows])
+        return
     _, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
     _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
     payload = json.loads(json_out)
     if argv[0] == "coeff":
         header, records = COEFF_CSV_FIELDS, payload["reports"]
+        # the CSV columns hold every key of every method's record
+        assert all(set(r) <= set(COEFF_CSV_FIELDS) for r in records)
     else:
         header, records = [k for k in payload if k != "value"], [payload]
     rows = [["" if r.get(f) is None else r[f] for f in header] for r in records]
@@ -430,6 +452,33 @@ def test_coeff_default_convention_is_both(capsys):
     ]
 
 
+def test_report_record_round_trip():
+    # every field of the flat record reads back to the report it came from,
+    # and ``digits`` to the precision it was printed at
+    for digits in (16, 50):
+        reports = [
+            leading_coefficient_series(3, 1e-10, FULL, digits=digits),
+            leading_coefficient_closed(3, PAPER, digits=digits),
+            empirical_report(2, 512, FULL),
+        ]
+        for report in reports:
+            record = _report_record(report, digits)
+            assert json.loads(json.dumps(record)) == record
+            assert record["n"] == report.n
+            assert CountingConvention(record["convention"]) is report.convention
+            assert record["method"] == report.method
+            exact = record["exact"]
+            assert (parse_pi_string(exact) if exact else None) == report.exact
+            with mpmath.workdps(digits + 10):
+                value = mpmath.mpf(record["value"])
+                reference = to_mpf(report.value)
+                assert abs(value - reference) <= abs(reference) * 10.0 ** (1 - digits)
+            assert float(record["error_bound"]) == report.error_bound
+            assert record["digits"] == digits
+            assert record.get("K") == report.truncation_K
+            assert record.get("lambda") == report.lam
+
+
 def test_coeff_json_reports_round_trip(capsys):
     rc, out, _ = run_cli(
         capsys,
@@ -439,18 +488,20 @@ def test_coeff_json_reports_round_trip(capsys):
         "--convention", "both",
         "--format", "json",
         "--lambda", "2048",
+        "--precision", "30",
     )
     assert rc == 0
     payload = json.loads(out)
-    # the printed records read back to those of the library's own reports
+    # the printed records read back to those of the library's own reports,
+    # printed at --precision
     expected = []
-    for conv in (CountingConvention.PAPER_RESTRICTED, CountingConvention.FULL_SPECTRUM):
+    for conv in (PAPER, FULL):
         expected += [
-            leading_coefficient_series(4, 1e-12, conv),
-            leading_coefficient_closed(4, conv),
+            leading_coefficient_series(4, 1e-12, conv, digits=30),
+            leading_coefficient_closed(4, conv, digits=30),
             empirical_report(4, 2048, conv),
         ]
-    assert payload["reports"] == [report_to_record(r) for r in expected]
+    assert payload["reports"] == [_report_record(r, 30) for r in expected]
 
 
 def test_coeff_empirical_large_n(capsys):
@@ -641,6 +692,89 @@ def test_weyl_invalid_normalization_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["weyl", "--n", "1", "--normalization", "bogus"])
     assert excinfo.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# exact values past the 4300 digits that Python 3.11+ converts between int
+# and str by default (Python 3.10 has no such cap)
+
+
+def _int_digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@contextlib.contextmanager
+def uncapped_int_digits():
+    """The expected strings are built with the cap lifted, as ``main`` does."""
+    limit = _int_digit_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+# just below the eigenvalue 4 of n = 2, which its float rounds up to
+LONG_LAMBDA = "3." + "9" * 5000
+
+
+def _closed_n680_lines():
+    report = leading_coefficient_closed(680, FULL, digits=16)
+    record = _report_record(report, 16)
+    return [f"exact = {record['exact']}", f"value = {record['value']}"]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["count", "--n", "12000", "--lambda", "60000"],
+            lambda out: out == f"{count_N(12000, 60000, FULL)}\n",
+        ),
+        (
+            ["weyl", "--n", "1000"],
+            lambda out: out == weyl_ball_constant(1000).to_string() + "\n",
+        ),
+        (
+            ["coeff", "--n", "680", "--method", "closed", "--convention", "full"]
+            + ["--precision", "16"],
+            lambda out: set(_closed_n680_lines()) <= set(out.splitlines()),
+        ),
+        (
+            ["count", "--n", "2", "--lambda", LONG_LAMBDA],
+            lambda out: out == f"{count_N(2, Fraction(LONG_LAMBDA), FULL)}\n"
+            != f"{count_N(2, float(LONG_LAMBDA), FULL)}\n",
+        ),
+    ],
+    ids=["count-n12000", "weyl-n1000", "coeff-closed-n680", "count-lambda-5001-digits"],
+)
+def test_exact_values_of_any_length(capsys, argv, expected):
+    limit = _int_digit_limit()
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, err) == (0, "")
+    # main restores the caller's cap
+    assert _int_digit_limit() == limit
+    with uncapped_int_digits():
+        assert expected(out)
+
+
+def test_failed_command_restores_int_digit_limit(capsys):
+    # a caller's own cap comes back also when the command exits 2
+    limit = _int_digit_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(4500)
+    try:
+        rc, _, err = run_cli(
+            capsys, "converge", "--n", "2", "--lambdas", LONG_LAMBDA
+        )
+        assert _int_digit_limit() == (None if limit is None else 4500)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert rc == 2
+    assert err == "kohncount: all lambdas must be >= 4 (so ln(lambda) > 1)\n"
 
 
 # ---------------------------------------------------------------------------
