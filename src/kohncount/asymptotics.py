@@ -347,7 +347,7 @@ def weyl_ball_constant(n: int, normalization: str = "paper_text") -> PiPolynomia
         raise ValueError("n must be an integer >= 1")
     omega_sq = Fraction(1, math.factorial(n) ** 2)  # omega_{2n}^2 = pi^2n/(n!)^2
     if normalization == "paper_text":
-        return PiPolynomial.from_pi_power(4**n * omega_sq, 4 * n)
+        return PiPolynomial((0,) * (2 * n) + (4**n * omega_sq,))
     if normalization == "conventional":
-        return PiPolynomial.constant(omega_sq / 4**n)
+        return PiPolynomial((omega_sq / 4**n,))
     raise ValueError(f"unknown normalization {normalization!r}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 
 __all__ = [
     "PiPolynomial",
@@ -105,36 +104,11 @@ class PiPolynomial:
     def __repr__(self) -> str:
         return f"PiPolynomial(coeffs={self.coeffs!r})"
 
-    @classmethod
-    def constant(cls, value) -> "PiPolynomial":
-        return cls((Fraction(value),))
-
-    @classmethod
-    def from_pi_power(cls, coefficient, exponent: int) -> "PiPolynomial":
-        """The monomial coefficient * pi^exponent (even exponent >= 0)."""
-        if exponent < 0 or exponent % 2 != 0:
-            raise ValueError("pi exponent must be even and >= 0")
-        coeffs = (Fraction(0),) * (exponent // 2) + (Fraction(coefficient),)
-        return cls(coeffs)
-
-    def __add__(self, other: "PiPolynomial") -> "PiPolynomial":
-        if not isinstance(other, PiPolynomial):
-            return NotImplemented
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return PiPolynomial(tuple(a + b for a, b in pairs))
-
-    def __sub__(self, other: "PiPolynomial") -> "PiPolynomial":
-        if not isinstance(other, PiPolynomial):
-            return NotImplemented
-        return self + other * -1
-
     def __mul__(self, other) -> "PiPolynomial":
         """Scale by an ``int`` or ``Fraction``."""
         if isinstance(other, (int, Fraction)):
             return PiPolynomial(tuple(c * other for c in self.coeffs))
         return NotImplemented
-
-    __rmul__ = __mul__
 
     def to_string(self) -> str:
         """Render as e.g. ``-1/1024 + 1/18*pi^2 + 11/270*pi^4`` (ascending)."""
@@ -160,7 +134,7 @@ def zeta_even(two_m: int) -> PiPolynomial:
     if two_m <= 0 or two_m % 2 != 0:
         raise ValueError("zeta_even requires a positive even argument")
     coeff = abs(bernoulli(two_m)) * 2 ** (two_m - 1) / Fraction(math.factorial(two_m))
-    return PiPolynomial.from_pi_power(coeff, two_m)
+    return PiPolynomial((0,) * (two_m // 2) + (coeff,))
 
 
 def _arccot(x: int, one: int) -> int:

@@ -14,6 +14,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 import os
 from fractions import Fraction
 from typing import BinaryIO, Callable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
@@ -218,6 +219,10 @@ def count_N(
     runs threads, so call it there with ``workers`` = 1.
     """
     validate_sphere_n(n)
+    try:
+        workers = operator.index(workers)
+    except TypeError:
+        raise ValueError(f"workers must be an integer, not {workers!r}") from None
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if lam < 0:

@@ -182,6 +182,8 @@ def _parse_pi_term(term):
         coeff_str, pi_str = term.split("*", 1)
     elif term.startswith("pi"):
         coeff_str, pi_str = "1", term
+    elif term.startswith("-pi"):
+        coeff_str, pi_str = "-1", term[1:]
     else:
         coeff_str, pi_str = term, ""
     coeff = Fraction(coeff_str)
@@ -195,17 +197,23 @@ def _parse_pi_term(term):
 
 
 def parse_pi_string(text):
-    """Inverse of ``PiPolynomial.to_string``; odd powers of pi raise ValueError."""
+    """Inverse of ``PiPolynomial.to_string``; an odd or repeated power of pi
+    raises ValueError."""
     text = text.strip()
     if text == "0":
         return PiPolynomial()
     # normalize "a - b" into "a + -b" then split on " + "
     normalized = text.replace(" - ", " + -")
-    result = PiPolynomial()
+    by_exponent = {}
     for term in normalized.split(" + "):
         coeff, exponent = _parse_pi_term(term.strip())
-        result = result + PiPolynomial.from_pi_power(coeff, exponent)
-    return result
+        if exponent < 0 or exponent % 2 != 0:
+            raise ValueError(f"odd or negative power of pi: {term!r}")
+        if exponent in by_exponent:
+            raise ValueError(f"repeated power of pi: {term!r}")
+        by_exponent[exponent] = coeff
+    degree = max(by_exponent) // 2
+    return PiPolynomial(tuple(by_exponent.get(2 * j, 0) for j in range(degree + 1)))
 
 
 def csv_text(rows, delimiter=","):

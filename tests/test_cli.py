@@ -546,6 +546,15 @@ def test_coeff_rejects_low_precision(capsys, method):
     assert err == "kohncount: precision must be >= 16 digits\n"
 
 
+def test_coeff_empirical_rejects_lambda_below_two(capsys):
+    rc, out, err = run_cli(
+        capsys, "coeff", "--n", "2", "--method", "empirical", "--lambda", "1"
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == "kohncount: lambda must be >= 2\n"
+
+
 def test_coeff_csv_header(capsys):
     rc, out, _ = run_cli(
         capsys,
@@ -607,6 +616,15 @@ def test_converge_malformed_range(capsys):
     rc, _, err = run_cli(capsys, "converge", "--n", "2", "--lambdas", "10:20:zz")
     assert rc == 2
     assert "malformed" in err
+    for spec, message in [
+        ("4:64", "malformed lambda range '4:64'"),
+        ("4:64:x1", "geometric factor must be > 1"),
+        ("4:64:+0", "arithmetic step must be > 0"),
+    ]:
+        rc, out, err = run_cli(capsys, "converge", "--n", "2", "--lambdas", spec)
+        assert rc == 2
+        assert out == ""
+        assert err == f"kohncount: {message}\n"
 
 
 def test_parse_lambda_spec_forms():
@@ -846,7 +864,7 @@ LAZY_LOADS = {
     "coeff --n 2 --method closed": ASY,
     "coeff --n 2 --eps 1e-6 --lambda 64 --format json": f"{ASY} json",
     "converge --n 2 --lambdas 64:256:x2": ASY,
-    # above the parallel cut-off: a plain fork, with no pool module
+    # above the parallel cut-off: a plain fork, with no process-pool module
     "count --n 3 --workers 2 --lambda 1e9": "",
 }
 

@@ -37,7 +37,7 @@ from tests.oracles import (
 PAPER = CountingConvention.PAPER_RESTRICTED
 FULL = CountingConvention.FULL_SPECTRUM
 # the smallest X at which count_N forks (isqrt(X) = PARALLEL_MIN_SQRT_X)
-POOL_X = PARALLEL_MIN_SQRT_X**2
+FORK_X = PARALLEL_MIN_SQRT_X**2
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +302,10 @@ def test_count_N_monotone_and_step(lam1, lam2):
 
 
 def test_count_M_parallel_matches_serial():
-    # a real fork-join starts at X = POOL_X
+    # a real fork-join starts at X = FORK_X
     for conv in (FULL, PAPER):
-        serial = count_N(3, 2 * POOL_X, conv, workers=1)
-        parallel = count_N(3, 2 * POOL_X, conv, workers=2)
+        serial = count_N(3, 2 * FORK_X, conv, workers=1)
+        parallel = count_N(3, 2 * FORK_X, conv, workers=2)
         assert serial == parallel
 
 
@@ -317,7 +317,7 @@ def test_count_M_caps_pool_at_cpu_count(monkeypatch, workers, cpus, expected):
     # A stand-in for the fork-join records the chunks and runs them in this
     # process, so no large number of processes is ever started. When the cap
     # leaves one process, the count is serial and never reaches the
-    # fork-join. X = POOL_X is the smallest X at which it is used at all.
+    # fork-join. X = FORK_X is the smallest X at which it is used at all.
     seen = []
 
     def in_process(kernel, chunks):
@@ -327,7 +327,7 @@ def test_count_M_caps_pool_at_cpu_count(monkeypatch, workers, cpus, expected):
     monkeypatch.setattr(spectrum, "_fork_join", in_process)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    X = POOL_X
+    X = FORK_X
     assert count_N(3, 2 * X, FULL, workers=workers) == count_N(3, 2 * X, FULL)
     assert [len(chunks) for chunks in seen] == ([expected] if expected > 1 else [])
     for chunks in seen:  # contiguous, of equal width, covering [1, isqrt(X)]
@@ -351,14 +351,14 @@ def test_count_N_caps_processes_at_cpu_affinity(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     for conv in (FULL, PAPER):
-        assert count_N(3, 2 * POOL_X, conv, workers=2) == count_N(3, 2 * POOL_X, conv)
+        assert count_N(3, 2 * FORK_X, conv, workers=2) == count_N(3, 2 * FORK_X, conv)
 
 
 def test_count_N_stays_serial_below_pool_cut_off(monkeypatch):
     # below isqrt(X) = PARALLEL_MIN_SQRT_X a fork costs more than it saves
     forbid_fork(monkeypatch)
     monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
-    X = POOL_X - 1
+    X = FORK_X - 1
     for conv in (FULL, PAPER):
         assert count_N(3, 2 * X, conv, workers=2) == count_N(3, 2 * X, conv)
 
@@ -368,7 +368,7 @@ def test_count_N_runs_serially_without_fork(monkeypatch):
     monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
     for conv in (FULL, PAPER):
-        assert count_N(3, 2 * POOL_X, conv, workers=2) == count_N(3, 2 * POOL_X, conv)
+        assert count_N(3, 2 * FORK_X, conv, workers=2) == count_N(3, 2 * FORK_X, conv)
 
 
 def assert_no_child_left():
@@ -400,7 +400,7 @@ def test_count_N_raises_when_a_child_fails(monkeypatch, capfd):
     monkeypatch.setattr(spectrum, "_count_index_range", kernel)
     monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
     with pytest.raises(ChildProcessError, match="exited with 1"):
-        count_N(3, 2 * POOL_X, FULL, workers=2)
+        count_N(3, 2 * FORK_X, FULL, workers=2)
     assert_no_child_left()
     assert "RuntimeError: the child's kernel fails" in capfd.readouterr().err
 
@@ -426,13 +426,19 @@ def test_count_M_rejects_negative():
         count_N(2, -0.5, FULL)
 
 
-@pytest.mark.parametrize("workers", [0, -3])
-def test_count_N_rejects_workers_below_one(workers):
-    # checked before any work, even when the count is trivially zero
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        count_N(2, 1, FULL, workers=workers)
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        count_N(3, 10**6, PAPER, workers=workers)
+@pytest.mark.parametrize("workers", [0, -3, 1.5, "2"])
+def test_count_N_rejects_workers_below_one(monkeypatch, workers):
+    # checked before any work, even when the count is trivially zero, and
+    # for a value that is not an integer as for one below 1
+    if isinstance(workers, int):
+        message = "workers must be >= 1"
+    else:
+        message = "workers must be an integer"
+    forbid_fork(monkeypatch)
+    monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+    for n, lam, conv in [(2, 1, FULL), (3, 10**6, PAPER), (3, 2 * FORK_X, FULL)]:
+        with pytest.raises(ValueError, match=message):
+            count_N(n, lam, conv, workers=workers)
 
 
 @pytest.mark.parametrize(
