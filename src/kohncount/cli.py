@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import spectrum
 from .spectrum import CountingConvention
@@ -410,5 +410,30 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
+def run() -> NoReturn:
+    """Run the command in ``sys.argv`` and end the process with its exit code.
+
+    The process entry of ``python -m kohncount`` and the console script;
+    library callers use ``main(argv)``. The exit handlers run and stdout and
+    stderr are flushed, then the process ends without the interpreter's
+    module teardown, which nothing here needs. Under ``-X dev`` (so that
+    warnings at shutdown still show) or when a flush fails, it exits the
+    usual way. An exception from ``main``, argparse's ``SystemExit`` too,
+    propagates.
+    """
+    code = main()
+    import atexit
+
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError, AttributeError):
+        sys.exit(code)
+    if sys.flags.dev_mode:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,6 +6,7 @@ import contextlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -30,6 +31,7 @@ from kohncount.cli import (
     parse_lambda_spec,
 )
 from kohncount.spectrum import CountingConvention, count_N
+from tests import test_golden as golden
 from tests.oracles import csv_text, parse_pi_string, to_mpf
 
 PAPER = CountingConvention.PAPER_RESTRICTED
@@ -907,24 +909,144 @@ def test_library_imports_neither_mpmath_nor_decimal():
         assert not imported & {"mpmath", "decimal"}, path.name
 
 
-def test_module_entry_point_exit_codes():
-    result = subprocess.run(
-        [sys.executable, "-m", "kohncount.cli", "count", "--n", "1", "--lambda", "4"],
-        capture_output=True,
+# The process entries. Each runs the command in its own interpreter, as a
+# user does, and ends it through ``cli.run``.
+ENTRIES = ("package", "module", "script")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def entry_command(entry, tmp_path):
+    """The command line of one process entry: ``python -m kohncount``,
+    ``python -m kohncount.cli``, or the console script that pip writes for
+    ``[project.scripts]`` in pyproject.toml."""
+    if entry == "package":
+        return [sys.executable, "-m", "kohncount"]
+    if entry == "module":
+        return [sys.executable, "-m", "kohncount.cli"]
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    module, func = re.search(r'^kohncount = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    script = tmp_path / "kohncount"
+    script.write_text(
+        "import re\n"
+        "import sys\n"
+        f"from {module} import {func}\n"
+        "if __name__ == '__main__':\n"
+        "    sys.argv[0] = re.sub(r'(-script\\.pyw|\\.exe)?$', '', sys.argv[0])\n"
+        f"    sys.exit({func}())\n"
     )
-    assert result.returncode == 2
-    result = subprocess.run(
-        [sys.executable, "-m", "kohncount.cli"],
-        capture_output=True,
+    return [sys.executable, str(script)]
+
+
+# one case per subcommand, each format, --out, exit 2 and exit 3
+ENTRY_CASES = [
+    "spectrum-n3-paper-text",
+    "count-n3-full-csv",
+    "coeff-closed-n2-both-json",
+    "converge-n3-list",
+    "weyl-n3-paper-text-text",
+    "spectrum-n4-out-csv",
+    "exit2-count-n1",
+    "exit3-series-eps",
+]
+
+
+@pytest.mark.parametrize("case", ENTRY_CASES)
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_entries_print_golden_bytes(entry, case, tmp_path):
+    argv, expected_rc = golden.CASES[case]
+    out_path = tmp_path / "out"
+    argv = [str(out_path) if arg == golden.OUT else arg for arg in argv]
+    result = subprocess.run(entry_command(entry, tmp_path) + argv, capture_output=True)
+    assert result.returncode == expected_rc
+    streams = {
+        "stdout": result.stdout,
+        "stderr": result.stderr,
+        "file": out_path.read_bytes() if out_path.exists() else b"",
+    }
+    for stream, data in streams.items():
+        path = golden.GOLDEN / f"{case}.{stream}"
+        assert data == (path.read_bytes() if path.exists() else b""), path.name
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    for entry in ENTRIES:
+        command = entry_command(entry, tmp_path)
+        # argparse's usage error propagates from main as a SystemExit
+        result = subprocess.run(command, capture_output=True)
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr.endswith(
+            b"kohncount: error: the following arguments are required: command\n"
+        )
+        # a failed stdout and a closed pipe
+        if os.path.exists("/dev/full"):
+            with open("/dev/full", "w") as full:
+                result = subprocess.run(
+                    command + ["count", "--n", "3", "--lambda", "1e6"],
+                    stdout=full,
+                    stderr=subprocess.PIPE,
+                )
+            assert result.returncode == 2
+            assert result.stderr == (
+                b"kohncount: cannot write '<stdout>': No space left on device\n"
+            )
+        proc = subprocess.Popen(
+            command + ["spectrum", "--n", "2", "--lambda-max", "2e5"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"eigenvalue multiplicity cumulative\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert err == b""
+        assert proc.returncode == 141
+
+
+@pytest.mark.parametrize("dev", [False, True], ids=["fast", "dev"])
+def test_run_calls_exit_handlers(dev):
+    # a handler registered before the command runs once, and what it prints
+    # to a buffered stdout reaches it after the command's own output
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'handler ran')\n"
+        "sys.argv = ['kohncount', 'count', '--n', '3', '--lambda', '1e6']\n"
+        "runpy.run_module('kohncount', run_name='__main__')\n"
     )
-    assert result.returncode == 2
-    # exit 3 and its message come from cmd_coeff, not from main
+    flags = ["-X", "dev"] if dev else []
     result = subprocess.run(
-        [sys.executable, "-m", "kohncount"]
-        + ["coeff", "--n", "2", "--method", "series", "--eps", "1e-100"],
+        [sys.executable, *flags, "-c", code],
         capture_output=True,
+        env={**os.environ, "PYTHONUNBUFFERED": ""},
     )
-    assert result.returncode == 3
-    assert result.stdout == b""
-    golden = pathlib.Path(__file__).parent / "golden" / "exit3-series-eps.stderr"
-    assert result.stderr == golden.read_bytes()
+    assert result.returncode == 0
+    assert result.stdout == b"68538946874411229\nhandler ran\n"
+    assert result.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "flags, warns",
+    [
+        # the process ends without teardown, which would close the file and warn
+        (["-W", "always::ResourceWarning"], False),
+        # -X dev keeps the teardown and its warnings
+        (["-X", "dev"], True),
+    ],
+    ids=["fast", "dev"],
+)
+def test_run_skips_teardown_except_in_dev_mode(tmp_path, flags, warns):
+    script = tmp_path / "keep_open.py"
+    script.write_text(
+        "import sys\n"
+        "from kohncount import cli\n"
+        "kept = open(__file__)\n"
+        "sys.argv[1:] = ['count', '--n', '3', '--lambda', '1e6']\n"
+        "cli.run()\n"
+    )
+    result = subprocess.run(
+        [sys.executable, *flags, str(script)], capture_output=True, text=True
+    )
+    assert result.returncode == 0
+    assert result.stdout == "68538946874411229\n"
+    assert ("ResourceWarning: unclosed file" in result.stderr) == warns
+    if not warns:
+        assert result.stderr == ""

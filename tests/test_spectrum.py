@@ -312,7 +312,7 @@ def test_count_M_parallel_matches_serial():
 @pytest.mark.parametrize(
     "workers, cpus, expected", [(100_000, 2, 2), (3, 8, 3), (5, None, 1)]
 )
-def test_count_M_caps_pool_at_cpu_count(monkeypatch, workers, cpus, expected):
+def test_count_N_caps_processes_at_cpu_count(monkeypatch, workers, cpus, expected):
     # Where the OS has no affinity mask, os.cpu_count() caps the processes.
     # A stand-in for the fork-join records the chunks and runs them in this
     # process, so no large number of processes is ever started. When the cap
@@ -354,7 +354,7 @@ def test_count_N_caps_processes_at_cpu_affinity(monkeypatch):
         assert count_N(3, 2 * FORK_X, conv, workers=2) == count_N(3, 2 * FORK_X, conv)
 
 
-def test_count_N_stays_serial_below_pool_cut_off(monkeypatch):
+def test_count_N_stays_serial_below_fork_cut_off(monkeypatch):
     # below isqrt(X) = PARALLEL_MIN_SQRT_X a fork costs more than it saves
     forbid_fork(monkeypatch)
     monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
