@@ -16,6 +16,7 @@ import itertools
 import math
 import operator
 import os
+import sys
 from fractions import Fraction
 from typing import BinaryIO, Callable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
 
@@ -37,6 +38,11 @@ WRITE_BLOCK_ROWS = 4096
 # ``count_N`` runs serially below this isqrt(X): there, on two cores, forking
 # a second process costs more than it saves.
 PARALLEL_MIN_SQRT_X = 2**14
+
+# ``spectrum_table`` adds polynomial runs below this n and one divisor pair
+# at a time from it on, where a run's n-1 big-int additions per value cost
+# more than a divisor pair's two multiplications (measured on 2 cores).
+_DIVISOR_LOOP_MIN_N = 12
 
 
 class CountingConvention(enum.Enum):
@@ -248,29 +254,105 @@ def spectrum_table(
     """All (eigenvalue, multiplicity) pairs with 0 < eigenvalue <= lambda_max.
 
     The multiplicity of 2m is the sum of f(p, m/p) over divisors p of m with
-    p >= n (paper_restricted) or p >= n-1 (full_spectrum). One sieve over the
-    (p, q) pairs with pq <= M = floor(lambda_max) // 2 adds every f(p, q) to
-    its m, in O(M log M) steps. Every m >= pmin has the divisor pair
+    p >= n (paper_restricted) or p >= n-1 (full_spectrum), for m up to
+    M = floor(lambda_max) // 2. Every m >= pmin has the divisor pair
     (m, 1), and no m < pmin has one, so the table lists exactly m in
-    [pmin, M].
+    [pmin, M]. Below n = ``_DIVISOR_LOOP_MIN_N`` the pairs pq <= M are added
+    as about 2 isqrt(M) polynomial runs (``_multiplicities_by_runs``); from
+    there on, where a run costs more than it saves, one divisor pair at a
+    time (``_multiplicities_by_divisors``). A lambda_max with M >= sys.maxsize
+    raises ``ValueError`` before any work: no list that long can exist.
     """
     validate_sphere_n(n)
     if lambda_max < 2:
         raise ValueError("lambda_max must be >= 2")
-    if not math.isfinite(lambda_max):
+    if isinstance(lambda_max, float) and not math.isfinite(lambda_max):
         raise ValueError("lambda_max must be finite")
     M = math.floor(lambda_max) // 2
+    if M >= sys.maxsize:
+        raise ValueError(f"lambda_max must be less than {2 * sys.maxsize}")
     pmin = _divisor_floor(conv, n)
+    if M < pmin:
+        return []
+    if n < _DIVISOR_LOOP_MIN_N:
+        mult = _multiplicities_by_runs(n, M, pmin)
+    else:
+        mult = _multiplicities_by_divisors(n, M, pmin)
+    # tuple.__new__ makes each entry in C; SpectrumEntry(ev, m) would run
+    # the named tuple's Python-level __new__ once per entry
+    entry = functools.partial(tuple.__new__, SpectrumEntry)
+    return list(map(entry, zip(range(2 * pmin, 2 * M + 1, 2), mult)))
+
+
+def _run(diffs: list[int], length: int) -> Iterator[int]:
+    """The first ``length`` values of an integer polynomial of degree
+    d = len(diffs) - 1 at consecutive points, from its forward differences
+    Delta^0 .. Delta^d at the first point. Delta^d is a constant > 0, so the
+    Delta^(d-1) values are a ``range``; each ``accumulate`` below sums one
+    order of differences back up, all in C."""
+    *lower, first, step = diffs
+    values = range(first, first + step * length, step)
+    for d in reversed(lower):
+        values = itertools.accumulate(values, initial=d)
+    return itertools.islice(values, length)
+
+
+def _add_run(mult: list[int], sl: slice, diffs: list[int]) -> None:
+    """Add to ``mult[sl]`` the run with the forward differences ``diffs``."""
+    old = mult[sl]
+    mult[sl] = map(operator.add, old, _run(diffs, len(old)))
+
+
+def _multiplicities_by_runs(n: int, M: int, pmin: int) -> list[int]:
+    """The multiplicities of m = pmin..M, for M >= pmin, from the hyperbola
+    split of the pairs pq <= M with s = isqrt(M): the rows q <= s
+    (p = pmin..M//q) and the columns p <= M//(s+1) (q = s+1..M//p).
+
+    Along a row, f(p, q) = a(p) A(q) + b(p) B(q) is a polynomial of degree
+    n-1 in p, and along a column one in q. By Delta C(x, r) = C(x, r-1) its
+    k-th forward difference at p = pmin is A(q) C(pmin-1, n-2-k) +
+    B(q) C(pmin, n-1-k), and at q = s+1 it is a(p) C(s+n-1, n-1-k) +
+    b(p) C(s+n-1, n-2-k). ``_run`` turns those into the run's values. The
+    row q = 1 makes the list, and every other run is added into the strided
+    slice of its m, whose length is the run's.
+    """
+    comb = math.comb
+    s = math.isqrt(M)
+
+    def binomials(x: int, top: int) -> list[int]:
+        # C(x, top - k) for k = 0..n-1, and 0 where top - k < 0
+        return [comb(x, top - k) if k <= top else 0 for k in range(n)]
+
+    alpha, beta = binomials(pmin - 1, n - 2), binomials(pmin, n - 1)
+    gamma, delta = binomials(s + n - 1, n - 1), binomials(s + n - 1, n - 2)
+
+    def row(q: int) -> list[int]:
+        A, B = comb(q + n - 2, n - 1), comb(q + n - 2, n - 2)
+        return [A * x + B * y for x, y in zip(alpha, beta)]
+
+    mult = list(_run(row(1), M - pmin + 1))
+    for q in range(2, min(s, M // pmin) + 1):
+        _add_run(mult, slice(pmin * q - pmin, None, q), row(q))
+    for p in range(pmin, M // (s + 1) + 1):
+        a, b = comb(p - 1, n - 2), comb(p, n - 1)
+        column = [a * x + b * y for x, y in zip(gamma, delta)]
+        _add_run(mult, slice(p * (s + 1) - pmin, None, p), column)
+    return mult
+
+
+def _multiplicities_by_divisors(n: int, M: int, pmin: int) -> list[int]:
+    """The multiplicities of m = pmin..M, adding f(p, q) for one divisor
+    pair at a time: O(M log M) steps, each of two multiplications."""
     q_max = M // pmin
     # C(q+n-2, n-1) and C(q+n-2, n-2) for q = 1..q_max
     A = [math.comb(q + n - 2, n - 1) for q in range(1, q_max + 1)]
     B = [math.comb(q + n - 2, n - 2) for q in range(1, q_max + 1)]
-    mult = [0] * (M + 1)
+    mult = [0] * (M + 1 - pmin)
     for p in range(pmin, M + 1):
         a, b = math.comb(p - 1, n - 2), math.comb(p, n - 1)
-        for m, A_q, B_q in zip(range(p, M + 1, p), A, B):
-            mult[m] += a * A_q + b * B_q
-    return list(map(SpectrumEntry, range(2 * pmin, 2 * M + 1, 2), mult[pmin:]))
+        for i, A_q, B_q in zip(range(p - pmin, M + 1 - pmin, p), A, B):
+            mult[i] += a * A_q + b * B_q
+    return mult
 
 
 def _write_blocks(stream: TextIO, lines: Iterator[str]) -> None:

@@ -244,6 +244,23 @@ def test_spectrum_rejects_n1(capsys):
     assert ">= 2" in err
 
 
+def test_spectrum_rejects_huge_lambda_max_at_once():
+    # 1e30 would need a table of 5e29 entries; it is refused before any
+    # work, so the command ends well within the timeout
+    result = subprocess.run(
+        [sys.executable, "-m", "kohncount", "spectrum", "--n", "2"]
+        + ["--lambda-max", "1e30"],
+        capture_output=True,
+        text=True,
+        timeout=1,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"kohncount: lambda_max must be less than {2 * sys.maxsize}\n"
+    )
+
+
 @pytest.mark.parametrize("command", list(BASE_ARGV))
 def test_out_round_trip(capsys, tmp_path, command):
     # --out writes to the file exactly the bytes the command prints

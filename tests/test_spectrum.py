@@ -5,6 +5,7 @@ sieve, and the literal per-m double loop on small inputs."""
 import io
 import math
 import os
+import sys
 import time
 from fractions import Fraction
 
@@ -17,7 +18,10 @@ from kohncount.spectrum import (
     PARALLEL_MIN_SQRT_X,
     CountingConvention,
     SpectrumEntry,
+    _DIVISOR_LOOP_MIN_N,
     _count_index_range,
+    _multiplicities_by_divisors,
+    _multiplicities_by_runs,
     count_N,
     spectrum_table,
     write_spectrum_csv,
@@ -156,7 +160,7 @@ def test_delta_M_against_double_loop(n):
 # counting function; M(x) = N(2x) counts the eigenvalues 2m with m <= x
 
 
-def test_count_M_examples():
+def test_count_N_examples_at_even_lambda():
     assert count_N(2, 2 * 1, FULL) == 2
     assert count_N(2, 2 * 0.5, FULL) == 0
     assert count_N(2, 2 * 0.5, PAPER) == 0
@@ -164,7 +168,7 @@ def test_count_M_examples():
     assert count_N(2, 2 * 3, FULL) == sum(multiplicity_sieve(2, 3, FULL)) == 16
 
 
-def test_count_M_transposition_identity():
+def test_count_N_transposition_identity():
     for n in (2, 3):
         for conv in (FULL, PAPER):
             cumulative = 0
@@ -190,7 +194,7 @@ def test_count_block_equals_linear_range():
     st.sampled_from([FULL, PAPER]),
 )
 @settings(derandomize=True, max_examples=150, deadline=None)
-def test_count_M_matches_block_oracle(X, n, conv):
+def test_count_N_matches_block_oracle(X, n, conv):
     pmin = n if conv is PAPER else n - 1
     assert count_N(n, 2 * X, conv) == count_block_range(n, X, pmin, X)
 
@@ -207,7 +211,7 @@ def test_count_M_matches_block_oracle_at_edges(n):
             assert count_N(n, 2 * X, conv) == count_block_range(n, X, pmin, X)
 
 
-def test_count_M_deep_matches_block_oracle():
+def test_count_N_deep_matches_block_oracle():
     X = 10**10
     assert count_N(3, 2 * X, FULL) == count_block_range(3, X, 2, X)
     assert count_N(3, 2 * X, PAPER) == count_block_range(3, X, 3, X)
@@ -482,7 +486,8 @@ def test_spectrum_table_examples():
     assert spectrum_table(5, 2, PAPER) == []
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
+# n = 12 is past _DIVISOR_LOOP_MIN_N: its table is built one divisor at a time
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 12])
 def test_spectrum_table_matches_divisor_sums(n):
     for conv in (FULL, PAPER):
         table = {e.eigenvalue: e.multiplicity for e in spectrum_table(n, 801, conv)}
@@ -500,9 +505,55 @@ def test_spectrum_table_consistent_with_count():
         assert sum(e.multiplicity for e in entries) == count_N(n, lam_max, conv)
 
 
+@given(
+    st.integers(min_value=2, max_value=_DIVISOR_LOOP_MIN_N),
+    st.integers(min_value=1, max_value=10**4),
+    st.sampled_from([FULL, PAPER]),
+)
+# around the squares s^2, where the rows q <= s hand over to the columns
+@example(2, 99, FULL)
+@example(3, 100, PAPER)
+@example(5, 110, FULL)
+@example(4, 3, FULL)  # s = 1: one row and no column
+@example(2, 6, PAPER)  # s = 2, M = s^2 + s: the last column has one value
+@example(7, 960, PAPER)
+@example(11, 961, FULL)
+@example(6, 992, PAPER)
+# before and at pmin, where the table starts
+@example(5, 4, PAPER)
+@example(5, 3, FULL)
+@example(8, 8, PAPER)
+@example(8, 7, FULL)
+@example(2, 1, FULL)
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_multiplicity_runs_match_divisor_loop(n, M, conv):
+    pmin = n if conv is PAPER else n - 1
+    table = spectrum_table(n, 2 * M + 1, conv)
+    if M < pmin:
+        assert table == []
+        return
+    runs = _multiplicities_by_runs(n, M, pmin)
+    assert runs == _multiplicities_by_divisors(n, M, pmin)
+    assert table == list(map(SpectrumEntry, range(2 * pmin, 2 * M + 1, 2), runs))
+
+
 def test_spectrum_table_rejects_small_lambda_max():
     with pytest.raises(ValueError):
         spectrum_table(2, 1.5, FULL)
+
+
+@pytest.mark.parametrize("n", [2, 12])
+@pytest.mark.parametrize(
+    "lambda_max",
+    [2 * sys.maxsize, 10**30, Fraction(10**400, 3), float(2**64)],
+    ids=["2maxsize", "int-1e30", "fraction-1e400", "float-2^64"],
+)
+def test_spectrum_table_rejects_lambda_max_past_any_list(n, lambda_max):
+    # M = sys.maxsize and above: no list of M entries can exist, so the
+    # table is refused before any is built, on either side of the cut-off,
+    # and a Fraction beyond the float range is never converted to a float
+    with pytest.raises(ValueError, match="lambda_max must be less than"):
+        spectrum_table(n, lambda_max, FULL)
 
 
 def test_spectrum_csv_round_trip():
