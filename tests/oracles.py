@@ -3,7 +3,9 @@
 Each algorithm computes the same quantity as a production path by a different
 route: multiplicities by trial division per m instead of the (p, q) sieve,
 and the counting sum over p, one at a time or in blocks of constant X//p,
-instead of by the Dirichlet hyperbola method. The formulas (total binomials,
+instead of by the Dirichlet hyperbola method. ``count_index_range`` is the
+hyperbola kernel with binomials at every index, the binomial oracle of the
+library's polynomial block sums. The formulas (total binomials,
 hockey-stick sums, dim H_{p,q}, eigenvalues, the h polynomial and the
 partial-sum lemma ratio) are the paper's definitions, written out directly.
 ``parse_pi_string`` reads back what ``PiPolynomial.to_string`` writes, so the
@@ -175,6 +177,62 @@ def count_block_range(n, X, p_lo, p_hi):
         total += A * s1 + B * s2
         p = p2 + 1
     return total
+
+
+def count_index_range(n: int, X: int, pmin: int, i_lo: int, i_hi: int) -> int:
+    """Part of the sum of f(p, q) over pq <= X, p >= pmin, q >= 1, exactly.
+
+    f(p, q) = a(p) A(q) + b(p) B(q) with a(p) = C(p-1, n-2), b(p) = C(p, n-1),
+    A(q) = C(q+n-2, n-1) and B(q) = C(q+n-2, n-2); for p >= n-1 it equals
+    dim H_{p-n+1, q}. Dirichlet hyperbola method with s = isqrt(X) and
+    lo = max(s, pmin-1): the index i in [1, s] stands for the column p = i
+    (every q <= X//i, when i >= pmin) and the row q = i (lo < p <= X//i).
+    These cover each lattice point once, and this sums the columns and rows
+    of i in [i_lo, i_hi], a subrange of [1, s]. One loop takes the indices
+    whose row and column are both non-empty, with Q = X//i and its linear
+    factor computed once for the pair; before it come the rows of i < pmin
+    (at most n-1), after it the columns past the last row (at most one).
+    Every step updates the binomials in place, at every n.
+    """
+    comb = math.comb
+    m = n - 1
+    lo = max(math.isqrt(X), pmin - 1)
+    # Every row and column sum is an integer of the form (weight * big
+    # binomial * linear factor) / (n(n-1)) minus a part that does not depend
+    # on X//i. The numerators go to ``acc``, divided once at the end; the
+    # other parts are hockey-stick sums, collected in ``rest``.
+    # Rows: over lo < p <= Q = X//i, a(p) sums to C(Q, n-1) - C(lo, n-1) and
+    # b(p) to C(Q+1, n) - C(lo+1, n) = C(Q, n-1) (Q+1)/n - C(lo+1, n); also
+    # A(i) = B(i) i/(n-1). The row is empty once Q <= lo.
+    # Columns: over q <= Q = X//i, A(q) sums to C(Q+n-1, n) = D Q/n with
+    # D = C(Q+n-1, n-1) and B(q) to D - 1; also b(i) = a(i) i/(n-1).
+    # With L = (n-1)Q + n i, row i adds B(i) C(Q, n-1) (L + n-1) to ``acc``
+    # and column i adds a(i) D L.
+    acc = rest = 0
+    j = min(i_hi, X // (lo + 1))  # the last non-empty row
+    k = max(i_lo, pmin)  # the first column
+    w = comb(i_lo + n - 2, n - 2)  # B(i), updated in place
+    for i in range(i_lo, min(j, k - 1) + 1):
+        Q = X // i
+        acc += w * comb(Q, m) * (m * Q + n * i + m)
+        w = w * (i + m) // (i + 1)
+    a = comb(k - 1, n - 2)  # a(i), updated in place
+    for i in range(k, j + 1):
+        Q = X // i
+        L = m * Q + n * i
+        acc += w * comb(Q, m) * (L + m) + a * comb(Q + m, m) * L
+        w = w * (i + m) // (i + 1)
+        a = a * i // (i - n + 2)
+    for i in range(max(k, j + 1), i_hi + 1):
+        Q = X // i
+        acc += a * comb(Q + m, m) * (m * Q + n * i)
+        a = a * i // (i - n + 2)
+    if i_lo <= j:
+        rest += comb(lo, m) * (comb(j + m, n) - comb(i_lo + n - 2, n))
+        rest += comb(lo + 1, n) * (comb(j + m, m) - comb(i_lo + n - 2, m))
+    if k <= i_hi:
+        rest += comb(i_hi + 1, n) - comb(k, n)
+    return acc // (n * m) - rest
 
 
 def _parse_pi_term(term):

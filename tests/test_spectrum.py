@@ -19,6 +19,8 @@ from kohncount.spectrum import (
     CountingConvention,
     SpectrumEntry,
     _DIVISOR_LOOP_MIN_N,
+    _TERM_BLOCK,
+    _TERM_TABLES,
     _count_index_range,
     _multiplicities_by_divisors,
     _multiplicities_by_runs,
@@ -28,7 +30,9 @@ from kohncount.spectrum import (
     write_spectrum_json,
 )
 from tests.oracles import (
+    binomial,
     count_block_range,
+    count_index_range,
     count_linear_range,
     delta_M,
     eigenvalue,
@@ -200,7 +204,7 @@ def test_count_N_matches_block_oracle(X, n, conv):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_count_M_matches_block_oracle_at_edges(n):
+def test_count_N_matches_block_oracle_at_edges(n):
     # around the square s^2, where the column and row ranges meet, and
     # around pmin, where the columns start
     for conv, pmin in ((FULL, n - 1), (PAPER, n)):
@@ -218,7 +222,7 @@ def test_count_N_deep_matches_block_oracle():
 
 
 @pytest.mark.parametrize("n", [2, 3, 10])
-def test_count_M_convention_gap_closed_form_deep(n):
+def test_count_N_convention_gap_closed_form_deep(n):
     # full - paper = sum_{q <= X/(n-1)} C(q+n-1, n-1) = C(X//(n-1) + n, n) - 1
     X = 10**11
     gap = count_N(n, 2 * X, FULL) - count_N(n, 2 * X, PAPER)
@@ -277,7 +281,64 @@ def test_count_index_range_matches_block_oracle_at_loop_edges(n, conv):
             assert sum(parts) == count_block_range(n, X, pmin, X)
 
 
-def test_count_M_convention_gap():
+@pytest.mark.parametrize("n", sorted(_TERM_TABLES))
+def test_term_tables_equal_the_index_term(n):
+    # g * sum_b c_b(i) Q^b is the polynomial T(i, Q) that index i adds to the
+    # kernel's numerator: equal on a grid wider than its degree in i and in Q
+    m = n - 1
+    g, cs = _TERM_TABLES[n]
+    assert all(c[-1] > 0 for c in cs)  # what _run needs of each c_b
+    deg_i, deg_Q = max(map(len, cs)) - 1, len(cs) - 1
+    for i in range(-2, deg_i + 3):
+        for Q in range(-2, deg_Q + 3):
+            T = binomial(i + n - 2, n - 2) * binomial(Q, m) * (m * Q + n * i + m)
+            T += binomial(i - 1, n - 2) * binomial(Q + m, m) * (m * Q + n * i)
+            table = sum(
+                sum(c * i**e for e, c in enumerate(cb)) * Q**b
+                for b, cb in enumerate(cs)
+            )
+            assert g * table == T
+
+
+# a chunk's middle range (its indices with both a row and a column) of no
+# index, of one, around one block, and of several blocks
+BLOCK = _TERM_BLOCK
+MIDDLE_SIZES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+MIN_SQRT_X = 4 * BLOCK  # room for every middle size
+
+
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.sampled_from([FULL, PAPER]),
+    st.one_of(
+        st.integers(min_value=MIN_SQRT_X, max_value=10**6).map(lambda s: s * s),
+        st.integers(min_value=MIN_SQRT_X, max_value=10**6).map(lambda s: s * s - 1),
+        st.integers(min_value=MIN_SQRT_X**2, max_value=10**12),
+    ),
+    st.sampled_from(MIDDLE_SIZES),
+    st.booleans(),
+    st.integers(min_value=0),
+)
+@settings(derandomize=True, max_examples=120, deadline=None)
+def test_count_index_range_matches_binomial_oracle(n, conv, X, size, at_one, u):
+    # the chunk [i_lo, i_hi] starts at 1 (with the rows of i < pmin) or at a
+    # random first column, its middle range holds ``size`` indices, and it
+    # runs on to isqrt(X) (the columns past the last row) when that range
+    # ends at the last row
+    pmin = n if conv is PAPER else n - 1
+    s = math.isqrt(X)
+    last_row = X // (max(s, pmin - 1) + 1)
+    first = pmin if at_one else pmin + u % (last_row - pmin - size + 2)
+    i_lo, i_hi = (1 if at_one else first), first + size - 1
+    if i_hi == last_row:
+        i_hi = s
+    assert min(i_hi, last_row) - max(i_lo, pmin) + 1 == size
+    assert _count_index_range(n, X, pmin, i_lo, i_hi) == count_index_range(
+        n, X, pmin, i_lo, i_hi
+    )
+
+
+def test_count_N_convention_gap():
     # full - paper = sum_{q <= x/(n-1)} dim H_{0,q}
     for n in (2, 3, 5):
         for x in (10, 99, 500):
@@ -305,7 +366,7 @@ def test_count_N_monotone_and_step(lam1, lam2):
     assert a == count_N(2, 2 * math.floor(lo / 2), FULL)
 
 
-def test_count_M_parallel_matches_serial():
+def test_count_N_parallel_matches_serial():
     # a real fork-join starts at X = FORK_X
     for conv in (FULL, PAPER):
         serial = count_N(3, 2 * FORK_X, conv, workers=1)
@@ -423,7 +484,7 @@ def test_fork_join_kills_children_when_the_parent_fails():
     assert_no_child_left()
 
 
-def test_count_M_rejects_negative():
+def test_count_N_rejects_negative():
     with pytest.raises(ValueError):
         count_N(2, 2 * -1, FULL)
     with pytest.raises(ValueError):
