@@ -36,7 +36,9 @@ __all__ = [
 WRITE_BLOCK_ROWS = 4096
 
 # ``count_N`` runs serially below this isqrt(X): there, on two cores, forking
-# a second process costs more than it saves.
+# a second process costs more than it saves. At n = 2, whose kernel takes the
+# least time per index, that holds up to twice as far (both measured on
+# 2 cores).
 PARALLEL_MIN_SQRT_X = 2**14
 
 # ``spectrum_table`` adds polynomial runs below this n and one divisor pair
@@ -49,7 +51,7 @@ _DIVISOR_LOOP_MIN_N = 12
 # Q = X//i: T = g * sum_b c_b(i) Q^b for the entry (g, (c_0, ..., c_d)), each
 # c_b with integer power-basis coefficients in i, lowest power first. Each c_b
 # has a positive leading coefficient, and c_d is either 1 or of degree >= 1.
-# From n = 4 on this form is no faster than the binomial loop, and at n = 10
+# From n = 4 on this form is no faster than a binomial loop, and at n = 10
 # it is about 2.7 times slower (measured on 2 cores), so only these two are
 # written out.
 _TERM_TABLES = {
@@ -101,7 +103,8 @@ def _count_index_range(n: int, X: int, pmin: int, i_lo: int, i_hi: int) -> int:
     whose row and column are both non-empty, with Q = X//i and its linear
     factor computed once for the pair; before it come the rows of i < pmin
     (at most n-1), after it the columns past the last row (at most one).
-    For n <= 3 the middle loop is ``_term_block_sums`` instead.
+    The middle loop is ``_term_block_sums`` for n <= 3 and
+    ``_falling_factorial_sums`` from n = 4 on.
     """
     comb = math.comb
     m = n - 1
@@ -127,15 +130,9 @@ def _count_index_range(n: int, X: int, pmin: int, i_lo: int, i_hi: int) -> int:
         w = w * (i + m) // (i + 1)
     if n in _TERM_TABLES:
         acc += _term_block_sums(n, X, k, j)
-        a = comb(max(k, j + 1) - 1, n - 2)
     else:
-        a = comb(k - 1, n - 2)  # a(i), updated in place
-        for i in range(k, j + 1):
-            Q = X // i
-            L = m * Q + n * i
-            acc += w * comb(Q, m) * (L + m) + a * comb(Q + m, m) * L
-            w = w * (i + m) // (i + 1)
-            a = a * i // (i - n + 2)
+        acc += _falling_factorial_sums(n, X, k, j)
+    a = comb(max(k, j + 1) - 1, n - 2)  # a(i), updated in place
     for i in range(max(k, j + 1), i_hi + 1):
         Q = X // i
         acc += a * comb(Q + m, m) * (m * Q + n * i)
@@ -170,6 +167,47 @@ def _term_block_sums(n: int, X: int, i_lo: int, i_hi: int) -> int:
         for k, d in enumerate(_differences(c0, x)):
             total += d * math.comb(size, k + 1)
     return g * total
+
+
+def _falling_factorial_sums(n: int, X: int, i_lo: int, i_hi: int) -> int:
+    """The sum of T(i, X//i) over i in [i_lo, i_hi], one Python step per
+    index, for n >= 4 and a range of the middle loop: i_lo >= n-1 and
+    X//i_hi >= n-1.
+
+    With m = n-1, T = B(i) C(Q, m) (L + m) + a(i) C(Q+m, m) L. The loop takes
+    the falling factorials F = m! C(Q, m) and R = m! C(Q+m, m) instead, so
+    m! divides every term, and divides the sum once at the end; it adds
+    (B F + a R) L and B F apart, and m times the second at the end. B(i) is
+    updated in place, and a(i) = B(i-m) is read back from a ring of the last
+    m values of B. When Q falls by d = Q_prev - Q <= m // 4 from the last
+    index, F and R are carried by d factors each instead of recomputed from
+    m factors; past that cut-off (about where the two cost the same,
+    measured on 2 cores) and at i_lo they are recomputed.
+    """
+    perm, comb = math.perm, math.comb
+    m = n - 1
+    cut = m // 4
+    w = comb(i_lo + m - 1, m - 1)  # B(i), updated in place
+    ring = [comb(t + m - 1, m - 1) for t in range(i_lo - m, i_lo)]
+    total = multiple = F = R = 0
+    Q_prev = X // i_lo + cut + 1  # out of carrying reach of the first Q
+    for i, r in zip(range(i_lo, i_hi + 1), itertools.cycle(range(m))):
+        Q = X // i
+        d = Q_prev - Q
+        if d > cut:
+            F, R = perm(Q, m), perm(Q + m, m)
+        else:
+            P = perm(Q_prev, d)
+            F = F * perm(Q_prev - m, d) // P
+            R = R * P // perm(Q_prev + m, d)
+        Q_prev = Q
+        a = ring[r]  # B(i - m)
+        ring[r] = w
+        t = w * F
+        multiple += t
+        total += (t + a * R) * (m * Q + n * i)
+        w = w * (i + m) // (i + 1)
+    return (total + m * multiple) // math.factorial(m)
 
 
 def _differences(coeffs: tuple[int, ...], x: int) -> list[int]:
@@ -273,16 +311,18 @@ def count_N(
     of two kernels chosen by n: up to n = 3 the steps add a fixed integer
     polynomial in i and X//i, summed in C a block of indices at a time
     (``_term_block_sums``); from n = 4 on, where that form is no faster,
-    each step is a Python iteration with binomials updated in place.
+    each step is a Python iteration over falling factorials, carried from
+    the last index when X//i moves little (``_falling_factorial_sums``).
     With ``workers`` > 1 the count runs in one process per worker, at most
     one per CPU that this process may use: the index range [1, isqrt(X)] is
     split into one chunk of equal width per process, this process counts the
     first, and a child forked for each other chunk sends back its part.
     Integer addition makes the result identical to the serial run; a failed
     child makes this raise ``ChildProcessError``. The count is serial when that
-    leaves one process, when isqrt(X) is below ``PARALLEL_MIN_SQRT_X``, or
-    where ``os.fork`` does not exist. Forking is unsafe in a process that
-    runs threads, so call it there with ``workers`` = 1.
+    leaves one process, when isqrt(X) is below ``PARALLEL_MIN_SQRT_X`` (at
+    n = 2, twice that), or where ``os.fork`` does not exist. Forking is
+    unsafe in a process that runs threads, so call it there with ``workers``
+    = 1.
     """
     validate_sphere_n(n)
     try:
@@ -301,7 +341,7 @@ def count_N(
         return 0
     s = math.isqrt(X)
     procs = min(workers, _usable_cpus()) if hasattr(os, "fork") else 1
-    if procs == 1 or s < PARALLEL_MIN_SQRT_X:
+    if procs == 1 or s < PARALLEL_MIN_SQRT_X * (2 if n == 2 else 1):
         return _count_index_range(n, X, pmin, 1, s)
     bounds = [1 + s * k // procs for k in range(procs + 1)]
     kernel = functools.partial(_count_index_range, n, X, pmin)

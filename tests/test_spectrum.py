@@ -44,8 +44,10 @@ from tests.oracles import (
 
 PAPER = CountingConvention.PAPER_RESTRICTED
 FULL = CountingConvention.FULL_SPECTRUM
-# the smallest X at which count_N forks (isqrt(X) = PARALLEL_MIN_SQRT_X)
+# the smallest X at which count_N forks (isqrt(X) = PARALLEL_MIN_SQRT_X),
+# and at n = 2 (twice that isqrt(X))
 FORK_X = PARALLEL_MIN_SQRT_X**2
+FORK_X_N2 = (2 * PARALLEL_MIN_SQRT_X) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +223,10 @@ def test_count_N_deep_matches_block_oracle():
     assert count_N(3, 2 * X, PAPER) == count_block_range(3, X, 3, X)
 
 
-@pytest.mark.parametrize("n", [2, 3, 10])
+@pytest.mark.parametrize("n", [2, 3, 10, 30])
 def test_count_N_convention_gap_closed_form_deep(n):
     # full - paper = sum_{q <= X/(n-1)} C(q+n-1, n-1) = C(X//(n-1) + n, n) - 1
-    X = 10**11
+    X = 10**11 if n <= 10 else 10**9  # each index step costs more at n = 30
     gap = count_N(n, 2 * X, FULL) - count_N(n, 2 * X, PAPER)
     assert gap == math.comb(X // (n - 1) + n, n) - 1
 
@@ -321,6 +323,10 @@ MIN_SQRT_X = 4 * BLOCK  # room for every middle size
 )
 @settings(derandomize=True, max_examples=120, deadline=None)
 def test_count_index_range_matches_binomial_oracle(n, conv, X, size, at_one, u):
+    assert_chunk_matches_binomial_oracle(n, conv, X, size, at_one, u)
+
+
+def assert_chunk_matches_binomial_oracle(n, conv, X, size, at_one, u):
     # the chunk [i_lo, i_hi] starts at 1 (with the rows of i < pmin) or at a
     # random first column, its middle range holds ``size`` indices, and it
     # runs on to isqrt(X) (the columns past the last row) when that range
@@ -336,6 +342,55 @@ def test_count_index_range_matches_binomial_oracle(n, conv, X, size, at_one, u):
     assert _count_index_range(n, X, pmin, i_lo, i_hi) == count_index_range(
         n, X, pmin, i_lo, i_hi
     )
+
+
+# a chunk's middle range of k (n-1) + c indices for (k, c) below: of none,
+# of one, around the ring of the last n-1 values of B(i) in
+# ``_falling_factorial_sums``, around two turns of it, and of 700
+RING_SIZES = [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 0), (2, 3), (0, 700)]
+
+
+@given(
+    st.integers(min_value=4, max_value=40),
+    st.sampled_from([FULL, PAPER]),
+    st.one_of(
+        st.integers(min_value=1000, max_value=10**6).map(lambda s: s * s),
+        st.integers(min_value=1000, max_value=10**6).map(lambda s: s * s - 1),
+        st.integers(min_value=10**6, max_value=10**12),
+    ),
+    st.sampled_from(RING_SIZES),
+    st.booleans(),
+    st.integers(min_value=0),
+)
+@settings(derandomize=True, max_examples=120, deadline=None)
+def test_count_index_range_matches_binomial_oracle_from_n4(n, conv, X, ring, at_one, u):
+    # the falling-factorial loop of n >= 4 against the binomial loop
+    k, c = ring
+    assert_chunk_matches_binomial_oracle(n, conv, X, k * (n - 1) + c, at_one, u)
+
+
+@pytest.mark.parametrize("conv", [FULL, PAPER])
+@pytest.mark.parametrize("n, X", [(100, 10**6), (100, 10**7), (300, 10**7)])
+def test_count_index_range_matches_oracles_at_carry_edges(n, conv, X):
+    # _falling_factorial_sums carries its factors from index i-1 to i while
+    # d = X//(i-1) - X//i <= (n-1)//4 and recomputes them past that and at a
+    # chunk's first index. Second chunks start where d is the cut-off and the
+    # cut-off + 1, at the last index that recomputes, and just after it,
+    # where a serial run carries.
+    pmin = n if conv is PAPER else n - 1
+    cut = (n - 1) // 4
+    s = math.isqrt(X)
+    d = {i: X // (i - 1) - X // i for i in range(pmin + 1, s + 1)}
+    at_cut = min(i for i in d if d[i] == cut)
+    past_cut = max(i for i in d if d[i] == cut + 1)
+    last_recompute = max(i for i in d if d[i] > cut)
+    starts = {at_cut, at_cut + 1, past_cut, last_recompute, last_recompute + 1}
+    whole = count_block_range(n, X, pmin, X)
+    for start in sorted(starts):
+        chunks = [(1, start - 1), (start, s)]
+        parts = [_count_index_range(n, X, pmin, *chunk) for chunk in chunks]
+        assert parts == [count_index_range(n, X, pmin, *chunk) for chunk in chunks]
+        assert sum(parts) == whole
 
 
 def test_count_N_convention_gap():
@@ -420,12 +475,29 @@ def test_count_N_caps_processes_at_cpu_affinity(monkeypatch):
 
 
 def test_count_N_stays_serial_below_fork_cut_off(monkeypatch):
-    # below isqrt(X) = PARALLEL_MIN_SQRT_X a fork costs more than it saves
+    # below isqrt(X) = PARALLEL_MIN_SQRT_X (at n = 2, twice that) a fork
+    # costs more than it saves
     forbid_fork(monkeypatch)
     monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
-    X = FORK_X - 1
-    for conv in (FULL, PAPER):
-        assert count_N(3, 2 * X, conv, workers=2) == count_N(3, 2 * X, conv)
+    for n, X in ((3, FORK_X - 1), (10, FORK_X - 1), (2, FORK_X_N2 - 1)):
+        for conv in (FULL, PAPER):
+            assert count_N(n, 2 * X, conv, workers=2) == count_N(n, 2 * X, conv)
+
+
+def test_count_N_forks_at_the_cut_off(monkeypatch):
+    # the smallest X that forks at n = 2 and at n = 3 and 10; a stand-in
+    # for the fork-join records the chunks and runs them in this process
+    seen = []
+
+    def in_process(kernel, chunks):
+        seen.append(len(chunks))
+        return sum(kernel(lo, hi) for lo, hi in chunks)
+
+    monkeypatch.setattr(spectrum, "_fork_join", in_process)
+    monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+    for n, X in ((2, FORK_X_N2), (3, FORK_X), (10, FORK_X)):
+        assert count_N(n, 2 * X, PAPER, workers=2) == count_N(n, 2 * X, PAPER)
+    assert seen == [2, 2, 2]
 
 
 def test_count_N_runs_serially_without_fork(monkeypatch):
