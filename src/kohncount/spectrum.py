@@ -46,11 +46,12 @@ PARALLEL_MIN_SQRT_X = 2**14
 # more than a divisor pair's two multiplications (measured on 2 cores).
 _DIVISOR_LOOP_MIN_N = 12
 
-# For n <= 3, the term T(i, Q) that the index i of ``_count_index_range``'s
-# middle loop adds to its numerator ``acc`` is an integer polynomial in i and
-# Q = X//i: T = g * sum_b c_b(i) Q^b for the entry (g, (c_0, ..., c_d)), each
-# c_b with integer power-basis coefficients in i, lowest power first. Each c_b
-# has a positive leading coefficient, and c_d is either 1 or of degree >= 1.
+# For n <= 3, the term T(i, Q) that the index i of ``_count_index_range``
+# adds to its numerator ``acc`` is an integer polynomial in i and Q = X//i,
+# equal to the binomial form at every i >= 1: T = g * sum_b c_b(i) Q^b for
+# the entry (g, (c_0, ..., c_d)), each c_b with integer power-basis
+# coefficients in i, lowest power first. Each c_b has a positive leading
+# coefficient, and c_d is either 1 or of degree >= 1.
 # From n = 4 on this form is no faster than a binomial loop, and at n = 10
 # it is about 2.7 times slower (measured on 2 cores), so only these two are
 # written out.
@@ -86,29 +87,29 @@ def validate_sphere_n(n: int) -> int:
     return n
 
 
-def _divisor_floor(conv: CountingConvention, n: int) -> int:
-    return n if conv is CountingConvention.PAPER_RESTRICTED else n - 1
-
-
-def _count_index_range(n: int, X: int, pmin: int, i_lo: int, i_hi: int) -> int:
-    """Part of the sum of f(p, q) over pq <= X, p >= pmin, q >= 1, exactly.
+def _count_index_range(n: int, X: int, i_lo: int, i_hi: int) -> int:
+    """Part of the sum of f(p, q) over pq <= X, q >= 1, exactly: the full
+    spectrum.
 
     f(p, q) = a(p) A(q) + b(p) B(q) with a(p) = C(p-1, n-2), b(p) = C(p, n-1),
     A(q) = C(q+n-2, n-1) and B(q) = C(q+n-2, n-2); for p >= n-1 it equals
-    dim H_{p-n+1, q}. Dirichlet hyperbola method with s = isqrt(X) and
-    lo = max(s, pmin-1): the index i in [1, s] stands for the column p = i
-    (every q <= X//i, when i >= pmin) and the row q = i (lo < p <= X//i).
-    These cover each lattice point once, and this sums the columns and rows
-    of i in [i_lo, i_hi], a subrange of [1, s]. One loop takes the indices
-    whose row and column are both non-empty, with Q = X//i and its linear
-    factor computed once for the pair; before it come the rows of i < pmin
-    (at most n-1), after it the columns past the last row (at most one).
-    The middle loop is ``_term_block_sums`` for n <= 3 and
-    ``_falling_factorial_sums`` from n = 4 on.
+    dim H_{p-n+1, q}, and for 1 <= p <= n-2 both a(p) and b(p) vanish, so the
+    sum needs no lower bound on p. Dirichlet hyperbola method with
+    s = isqrt(X) and lo = max(s, n-2): the index i in [1, s] stands for the
+    column p = i (every q <= X//i) and the row q = i (lo < p <= X//i). These
+    cover each lattice point once, and this sums the columns and rows of i
+    in [i_lo, i_hi], a subrange of [1, s], with Q = X//i and its linear
+    factor computed once for the pair: by ``_term_block_sums`` for n <= 3
+    and ``_falling_factorial_sums`` from n = 4 on. A row with Q = lo is
+    empty, and its numerator cancels its share of ``rest`` exactly, so the
+    call runs to j = min(i_hi, X//lo), which is i_hi when lo = s. When
+    lo = n-2 > s, every index past j has an empty row and a zero column;
+    the clamp keeps X//i >= n-2 over the call, as the carry of
+    ``_falling_factorial_sums`` needs.
     """
     comb = math.comb
     m = n - 1
-    lo = max(math.isqrt(X), pmin - 1)
+    lo = max(math.isqrt(X), n - 2)
     # Every row and column sum is an integer of the form (weight * big
     # binomial * linear factor) / (n(n-1)) minus a part that does not depend
     # on X//i. The numerators go to ``acc``, divided once at the end; the
@@ -120,28 +121,12 @@ def _count_index_range(n: int, X: int, pmin: int, i_lo: int, i_hi: int) -> int:
     # D = C(Q+n-1, n-1) and B(q) to D - 1; also b(i) = a(i) i/(n-1).
     # With L = (n-1)Q + n i, row i adds B(i) C(Q, n-1) (L + n-1) to ``acc``
     # and column i adds a(i) D L; together they add T(i, Q) of _TERM_TABLES.
-    acc = rest = 0
-    j = min(i_hi, X // (lo + 1))  # the last non-empty row
-    k = max(i_lo, pmin)  # the first column
-    w = comb(i_lo + n - 2, n - 2)  # B(i), updated in place
-    for i in range(i_lo, min(j, k - 1) + 1):
-        Q = X // i
-        acc += w * comb(Q, m) * (m * Q + n * i + m)
-        w = w * (i + m) // (i + 1)
-    if n in _TERM_TABLES:
-        acc += _term_block_sums(n, X, k, j)
-    else:
-        acc += _falling_factorial_sums(n, X, k, j)
-    a = comb(max(k, j + 1) - 1, n - 2)  # a(i), updated in place
-    for i in range(max(k, j + 1), i_hi + 1):
-        Q = X // i
-        acc += a * comb(Q + m, m) * (m * Q + n * i)
-        a = a * i // (i - n + 2)
-    if i_lo <= j:
-        rest += comb(lo, m) * (comb(j + m, n) - comb(i_lo + n - 2, n))
-        rest += comb(lo + 1, n) * (comb(j + m, m) - comb(i_lo + n - 2, m))
-    if k <= i_hi:
-        rest += comb(i_hi + 1, n) - comb(k, n)
+    j = min(i_hi, X // lo)
+    sums = _term_block_sums if n in _TERM_TABLES else _falling_factorial_sums
+    acc = sums(n, X, i_lo, j)
+    rest = comb(lo, m) * (comb(j + m, n) - comb(i_lo + n - 2, n))
+    rest += comb(lo + 1, n) * (comb(j + m, m) - comb(i_lo + n - 2, m))
+    rest += comb(j + 1, n) - comb(i_lo, n)
     return acc // (n * m) - rest
 
 
@@ -171,8 +156,9 @@ def _term_block_sums(n: int, X: int, i_lo: int, i_hi: int) -> int:
 
 def _falling_factorial_sums(n: int, X: int, i_lo: int, i_hi: int) -> int:
     """The sum of T(i, X//i) over i in [i_lo, i_hi], one Python step per
-    index, for n >= 4 and a range of the middle loop: i_lo >= n-1 and
-    X//i_hi >= n-1.
+    index, for n >= 4 and a subrange of [1, isqrt(X)] with X//i_hi >= n-2.
+    Below i = n-1 the ring holds C(x, m-1) = 0 for 0 <= x < m-1, so a(i)
+    reads 0 there.
 
     With m = n-1, T = B(i) C(Q, m) (L + m) + a(i) C(Q+m, m) L. The loop takes
     the falling factorials F = m! C(Q, m) and R = m! C(Q+m, m) instead, so
@@ -307,6 +293,9 @@ def count_N(
     sum of f(p, q) over pq <= X = floor(lambda) // 2, p >= n (or n-1); X is
     exact for ``int``, ``Fraction`` and ``float`` lambda. The zero eigenvalue
     (q = 0, the infinite-dimensional space of CR functions) is never counted.
+    The kernel counts the full spectrum; ``paper_restricted`` then drops the
+    column p = n-1, the H_{0,q} family, in closed form: dim H_{0,q} =
+    C(q+n-1, n-1) sums to C(X//(n-1) + n, n) - 1 over q <= X//(n-1).
     The Dirichlet hyperbola method takes about isqrt(X) index steps, in one
     of two kernels chosen by n: up to n = 3 the steps add a fixed integer
     polynomial in i and X//i, summed in C a block of indices at a time
@@ -336,16 +325,19 @@ def count_N(
     if isinstance(lam, float) and not math.isfinite(lam):
         raise ValueError("lambda must be finite")
     X = math.floor(lam) // 2
-    pmin = _divisor_floor(conv, n)
-    if X < pmin:
+    if X < n - 1:
         return 0
     s = math.isqrt(X)
     procs = min(workers, _usable_cpus()) if hasattr(os, "fork") else 1
     if procs == 1 or s < PARALLEL_MIN_SQRT_X * (2 if n == 2 else 1):
-        return _count_index_range(n, X, pmin, 1, s)
-    bounds = [1 + s * k // procs for k in range(procs + 1)]
-    kernel = functools.partial(_count_index_range, n, X, pmin)
-    return _fork_join(kernel, [(b, c - 1) for b, c in zip(bounds, bounds[1:])])
+        N = _count_index_range(n, X, 1, s)
+    else:
+        bounds = [1 + s * k // procs for k in range(procs + 1)]
+        kernel = functools.partial(_count_index_range, n, X)
+        N = _fork_join(kernel, [(b, c - 1) for b, c in zip(bounds, bounds[1:])])
+    if conv is CountingConvention.PAPER_RESTRICTED:
+        N -= math.comb(X // (n - 1) + n, n) - 1  # sum of dim H_{0,q}
+    return N
 
 
 def spectrum_table(
@@ -371,7 +363,7 @@ def spectrum_table(
     M = math.floor(lambda_max) // 2
     if M >= sys.maxsize:
         raise ValueError(f"lambda_max must be less than {2 * sys.maxsize}")
-    pmin = _divisor_floor(conv, n)
+    pmin = n if conv is CountingConvention.PAPER_RESTRICTED else n - 1
     if M < pmin:
         return []
     if n < _DIVISOR_LOOP_MIN_N:

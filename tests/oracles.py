@@ -7,7 +7,9 @@ instead of by the Dirichlet hyperbola method. ``count_index_range`` is the
 hyperbola kernel with binomials at every index, the binomial oracle of the
 library's polynomial block sums. The formulas (total binomials,
 hockey-stick sums, dim H_{p,q}, eigenvalues, the h polynomial and the
-partial-sum lemma ratio) are the paper's definitions, written out directly.
+partial-sum lemma ratio) are the paper's definitions, written out directly;
+``harmonic_dim`` finds dim H_{p,q} from the operator instead, as the
+dimension of a kernel.
 ``parse_pi_string`` reads back what ``PiPolynomial.to_string`` writes, so the
 tests can check that rendering. ``csv_text`` renders rows through
 ``csv.writer``, and ``spectrum_csv`` and ``spectrum_json`` render spectrum
@@ -83,6 +85,46 @@ def hpq_dim(n, p, q):
     return binomial(n + p - 1, p) * binomial(n + q - 1, q) - binomial(
         n + p - 2, p - 1
     ) * binomial(n + q - 2, q - 1)
+
+
+def harmonic_dim(n, p, q):
+    """dim H_{p,q}(S^{2n-1}) from first principles: the dimension of the
+    kernel of sum_j d/dz_j d/dzbar_j on the polynomials of bidegree (p, q).
+
+    The monomial z^alpha zbar^beta with |alpha| = p and |beta| = q is the
+    key (alpha, beta) of a dictionary of coefficients, and the operator
+    sends it to sum_j alpha_j beta_j z^(alpha - e_j) zbar^(beta - e_j). The
+    kernel's dimension is the number of monomials less the rank of their
+    images, found by exact elimination over ``Fraction``.
+    """
+    validate_sphere_n(n)
+
+    def exponents(degree):
+        return [
+            tuple(map(c.count, range(n)))
+            for c in itertools.combinations_with_replacement(range(n), degree)
+        ]
+
+    def lower(e, j):
+        return e[:j] + (e[j] - 1,) + e[j + 1 :]
+
+    basis = [(a, b) for a in exponents(p) for b in exponents(q)]
+    # each row of the echelon form by its first key, with a non-zero entry there
+    pivots = {}
+    for a, b in basis:
+        row = {(lower(a, j), lower(b, j)): Fraction(a[j] * b[j]) for j in range(n)}
+        row = {k: v for k, v in row.items() if v}
+        while row and (first := min(row)) in pivots:
+            pivot = pivots[first]
+            factor = row[first] / pivot[first]
+            for k, v in pivot.items():
+                if x := row.get(k, 0) - factor * v:
+                    row[k] = x
+                else:
+                    del row[k]
+        if row:
+            pivots[first] = row
+    return len(basis) - len(pivots)
 
 
 def eigenvalue(n, p, q):

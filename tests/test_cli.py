@@ -48,7 +48,7 @@ def record_kernel(monkeypatch):
     """Replace the counting kernel by one that records its X and counts 0."""
     seen = []
 
-    def record(n, X, pmin, i_lo, i_hi):
+    def record(n, X, i_lo, i_hi):
         seen.append(X)
         return 0
 

@@ -37,6 +37,7 @@ from tests.oracles import (
     delta_M,
     eigenvalue,
     f_value,
+    harmonic_dim,
     hpq_dim,
     spectrum_csv,
     spectrum_json,
@@ -136,6 +137,33 @@ def test_f_value_pascal_closure_at_boundary():
             assert f_value(n, n - 1, q) == hpq_dim(n, 0, q)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_dimensions_match_the_operator_kernel(n):
+    # dim H_{p,q} as the kernel of sum_j d/dz_j d/dzbar_j, for p + q <= 6
+    dims = {
+        (p, q): harmonic_dim(n, p, q) for p in range(7) for q in range(7 - p)
+    }
+    for (p, q), dim in dims.items():
+        assert dim == hpq_dim(n, p, q)
+        if q >= 1:
+            assert dim == f_value(n, p + n - 1, q)
+    # the H_{0,q} family, which paper_restricted drops from the full count
+    # by the closed form C(X//(n-1) + n, n) - 1
+    for q in range(7):
+        assert dims[0, q] == math.comb(q + n - 1, n - 1)
+    for X in range(6 * (n - 1) + 1):
+        gap = count_N(n, 2 * X, FULL) - count_N(n, 2 * X, PAPER)
+        assert gap == sum(dims[0, q] for q in range(1, X // (n - 1) + 1))
+    # every eigenvalue 2m <= 12 has all its (p, q) with p + q <= 6
+    for conv, p_floor in ((FULL, 0), (PAPER, 1)):
+        mult = {}
+        for (p, q), dim in dims.items():
+            m = q * (p + n - 1)
+            if q >= 1 and p >= p_floor and m <= 6:
+                mult[2 * m] = mult.get(2 * m, 0) + dim
+        assert dict(spectrum_table(n, 12, conv)) == mult
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue multiplicities
 
@@ -205,12 +233,13 @@ def test_count_N_matches_block_oracle(X, n, conv):
     assert count_N(n, 2 * X, conv) == count_block_range(n, X, pmin, X)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 10, 40])
 def test_count_N_matches_block_oracle_at_edges(n):
-    # around the square s^2, where the column and row ranges meet, and
-    # around pmin, where the columns start
+    # around the square s^2, where the column and row ranges meet, and every
+    # X <= (n-1)^2 + 2n: around pmin, where the columns start, and where
+    # isqrt(X) < n-2, so that lo = n-2 and the rows at X//i = lo are empty
     for conv, pmin in ((FULL, n - 1), (PAPER, n)):
-        xs = [pmin - 1, pmin, pmin + 1]
+        xs = list(range((n - 1) ** 2 + 2 * n + 1))
         for s in (1, 2, 3, n, 31, 1000, 3163):
             xs += [s * s - 1, s * s, s * s + 1, s * (s + 1), s * (s + 2)]
         for X in xs:
@@ -218,14 +247,16 @@ def test_count_N_matches_block_oracle_at_edges(n):
 
 
 def test_count_N_deep_matches_block_oracle():
-    X = 10**10
-    assert count_N(3, 2 * X, FULL) == count_block_range(3, X, 2, X)
-    assert count_N(3, 2 * X, PAPER) == count_block_range(3, X, 3, X)
+    for n, X in ((2, 10**9), (3, 10**10), (10, 10**9)):
+        assert count_N(n, 2 * X, FULL) == count_block_range(n, X, n - 1, X)
+        assert count_N(n, 2 * X, PAPER) == count_block_range(n, X, n, X)
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 30])
 def test_count_N_convention_gap_closed_form_deep(n):
-    # full - paper = sum_{q <= X/(n-1)} C(q+n-1, n-1) = C(X//(n-1) + n, n) - 1
+    # full - paper = sum_{q <= X/(n-1)} C(q+n-1, n-1) = C(X//(n-1) + n, n) - 1,
+    # which is how count_N drops the H_{0,q} family: this guards that one
+    # subtraction, and the block oracle checks each convention on its own
     X = 10**11 if n <= 10 else 10**9  # each index step costs more at n = 30
     gap = count_N(n, 2 * X, FULL) - count_N(n, 2 * X, PAPER)
     assert gap == math.comb(X // (n - 1) + n, n) - 1
@@ -234,28 +265,25 @@ def test_count_N_convention_gap_closed_form_deep(n):
 @given(
     st.integers(min_value=1, max_value=10**6),
     st.integers(min_value=2, max_value=8),
-    st.sampled_from([FULL, PAPER]),
     st.lists(st.integers(min_value=0, max_value=10**3), max_size=6),
 )
 @settings(derandomize=True, max_examples=100, deadline=None)
-def test_count_index_range_chunks_add_up(X, n, conv, cuts):
+def test_count_index_range_chunks_add_up(X, n, cuts):
     # the kernel over any split of [1, isqrt(X)] sums to the whole range
-    pmin = n if conv is PAPER else n - 1
     s = math.isqrt(X)
     bounds = sorted({1, s + 1, *(1 + c % s for c in cuts)})
     parts = [
-        _count_index_range(n, X, pmin, lo, hi - 1)
-        for lo, hi in zip(bounds, bounds[1:])
+        _count_index_range(n, X, lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])
     ]
-    assert sum(parts) == _count_index_range(n, X, pmin, 1, s)
+    assert sum(parts) == _count_index_range(n, X, 1, s)
 
 
-def chunk_oracle(n, X, pmin, i_lo, i_hi):
-    """The part of the hyperbola sum that the kernel's chunk [i_lo, i_hi]
-    stands for: the columns p = i >= pmin by the block oracle, the rows q = i
-    (p > max(isqrt(X), pmin-1)) one lattice point at a time."""
-    lo = max(math.isqrt(X), pmin - 1)
-    columns = count_block_range(n, X, max(i_lo, pmin), i_hi)
+def chunk_oracle(n, X, i_lo, i_hi):
+    """The part of the full count that the kernel's chunk [i_lo, i_hi]
+    stands for: the columns p = i >= n-1 by the block oracle, the rows q = i
+    (p > max(isqrt(X), n-2)) one lattice point at a time."""
+    lo = max(math.isqrt(X), n - 2)
+    columns = count_block_range(n, X, max(i_lo, n - 1), i_hi)
     rows = sum(
         f_value(n, p, q)
         for q in range(i_lo, i_hi + 1)
@@ -264,23 +292,20 @@ def chunk_oracle(n, X, pmin, i_lo, i_hi):
     return columns + rows
 
 
-@pytest.mark.parametrize("conv", [FULL, PAPER])
 @pytest.mark.parametrize("n", [2, 3, 10])
-def test_count_index_range_matches_block_oracle_at_loop_edges(n, conv):
-    # a second chunk that starts where the kernel's loops hand over: before
-    # and at the first column pmin, at and after the last row X//(lo+1), and
-    # at isqrt(X)
-    pmin = n if conv is PAPER else n - 1
-    for X in (pmin, pmin + 1, 99, 100, 2000, 9999, 10000, 10001, 12345):
+def test_count_index_range_matches_block_oracle_at_loop_edges(n):
+    # a second chunk that starts around the first non-zero column n-1, at
+    # and after the last non-empty row X//(lo+1), and at isqrt(X)
+    for X in (n - 1, n, n + 1, 99, 100, 2000, 9999, 10000, 10001, 12345):
         s = math.isqrt(X)
-        last_row = X // (max(s, pmin - 1) + 1)
-        for cut in {pmin - 1, pmin, last_row, last_row + 1, s}:
+        last_row = X // (max(s, n - 2) + 1)
+        for cut in {n - 2, n - 1, n, last_row, last_row + 1, s}:
             if not 1 <= cut <= s:
                 continue
             chunks = [(1, cut - 1), (cut, s)]
-            parts = [_count_index_range(n, X, pmin, *chunk) for chunk in chunks]
-            assert parts == [chunk_oracle(n, X, pmin, *chunk) for chunk in chunks]
-            assert sum(parts) == count_block_range(n, X, pmin, X)
+            parts = [_count_index_range(n, X, *chunk) for chunk in chunks]
+            assert parts == [chunk_oracle(n, X, *chunk) for chunk in chunks]
+            assert sum(parts) == count_block_range(n, X, n - 1, X)
 
 
 @pytest.mark.parametrize("n", sorted(_TERM_TABLES))
@@ -311,7 +336,6 @@ MIN_SQRT_X = 4 * BLOCK  # room for every middle size
 
 @given(
     st.integers(min_value=2, max_value=6),
-    st.sampled_from([FULL, PAPER]),
     st.one_of(
         st.integers(min_value=MIN_SQRT_X, max_value=10**6).map(lambda s: s * s),
         st.integers(min_value=MIN_SQRT_X, max_value=10**6).map(lambda s: s * s - 1),
@@ -322,24 +346,24 @@ MIN_SQRT_X = 4 * BLOCK  # room for every middle size
     st.integers(min_value=0),
 )
 @settings(derandomize=True, max_examples=120, deadline=None)
-def test_count_index_range_matches_binomial_oracle(n, conv, X, size, at_one, u):
-    assert_chunk_matches_binomial_oracle(n, conv, X, size, at_one, u)
+def test_count_index_range_matches_binomial_oracle(n, X, size, at_one, u):
+    assert_chunk_matches_binomial_oracle(n, X, size, at_one, u)
 
 
-def assert_chunk_matches_binomial_oracle(n, conv, X, size, at_one, u):
-    # the chunk [i_lo, i_hi] starts at 1 (with the rows of i < pmin) or at a
-    # random first column, its middle range holds ``size`` indices, and it
-    # runs on to isqrt(X) (the columns past the last row) when that range
-    # ends at the last row
-    pmin = n if conv is PAPER else n - 1
+def assert_chunk_matches_binomial_oracle(n, X, size, at_one, u):
+    # the chunk [i_lo, i_hi] starts at 1 (with the zero columns of i < n-1)
+    # or at a random column from n-1 on, ``size`` of its indices have both a
+    # non-empty row and a non-zero column, and it runs on to isqrt(X) (the
+    # index whose row is empty, if any) when those end at the last row
+    pmin = n - 1
     s = math.isqrt(X)
-    last_row = X // (max(s, pmin - 1) + 1)
+    last_row = X // (max(s, n - 2) + 1)
     first = pmin if at_one else pmin + u % (last_row - pmin - size + 2)
     i_lo, i_hi = (1 if at_one else first), first + size - 1
     if i_hi == last_row:
         i_hi = s
     assert min(i_hi, last_row) - max(i_lo, pmin) + 1 == size
-    assert _count_index_range(n, X, pmin, i_lo, i_hi) == count_index_range(
+    assert _count_index_range(n, X, i_lo, i_hi) == count_index_range(
         n, X, pmin, i_lo, i_hi
     )
 
@@ -352,7 +376,6 @@ RING_SIZES = [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 0), (2, 3), (0, 700)]
 
 @given(
     st.integers(min_value=4, max_value=40),
-    st.sampled_from([FULL, PAPER]),
     st.one_of(
         st.integers(min_value=1000, max_value=10**6).map(lambda s: s * s),
         st.integers(min_value=1000, max_value=10**6).map(lambda s: s * s - 1),
@@ -363,33 +386,31 @@ RING_SIZES = [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 0), (2, 3), (0, 700)]
     st.integers(min_value=0),
 )
 @settings(derandomize=True, max_examples=120, deadline=None)
-def test_count_index_range_matches_binomial_oracle_from_n4(n, conv, X, ring, at_one, u):
+def test_count_index_range_matches_binomial_oracle_from_n4(n, X, ring, at_one, u):
     # the falling-factorial loop of n >= 4 against the binomial loop
     k, c = ring
-    assert_chunk_matches_binomial_oracle(n, conv, X, k * (n - 1) + c, at_one, u)
+    assert_chunk_matches_binomial_oracle(n, X, k * (n - 1) + c, at_one, u)
 
 
-@pytest.mark.parametrize("conv", [FULL, PAPER])
 @pytest.mark.parametrize("n, X", [(100, 10**6), (100, 10**7), (300, 10**7)])
-def test_count_index_range_matches_oracles_at_carry_edges(n, conv, X):
+def test_count_index_range_matches_oracles_at_carry_edges(n, X):
     # _falling_factorial_sums carries its factors from index i-1 to i while
     # d = X//(i-1) - X//i <= (n-1)//4 and recomputes them past that and at a
     # chunk's first index. Second chunks start where d is the cut-off and the
     # cut-off + 1, at the last index that recomputes, and just after it,
     # where a serial run carries.
-    pmin = n if conv is PAPER else n - 1
     cut = (n - 1) // 4
     s = math.isqrt(X)
-    d = {i: X // (i - 1) - X // i for i in range(pmin + 1, s + 1)}
+    d = {i: X // (i - 1) - X // i for i in range(n, s + 1)}
     at_cut = min(i for i in d if d[i] == cut)
     past_cut = max(i for i in d if d[i] == cut + 1)
     last_recompute = max(i for i in d if d[i] > cut)
     starts = {at_cut, at_cut + 1, past_cut, last_recompute, last_recompute + 1}
-    whole = count_block_range(n, X, pmin, X)
+    whole = count_block_range(n, X, n - 1, X)
     for start in sorted(starts):
         chunks = [(1, start - 1), (start, s)]
-        parts = [_count_index_range(n, X, pmin, *chunk) for chunk in chunks]
-        assert parts == [count_index_range(n, X, pmin, *chunk) for chunk in chunks]
+        parts = [_count_index_range(n, X, *chunk) for chunk in chunks]
+        assert parts == [count_index_range(n, X, n - 1, *chunk) for chunk in chunks]
         assert sum(parts) == whole
 
 
@@ -529,10 +550,10 @@ def test_fork_join_returns_big_values(value):
 def test_count_N_raises_when_a_child_fails(monkeypatch, capfd):
     parent = os.getpid()
 
-    def kernel(n, X, pmin, i_lo, i_hi):
+    def kernel(n, X, i_lo, i_hi):
         if os.getpid() != parent:
             raise RuntimeError("the child's kernel fails")
-        return _count_index_range(n, X, pmin, i_lo, i_hi)
+        return _count_index_range(n, X, i_lo, i_hi)
 
     monkeypatch.setattr(spectrum, "_count_index_range", kernel)
     monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
@@ -594,7 +615,7 @@ def test_count_N_floors_lambda_exactly(monkeypatch, lam, X):
     # the kernel is handed X = floor(lam) // 2, computed without a float
     seen = []
 
-    def record(n, X, pmin, i_lo, i_hi):
+    def record(n, X, i_lo, i_hi):
         seen.append(X)
         return 0
 
