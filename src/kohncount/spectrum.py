@@ -41,11 +41,6 @@ WRITE_BLOCK_ROWS = 4096
 # 2 cores).
 PARALLEL_MIN_SQRT_X = 2**14
 
-# ``spectrum_table`` adds polynomial runs below this n and one divisor pair
-# at a time from it on, where a run's n-1 big-int additions per value cost
-# more than a divisor pair's two multiplications (measured on 2 cores).
-_DIVISOR_LOOP_MIN_N = 12
-
 # For n <= 3, the term T(i, Q) that the index i of ``_count_index_range``
 # adds to its numerator ``acc`` is an integer polynomial in i and Q = X//i,
 # equal to the binomial form at every i >= 1: T = g * sum_b c_b(i) Q^b for
@@ -349,10 +344,8 @@ def spectrum_table(
     p >= n (paper_restricted) or p >= n-1 (full_spectrum), for m up to
     M = floor(lambda_max) // 2. Every m >= pmin has the divisor pair
     (m, 1), and no m < pmin has one, so the table lists exactly m in
-    [pmin, M]. Below n = ``_DIVISOR_LOOP_MIN_N`` the pairs pq <= M are added
-    as about 2 isqrt(M) polynomial runs (``_multiplicities_by_runs``); from
-    there on, where a run costs more than it saves, one divisor pair at a
-    time (``_multiplicities_by_divisors``). A lambda_max with M >= sys.maxsize
+    [pmin, M]. The pairs pq <= M are added as about 2 isqrt(M) polynomial
+    runs (``_multiplicities_by_runs``). A lambda_max with M >= sys.maxsize
     raises ``ValueError`` before any work: no list that long can exist.
     """
     validate_sphere_n(n)
@@ -366,10 +359,7 @@ def spectrum_table(
     pmin = n if conv is CountingConvention.PAPER_RESTRICTED else n - 1
     if M < pmin:
         return []
-    if n < _DIVISOR_LOOP_MIN_N:
-        mult = _multiplicities_by_runs(n, M, pmin)
-    else:
-        mult = _multiplicities_by_divisors(n, M, pmin)
+    mult = _multiplicities_by_runs(n, M, pmin)
     # tuple.__new__ makes each entry in C; SpectrumEntry(ev, m) would run
     # the named tuple's Python-level __new__ once per entry
     entry = functools.partial(tuple.__new__, SpectrumEntry)
@@ -430,21 +420,6 @@ def _multiplicities_by_runs(n: int, M: int, pmin: int) -> list[int]:
         a, b = comb(p - 1, n - 2), comb(p, n - 1)
         column = [a * x + b * y for x, y in zip(gamma, delta)]
         _add_run(mult, slice(p * (s + 1) - pmin, None, p), column)
-    return mult
-
-
-def _multiplicities_by_divisors(n: int, M: int, pmin: int) -> list[int]:
-    """The multiplicities of m = pmin..M, adding f(p, q) for one divisor
-    pair at a time: O(M log M) steps, each of two multiplications."""
-    q_max = M // pmin
-    # C(q+n-2, n-1) and C(q+n-2, n-2) for q = 1..q_max
-    A = [math.comb(q + n - 2, n - 1) for q in range(1, q_max + 1)]
-    B = [math.comb(q + n - 2, n - 2) for q in range(1, q_max + 1)]
-    mult = [0] * (M + 1 - pmin)
-    for p in range(pmin, M + 1):
-        a, b = math.comb(p - 1, n - 2), math.comb(p, n - 1)
-        for i, A_q, B_q in zip(range(p - pmin, M + 1 - pmin, p), A, B):
-            mult[i] += a * A_q + b * B_q
     return mult
 
 

@@ -1,9 +1,10 @@
 """Reference algorithms and formulas that the tests check the library against.
 
 Each algorithm computes the same quantity as a production path by a different
-route: multiplicities by trial division per m instead of the (p, q) sieve,
-and the counting sum over p, one at a time or in blocks of constant X//p,
-instead of by the Dirichlet hyperbola method. ``count_index_range`` is the
+route: multiplicities by trial division per m, or one divisor pair at a time
+(``multiplicities_by_divisors``), instead of by polynomial runs, and the
+counting sum over p, one at a time or in blocks of constant X//p, instead of
+by the Dirichlet hyperbola method. ``count_index_range`` is the
 hyperbola kernel with binomials at every index, the binomial oracle of the
 library's polynomial block sums. The formulas (total binomials,
 hockey-stick sums, dim H_{p,q}, eigenvalues, the h polynomial and the
@@ -181,6 +182,21 @@ def delta_M(n, m, conv):
                 total += f_value(n, other, d)
         d += 1
     return total
+
+
+def multiplicities_by_divisors(n: int, M: int, pmin: int) -> list[int]:
+    """The multiplicities of m = pmin..M, adding f(p, q) for one divisor
+    pair at a time: O(M log M) steps, each of two multiplications."""
+    q_max = M // pmin
+    # C(q+n-2, n-1) and C(q+n-2, n-2) for q = 1..q_max
+    A = [math.comb(q + n - 2, n - 1) for q in range(1, q_max + 1)]
+    B = [math.comb(q + n - 2, n - 2) for q in range(1, q_max + 1)]
+    mult = [0] * (M + 1 - pmin)
+    for p in range(pmin, M + 1):
+        a, b = math.comb(p - 1, n - 2), math.comb(p, n - 1)
+        for i, A_q, B_q in zip(range(p - pmin, M + 1 - pmin, p), A, B):
+            mult[i] += a * A_q + b * B_q
+    return mult
 
 
 def count_linear_range(n, X, p_lo, p_hi):

@@ -47,6 +47,16 @@ def _cases() -> dict[str, tuple[list[str], int]]:
             cases[f"spectrum-n{n}-{conv}-text"] = [
                 "spectrum", "--n", str(n), "--lambda-max", "300", "--convention", conv,
             ]
+    # large n, where the multiplicities run to dozens of digits
+    for conv in ("paper", "full"):
+        cases[f"spectrum-n20-{conv}-csv"] = [
+            "spectrum", "--n", "20", "--lambda-max", "2000", "--convention", conv,
+            "--format", "csv",
+        ]
+    cases["spectrum-n40-full-json"] = [
+        "spectrum", "--n", "40", "--lambda-max", "1000", "--convention", "full",
+        "--format", "json",
+    ]
     for fmt in ("text", "json"):
         cases[f"count-n3-workers2-{fmt}"] = [
             "count", "--n", "3", "--lambda", "60000", "--workers", "2", "--format", fmt,

@@ -18,11 +18,9 @@ from kohncount.spectrum import (
     PARALLEL_MIN_SQRT_X,
     CountingConvention,
     SpectrumEntry,
-    _DIVISOR_LOOP_MIN_N,
     _TERM_BLOCK,
     _TERM_TABLES,
     _count_index_range,
-    _multiplicities_by_divisors,
     _multiplicities_by_runs,
     count_N,
     spectrum_table,
@@ -39,6 +37,7 @@ from tests.oracles import (
     f_value,
     harmonic_dim,
     hpq_dim,
+    multiplicities_by_divisors,
     spectrum_csv,
     spectrum_json,
 )
@@ -137,11 +136,14 @@ def test_f_value_pascal_closure_at_boundary():
             assert f_value(n, n - 1, q) == hpq_dim(n, 0, q)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_dimensions_match_the_operator_kernel(n):
-    # dim H_{p,q} as the kernel of sum_j d/dz_j d/dzbar_j, for p + q <= 6
+    # dim H_{p,q} as the kernel of sum_j d/dz_j d/dzbar_j, for p + q <= K
+    K = 8
     dims = {
-        (p, q): harmonic_dim(n, p, q) for p in range(7) for q in range(7 - p)
+        (p, q): harmonic_dim(n, p, q)
+        for p in range(K + 1)
+        for q in range(K + 1 - p)
     }
     for (p, q), dim in dims.items():
         assert dim == hpq_dim(n, p, q)
@@ -149,19 +151,20 @@ def test_dimensions_match_the_operator_kernel(n):
             assert dim == f_value(n, p + n - 1, q)
     # the H_{0,q} family, which paper_restricted drops from the full count
     # by the closed form C(X//(n-1) + n, n) - 1
-    for q in range(7):
+    for q in range(K + 1):
         assert dims[0, q] == math.comb(q + n - 1, n - 1)
-    for X in range(6 * (n - 1) + 1):
+    for X in range(K * (n - 1) + 1):
         gap = count_N(n, 2 * X, FULL) - count_N(n, 2 * X, PAPER)
         assert gap == sum(dims[0, q] for q in range(1, X // (n - 1) + 1))
-    # every eigenvalue 2m <= 12 has all its (p, q) with p + q <= 6
+    # every eigenvalue 2m <= 2K has all its (p, q) in dims: for q >= 1,
+    # m = q(p+n-1) <= K implies p + q <= K
     for conv, p_floor in ((FULL, 0), (PAPER, 1)):
         mult = {}
         for (p, q), dim in dims.items():
             m = q * (p + n - 1)
-            if q >= 1 and p >= p_floor and m <= 6:
+            if q >= 1 and p >= p_floor and m <= K:
                 mult[2 * m] = mult.get(2 * m, 0) + dim
-        assert dict(spectrum_table(n, 12, conv)) == mult
+        assert dict(spectrum_table(n, 2 * K, conv)) == mult
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +259,12 @@ def test_count_N_deep_matches_block_oracle():
 def test_count_N_convention_gap_closed_form_deep(n):
     # full - paper = sum_{q <= X/(n-1)} C(q+n-1, n-1) = C(X//(n-1) + n, n) - 1,
     # which is how count_N drops the H_{0,q} family: this guards that one
-    # subtraction, and the block oracle checks each convention on its own
+    # subtraction. The binomial oracle, with its own pmin and loops, checks
+    # the paper count on its own, and so, with the gap, the full count
     X = 10**11 if n <= 10 else 10**9  # each index step costs more at n = 30
-    gap = count_N(n, 2 * X, FULL) - count_N(n, 2 * X, PAPER)
+    paper = count_N(n, 2 * X, PAPER)
+    assert paper == count_index_range(n, X, n, 1, math.isqrt(X))
+    gap = count_N(n, 2 * X, FULL) - paper
     assert gap == math.comb(X // (n - 1) + n, n) - 1
 
 
@@ -640,8 +646,8 @@ def test_spectrum_table_examples():
     assert spectrum_table(5, 2, PAPER) == []
 
 
-# n = 12 is past _DIVISOR_LOOP_MIN_N: its table is built one divisor at a time
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 12])
+# up to n = 40, where each run adds n-1 orders of many-digit differences
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 12, 20, 40])
 def test_spectrum_table_matches_divisor_sums(n):
     for conv in (FULL, PAPER):
         table = {e.eigenvalue: e.multiplicity for e in spectrum_table(n, 801, conv)}
@@ -660,34 +666,50 @@ def test_spectrum_table_consistent_with_count():
 
 
 @given(
-    st.integers(min_value=2, max_value=_DIVISOR_LOOP_MIN_N),
-    st.integers(min_value=1, max_value=10**4),
+    # M <= 3000 past n = 12, where each value of a run costs n-1 additions
+    st.integers(min_value=2, max_value=40).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, 10**4 if n <= 12 else 3000))
+    ),
     st.sampled_from([FULL, PAPER]),
 )
 # around the squares s^2, where the rows q <= s hand over to the columns
-@example(2, 99, FULL)
-@example(3, 100, PAPER)
-@example(5, 110, FULL)
-@example(4, 3, FULL)  # s = 1: one row and no column
-@example(2, 6, PAPER)  # s = 2, M = s^2 + s: the last column has one value
-@example(7, 960, PAPER)
-@example(11, 961, FULL)
-@example(6, 992, PAPER)
+@example((2, 99), FULL)
+@example((3, 100), PAPER)
+@example((5, 110), FULL)
+@example((4, 3), FULL)  # s = 1: one row and no column
+@example((2, 6), PAPER)  # s = 2, M = s^2 + s: the last column has one value
+@example((7, 960), PAPER)
+@example((11, 961), FULL)
+@example((6, 992), PAPER)
+@example((20, 399), FULL)  # s = pmin = 19: one column, p = 19
+@example((20, 400), PAPER)
+@example((20, 420), FULL)
+@example((40, 1599), FULL)  # s = pmin = 39: one column, p = 39
+@example((40, 1600), PAPER)
+@example((40, 1681), FULL)
 # before and at pmin, where the table starts
-@example(5, 4, PAPER)
-@example(5, 3, FULL)
-@example(8, 8, PAPER)
-@example(8, 7, FULL)
-@example(2, 1, FULL)
+@example((5, 4), PAPER)
+@example((5, 3), FULL)
+@example((8, 8), PAPER)
+@example((8, 7), FULL)
+@example((2, 1), FULL)
+@example((20, 19), PAPER)
+@example((20, 20), PAPER)
+@example((20, 19), FULL)
+@example((40, 39), PAPER)
+@example((40, 40), PAPER)
+@example((40, 38), FULL)
+@example((40, 39), FULL)
 @settings(derandomize=True, max_examples=60, deadline=None)
-def test_multiplicity_runs_match_divisor_loop(n, M, conv):
+def test_multiplicity_runs_match_divisor_loop(n_M, conv):
+    n, M = n_M
     pmin = n if conv is PAPER else n - 1
     table = spectrum_table(n, 2 * M + 1, conv)
     if M < pmin:
         assert table == []
         return
     runs = _multiplicities_by_runs(n, M, pmin)
-    assert runs == _multiplicities_by_divisors(n, M, pmin)
+    assert runs == multiplicities_by_divisors(n, M, pmin)
     assert table == list(map(SpectrumEntry, range(2 * pmin, 2 * M + 1, 2), runs))
 
 
@@ -704,8 +726,8 @@ def test_spectrum_table_rejects_small_lambda_max():
 )
 def test_spectrum_table_rejects_lambda_max_past_any_list(n, lambda_max):
     # M = sys.maxsize and above: no list of M entries can exist, so the
-    # table is refused before any is built, on either side of the cut-off,
-    # and a Fraction beyond the float range is never converted to a float
+    # table is refused before any is built, at a low and a high n, and a
+    # Fraction beyond the float range is never converted to a float
     with pytest.raises(ValueError, match="lambda_max must be less than"):
         spectrum_table(n, lambda_max, FULL)
 
