@@ -18,15 +18,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .exact import (
     PiPolynomial,
     _floor_log10,
     _to_float,
+    bernoulli,
     pipoly_eval,
     stirling_first_signed,
-    zeta_even,
 )
 from .spectrum import CountingConvention, count_N, validate_sphere_n
 
@@ -97,33 +100,51 @@ def closed_scale(n: int) -> int:
     return 2**n * math.factorial(n)
 
 
-def _inverse_power_coeffs(n: int) -> dict[int, Fraction]:
-    """h(k)/k^n = sum_m a_m k^-2m, as {m: a_m} for m = 1..n//2.
+def _inverse_power_coeffs(n: int) -> tuple[list[int], int]:
+    """h(k)/k^n = sum_m a_m k^-2m for m = 1..n//2, as the integers
+    c = [c_1, c_2, ...] over one denominator D: a_m = c_m / D.
 
     k(n-2)! h(k) is x(x-1)...(x-n+2) = sum_j s(n-1, j) x^j at x = k plus
     (-1)^(n-1) times it at x = -k: the terms with n-1-j odd cancel and the
-    others double, so a_m = 2 s(n-1, n+1-2m) / (n-2)! > 0, as s(n-1, j) has
-    the sign (-1)^(n-1-j). The series' tail and the closed form read these.
+    others double, so c_m = 2 s(n-1, n+1-2m) > 0 over D = (n-2)!, as
+    s(n-1, j) has the sign (-1)^(n-1-j). The series' tail and the closed
+    form read these.
     """
-    front = Fraction(2, math.factorial(n - 2))
-    return {
-        m: front * stirling_first_signed(n - 1, n + 1 - 2 * m)
-        for m in range(1, n // 2 + 1)
-    }
+    c = [2 * stirling_first_signed(n - 1, n + 1 - 2 * m) for m in range(1, n // 2 + 1)]
+    return c, math.factorial(n - 2)
 
 
 def _tail_derivative_bounds(
-    a: dict[int, Fraction], X: Fraction
+    c: list[int], D: int, X: Fraction
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """(integral of g over [X, inf), |g'(X)|, g''(X)) as exact rationals."""
-    integral = sum(c / ((2 * m - 1) * X ** (2 * m - 1)) for m, c in a.items())
-    d1 = sum(c * 2 * m / X ** (2 * m + 1) for m, c in a.items())
-    d2 = sum(c * 2 * m * (2 * m + 1) / X ** (2 * m + 2) for m, c in a.items())
-    return integral, d1, d2
+    """(integral of g over [X, inf), |g'(X)|, g''(X)) as exact rationals, for
+    g(x) = sum_m a_m x^-2m with a_m = c[m-1] / D.
+
+    With X = p/q and t_m = q^(2m-1) p^(2M-2m), X^-(2m-1) = t_m / p^(2M-1),
+    so each series is an integer sum over one denominator: the integral
+    over L D p^(2M-1) with L = lcm(1, 3, ..., 2M-1), |g'(X)| = sum 2m a_m
+    X^-(2m+1) over D p^(2M+1) and g''(X) = sum 2m(2m+1) a_m X^-(2m+2) over
+    D p^(2M+2).
+    """
+    p, q = X.numerator, X.denominator
+    M = len(c)
+    q_odd = accumulate(repeat(q * q, M - 1), mul, initial=q)  # q^(2m-1)
+    p_even = list(accumulate(repeat(p * p, M - 1), mul, initial=1))  # p^(2m-2)
+    w = [x * y * z for x, y, z in zip(c, q_odd, reversed(p_even))]  # c_m t_m
+    L = math.lcm(*range(1, 2 * M, 2))
+    integral = sum(L // (2 * m - 1) * x for m, x in enumerate(w, 1))
+    d1 = sum(2 * m * x for m, x in enumerate(w, 1))
+    d2 = sum(2 * m * (2 * m + 1) * x for m, x in enumerate(w, 1))
+    return (
+        Fraction(integral, L * D * p ** (2 * M - 1)),
+        Fraction(q * q * d1, D * p ** (2 * M + 1)),
+        Fraction(q**3 * d2, D * p ** (2 * M + 2)),
+    )
 
 
-def _tail_bracket(a: dict[int, Fraction], K: int) -> tuple[Fraction, Fraction]:
-    """Certified (midpoint, half_width) for the tail sum_{k>K} g(k).
+def _tail_bracket(c: list[int], D: int, K: int) -> tuple[Fraction, Fraction]:
+    """Certified (midpoint, half_width) for the tail sum_{k>K} g(k), with
+    g(x) = sum_m a_m x^-2m and a_m = c[m-1] / D.
 
     Midpoint-rule sandwich: with X = K + 1/2,
 
@@ -135,8 +156,8 @@ def _tail_bracket(a: dict[int, Fraction], K: int) -> tuple[Fraction, Fraction]:
     (all inverse-power coefficients are positive).
     """
     X = Fraction(2 * K + 1, 2)
-    integral, d1, d2 = _tail_derivative_bounds(a, X)
-    _, d1_next, _ = _tail_derivative_bounds(a, X + 1)
+    integral, d1, d2 = _tail_derivative_bounds(c, D, X)
+    _, d1_next, _ = _tail_derivative_bounds(c, D, X + 1)
     upper_defect = (d2 + d1) / 24
     lower_defect = d1_next / 24
     midpoint = integral - (upper_defect + lower_defect) / 2
@@ -144,10 +165,10 @@ def _tail_bracket(a: dict[int, Fraction], K: int) -> tuple[Fraction, Fraction]:
     return midpoint, half_width
 
 
-def _select_truncation(a: dict[int, Fraction], target: Fraction) -> int:
+def _select_truncation(c: list[int], D: int, target: Fraction) -> int:
     """Smallest K with certified tail half-width <= target."""
     K = 2
-    while _tail_bracket(a, K)[1] > target:
+    while _tail_bracket(c, D, K)[1] > target:
         K *= 2
         if K > DEFAULT_MAX_TERMS:
             raise PrecisionUnattainableError(
@@ -157,7 +178,7 @@ def _select_truncation(a: dict[int, Fraction], target: Fraction) -> int:
     lo, hi = K // 2, K
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if _tail_bracket(a, mid)[1] <= target:
+        if _tail_bracket(c, D, mid)[1] <= target:
             hi = mid
         else:
             lo = mid
@@ -182,6 +203,9 @@ def leading_coefficient_series(
     narrower than eps * 2^n n!; the reported ``error_bound`` (on the final,
     rescaled value) is then at most eps.
 
+    All of the work but the convention's gap is kept for the last (n, eps,
+    digits), so the other convention costs only the gap.
+
     Raises :class:`PrecisionUnattainableError` when no K within
     ``DEFAULT_MAX_TERMS`` certifies the requested eps.
     """
@@ -190,30 +214,8 @@ def leading_coefficient_series(
         raise ValueError("eps must be > 0")
     if not math.isfinite(eps):
         raise ValueError("eps must be finite")
-    a = _inverse_power_coeffs(n)
-    scale = closed_scale(n)
-    target = Fraction(eps) * scale
-
-    # Leave 1% of the budget for summation round-off.
-    K = _select_truncation(a, target * Fraction(99, 100))
-    tail_mid, tail_half_width = _tail_bracket(a, K)
-
-    # Round-off allocation: the sum is below 2 * sum(a_m) (zeta(2m) < 2), and
-    # (3K + 10) errors of one working ulp 10^(1-dps) each are allowed for.
-    # The partial sum is taken in fixed point with F > dps log2(10) fraction
-    # bits, so it errs by less than K 2^-F < K 10^-dps; the rest is exact,
-    # so the allowance over-covers.
-    sum_bound = 2 * sum(a.values()) + 1
-    denom = target / (100 * sum_bound * (3 * K + 10))
-    need_dps = 1 + max(0, -_floor_log10(denom))
-    dps = max(digits + 10, need_dps)
-    rounding = sum_bound * (3 * K + 10) * Fraction(10) ** (1 - dps)
-    F = math.ceil(dps * math.log2(10)) + 8
-    partial = _partial_sum_fixed(n, K, F)
-    value = (Fraction(partial, 2**F) + tail_mid - _convention_gap(n, conv)) / scale
-
-    bound_fraction = (tail_half_width + rounding) / scale
-    error_bound = float(bound_fraction) * (1 + 2**-40) + 5e-324
+    K, total, error_bound = _series_sum(n, eps, digits)
+    value = (total - _convention_gap(n, conv)) / closed_scale(n)
     return CoefficientReport(
         n=n,
         convention=conv,
@@ -223,6 +225,36 @@ def leading_coefficient_series(
         error_bound=error_bound,
         truncation_K=K,
     )
+
+
+@lru_cache(maxsize=1)
+def _series_sum(n: int, eps: float, digits: int) -> tuple[int, Fraction, float]:
+    """(K, partial sum plus the tail's midpoint, error_bound) of
+    ``leading_coefficient_series``: all of its work but the convention's
+    gap, so the last one is kept for the other convention."""
+    c, D = _inverse_power_coeffs(n)
+    scale = closed_scale(n)
+    target = Fraction(eps) * scale
+
+    # Leave 1% of the budget for summation round-off.
+    K = _select_truncation(c, D, target * Fraction(99, 100))
+    tail_mid, tail_half_width = _tail_bracket(c, D, K)
+
+    # Round-off allocation: the sum is below 2 * sum(a_m) (zeta(2m) < 2), and
+    # (3K + 10) errors of one working ulp 10^(1-dps) each are allowed for.
+    # The partial sum is taken in fixed point with F > dps log2(10) fraction
+    # bits, so it errs by less than K 2^-F < K 10^-dps; the rest is exact,
+    # so the allowance over-covers.
+    sum_bound = Fraction(2 * sum(c), D) + 1
+    denom = target / (100 * sum_bound * (3 * K + 10))
+    need_dps = 1 + max(0, -_floor_log10(denom))
+    dps = max(digits + 10, need_dps)
+    rounding = sum_bound * (3 * K + 10) * Fraction(10) ** (1 - dps)
+    F = math.ceil(dps * math.log2(10)) + 8
+    total = Fraction(_partial_sum_fixed(n, K, F), 2**F) + tail_mid
+
+    bound_fraction = (tail_half_width + rounding) / scale
+    return K, total, float(bound_fraction) * (1 + 2**-40) + 5e-324
 
 
 def _partial_sum_fixed(n: int, K: int, F: int) -> int:
@@ -245,15 +277,25 @@ def leading_coefficient_closed(
     """Exact leading coefficient as a rational polynomial in pi^2.
 
     The coefficient is (S(n) - gap) / (2^n n!) with S(n) = sum_m a_m zeta(2m)
-    over the a_m of ``_inverse_power_coeffs``. Each zeta(2m) is a rational
-    multiple of (pi^2)^m, so a_m zeta(2m) is the whole coefficient of
-    (pi^2)^m.
+    over the a_m of ``_inverse_power_coeffs``. As zeta(2m) = |B_2m| 2^(2m-1)
+    / (2m)! (pi^2)^m, a_m zeta(2m) / (2^n n!) is the whole coefficient of
+    (pi^2)^m, and it is made as one ``Fraction``.
     """
     validate_sphere_n(n)
-    a = _inverse_power_coeffs(n)
-    coeffs = [-_convention_gap(n, conv)]
-    coeffs += [c * zeta_even(2 * m).coeffs[m] for m, c in a.items()]
-    exact = PiPolynomial(tuple(coeffs)) * Fraction(1, closed_scale(n))
+    scale = closed_scale(n)
+    coeffs = [-_convention_gap(n, conv) / scale]
+    c, D = _inverse_power_coeffs(n)
+    factorial = 1  # (2m)!
+    for m, x in enumerate(c, 1):
+        factorial *= (2 * m - 1) * 2 * m
+        b = bernoulli(2 * m)
+        coeffs.append(
+            Fraction(
+                x * abs(b.numerator) << (2 * m - 1),
+                D * b.denominator * factorial * scale,
+            )
+        )
+    exact = PiPolynomial(coeffs)
     value = pipoly_eval(exact, digits)
     return CoefficientReport(
         n=n,
@@ -283,7 +325,7 @@ def empirical_report(
 ) -> CoefficientReport:
     """Empirical coefficient with a half-lambda self-consistency heuristic."""
     ratio = empirical_ratio(n, lam, conv)
-    ratio_half = empirical_ratio(n, max(lam / 2, 2.0), conv)
+    ratio_half = empirical_ratio(n, max(Fraction(lam) / 2, 2), conv)
     return CoefficientReport(
         n=n,
         convention=conv,

@@ -13,17 +13,19 @@ import contextlib
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, NoReturn
 
 from . import spectrum
 from .spectrum import CountingConvention
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .asymptotics import CoefficientReport
 
 # ``asymptotics``, ``exact`` and ``json`` are imported by the commands that
-# use them: ``count`` and ``spectrum`` start without them.
+# use them: ``count`` and ``spectrum`` start without them, and with an
+# integer lambda without ``fractions``.
 
 CONVENTIONS = {
     "paper": CountingConvention.PAPER_RESTRICTED,
@@ -139,8 +141,9 @@ class _InvalidNumber(argparse.ArgumentTypeError, ValueError):
     and in ``--lambdas`` it is the ``ValueError`` that exits 2."""
 
 
-def _exact_real(text: str) -> Fraction | float:
-    """A finite number parsed exactly, as a ``Fraction``.
+def _exact_real(text: str) -> int | Fraction | float:
+    """A finite number parsed exactly: an ``int`` when spelled as one, else a
+    ``Fraction``.
 
     The accepted spellings are a float's, with a float's usage error.
     Values a float cannot hold (inf, nan, 1e400) stay floats, which the
@@ -148,13 +151,21 @@ def _exact_real(text: str) -> Fraction | float:
     ``Fraction``, which accepts them only from Python 3.11 on.
     """
     try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
         value = float(text)
     except ValueError:
         raise _InvalidNumber(f"invalid float value: {text!r}") from None
-    return Fraction(text.replace("_", "")) if math.isfinite(value) else value
+    if not math.isfinite(value):
+        return value
+    from fractions import Fraction
+
+    return Fraction(text.replace("_", ""))
 
 
-def parse_lambda_spec(spec: str) -> list[Fraction | float]:
+def parse_lambda_spec(spec: str) -> list[int | Fraction | float]:
     """Parse ``--lambdas``: a comma list, a single value, or START:STOP:STEP
     where STEP is xFACTOR (geometric) or +INCREMENT (arithmetic).
 
@@ -272,7 +283,7 @@ def _factored_string(report: CoefficientReport) -> str:
     from .asymptotics import closed_scale
 
     scale = closed_scale(report.n)
-    inner = report.exact * Fraction(scale)
+    inner = report.exact * scale
     return f"1/{scale} * ({inner.to_string()})"
 
 

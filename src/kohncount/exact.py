@@ -1,8 +1,8 @@
 """Exact integer/rational combinatorics and polynomials in pi^2.
 
 Everything here is arbitrary-precision and deterministic: Bernoulli and
-Stirling numbers are exact rationals and integers, and zeta at even integers
-is represented symbolically as a rational multiple of a power of pi^2.
+Stirling numbers are exact rationals and integers, and a polynomial in pi^2
+has exact rational coefficients.
 Values are evaluated with integers and ``Fraction`` alone: pi comes from
 Machin's formula in fixed point, and ``format_significant`` prints a
 rational to a given number of significant digits.
@@ -18,7 +18,6 @@ __all__ = [
     "PiPolynomial",
     "stirling_first_signed",
     "bernoulli",
-    "zeta_even",
     "pipoly_eval",
     "format_significant",
 ]
@@ -48,23 +47,58 @@ def stirling_first_signed(m: int, j: int) -> int:
     return _stirling_row(m)[j]
 
 
-@lru_cache(maxsize=None)
+# (T_0, ..., T_j) with T_0 = 0 as padding, and V(1..j, j) of the recurrence
+# in ``_tangent_numbers``. The pair is replaced whole when it grows, so a
+# caller reads an old pair or a new one, never part of a step.
+_TANGENTS: tuple[tuple[int, ...], list[int]] = ((0,), [])
+
+
+def _tangent_numbers(k: int) -> tuple[int, ...]:
+    """(T_0, T_1, ..., T_j) for some j >= k: the tangent numbers, tan x =
+    sum_j T_j x^(2j-1) / (2j-1)!, kept for the process and extended to the
+    largest k asked for.
+
+    Brent and Harvey's recurrence (arXiv:1108.0286) starts from V(1, j) =
+    (j-1)! and sets V(i, j) = (j-i) V(i, j-1) + (j-i+2) V(i-1, j) for
+    i = 2..j; T_j = V(j, j). Index j reads only V(1..j-1, j-1), so each new
+    T_j takes O(j) small-integer steps.
+    """
+    global _TANGENTS
+    tangents, column = _TANGENTS
+    if k < len(tangents):
+        return tangents
+    grown = list(tangents)
+    for j in range(len(tangents), k + 1):
+        v = column[0] * (j - 1) if column else 1
+        step = [v]
+        for i, before in zip(range(2, j + 1), [*column[1:], 0]):
+            v = (j - i) * before + (j - i + 2) * v
+            step.append(v)
+        column = step
+        grown.append(v)
+    tangents = tuple(grown)
+    _TANGENTS = tangents, column
+    return tangents
+
+
 def bernoulli(l: int) -> Fraction:
     """Bernoulli number B_l (convention B_1 = -1/2).
 
-    Defined by the recurrence sum_{j=0}^{l} C(l+1, j) B_j = 0 for l >= 1,
-    with B_0 = 1. Odd indices >= 3 give 0.
+    Odd indices >= 3 give 0, and B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
+    from the integer tangent number T_k of ``_tangent_numbers``.
     """
     if l < 0:
         raise ValueError("l must be >= 0")
     if l == 0:
         return Fraction(1)
-    if l % 2 == 1 and l > 1:
+    if l == 1:
+        return Fraction(-1, 2)
+    if l % 2 == 1:
         return Fraction(0)
-    acc = Fraction(0)
-    for j in range(l):
-        acc += math.comb(l + 1, j) * bernoulli(j)
-    return -acc / (l + 1)
+    k = l // 2
+    four_k = 4**k
+    numerator = l * _tangent_numbers(k)[k]
+    return Fraction(numerator if k % 2 else -numerator, four_k * (four_k - 1))
 
 
 class PiPolynomial:
@@ -127,14 +161,6 @@ class PiPolynomial:
             else:
                 parts.append(f"- {body}" if c < 0 else f"+ {body}")
         return " ".join(parts)
-
-
-def zeta_even(two_m: int) -> PiPolynomial:
-    """Exact zeta(2m) = |B_{2m}| 2^{2m-1} / (2m)! * (pi^2)^m as a PiPolynomial."""
-    if two_m <= 0 or two_m % 2 != 0:
-        raise ValueError("zeta_even requires a positive even argument")
-    coeff = abs(bernoulli(two_m)) * 2 ** (two_m - 1) / Fraction(math.factorial(two_m))
-    return PiPolynomial((0,) * (two_m // 2) + (coeff,))
 
 
 def _arccot(x: int, one: int) -> int:

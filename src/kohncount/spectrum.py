@@ -17,8 +17,19 @@ import math
 import operator
 import os
 import sys
-from fractions import Fraction
-from typing import BinaryIO, Callable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
+from typing import (
+    TYPE_CHECKING,
+    BinaryIO,
+    Callable,
+    Iterator,
+    NamedTuple,
+    NoReturn,
+    Sequence,
+    TextIO,
+)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "CountingConvention",

@@ -11,6 +11,12 @@ hockey-stick sums, dim H_{p,q}, eigenvalues, the h polynomial and the
 partial-sum lemma ratio) are the paper's definitions, written out directly;
 ``harmonic_dim`` finds dim H_{p,q} from the operator instead, as the
 dimension of a kernel.
+``bernoulli_by_recurrence`` is the defining O(l^2) recurrence of the
+Bernoulli numbers, which the library takes from tangent numbers instead.
+``zeta_even`` writes zeta(2m) as a multiple of (pi^2)^m from the library's
+B_2m, for the tests to check against partial sums of k^-2m.
+``tail_derivative_bounds`` sums the series' tail bounds term by term in
+``Fraction``, which the library sums in integers over one denominator.
 ``parse_pi_string`` reads back what ``PiPolynomial.to_string`` writes, so the
 tests can check that rendering. ``csv_text`` renders rows through
 ``csv.writer``, and ``spectrum_csv`` and ``spectrum_json`` render spectrum
@@ -25,10 +31,11 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
-from kohncount.exact import PiPolynomial
+from kohncount.exact import PiPolynomial, bernoulli
 from kohncount.spectrum import CountingConvention, validate_sphere_n
 
 
@@ -291,6 +298,40 @@ def count_index_range(n: int, X: int, pmin: int, i_lo: int, i_hi: int) -> int:
     if k <= i_hi:
         rest += comb(i_hi + 1, n) - comb(k, n)
     return acc // (n * m) - rest
+
+
+@lru_cache(maxsize=None)
+def bernoulli_by_recurrence(l):
+    """Bernoulli number B_l (B_1 = -1/2) from the recurrence
+    sum_{j=0}^{l} C(l+1, j) B_j = 0 for l >= 1, with B_0 = 1."""
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    if l == 0:
+        return Fraction(1)
+    if l % 2 == 1 and l > 1:
+        return Fraction(0)
+    acc = Fraction(0)
+    for j in range(l):
+        acc += math.comb(l + 1, j) * bernoulli_by_recurrence(j)
+    return -acc / (l + 1)
+
+
+def zeta_even(two_m):
+    """Exact zeta(2m) = |B_{2m}| 2^{2m-1} / (2m)! * (pi^2)^m as a PiPolynomial,
+    with the library's Bernoulli number."""
+    if two_m <= 0 or two_m % 2 != 0:
+        raise ValueError("zeta_even requires a positive even argument")
+    coeff = abs(bernoulli(two_m)) * 2 ** (two_m - 1) / Fraction(math.factorial(two_m))
+    return PiPolynomial((0,) * (two_m // 2) + (coeff,))
+
+
+def tail_derivative_bounds(a, X):
+    """(integral of g over [X, inf), |g'(X)|, g''(X)) for g(x) = sum_m a_m
+    x^-2m, given as {m: a_m}, one ``Fraction`` term at a time."""
+    integral = sum(c / ((2 * m - 1) * X ** (2 * m - 1)) for m, c in a.items())
+    d1 = sum(c * 2 * m / X ** (2 * m + 1) for m, c in a.items())
+    d2 = sum(c * 2 * m * (2 * m + 1) / X ** (2 * m + 2) for m, c in a.items())
+    return integral, d1, d2
 
 
 def _parse_pi_term(term):

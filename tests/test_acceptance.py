@@ -27,7 +27,6 @@ from kohncount.exact import (
     bernoulli,
     pipoly_eval,
     stirling_first_signed,
-    zeta_even,
 )
 from kohncount.spectrum import (
     PARALLEL_MIN_SQRT_X,
@@ -43,6 +42,7 @@ from tests.oracles import (
     hockey_stick_sum,
     hpq_dim,
     lemma_ratio,
+    zeta_even,
 )
 
 PAPER = CountingConvention.PAPER_RESTRICTED

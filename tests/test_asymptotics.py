@@ -6,6 +6,7 @@ closed form share is checked against the binomial oracle ``h_poly``, and
 numeric values against direct summation.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from kohncount.asymptotics import (
     PrecisionUnattainableError,
     _inverse_power_coeffs,
     _partial_sum_fixed,
+    _tail_derivative_bounds,
     closed_scale,
     empirical_ratio,
     empirical_report,
@@ -27,7 +29,7 @@ from kohncount.asymptotics import (
 )
 from kohncount.exact import PiPolynomial, pipoly_eval
 from kohncount.spectrum import CountingConvention
-from tests.oracles import h_poly, lemma_ratio, to_mpf
+from tests.oracles import h_poly, lemma_ratio, tail_derivative_bounds, to_mpf
 
 PAPER = CountingConvention.PAPER_RESTRICTED
 FULL = CountingConvention.FULL_SPECTRUM
@@ -46,19 +48,21 @@ def test_h_poly_values():
 
 
 def test_h_polynomial_coeffs_match_h_poly():
-    # sum_m a_m k^(n-2m) is h(k) at the 2n points k = +-1..+-n, more than
+    # sum_m c_m k^(n-2m) is D h(k) at the 2n points k = +-1..+-n, more than
     # the n-1 that pin a polynomial of degree n-2
     for n in range(2, 61):
-        a = _inverse_power_coeffs(n)
-        assert list(a) == list(range(1, n // 2 + 1))
-        assert all(c > 0 for c in a.values())
+        c, D = _inverse_power_coeffs(n)
+        assert len(c) == n // 2
+        assert all(x > 0 for x in c)
         for k in (*range(-n, 0), *range(1, n + 1)):
-            assert sum(c * k ** (n - 2 * m) for m, c in a.items()) == h_poly(n, k)
+            expansion = sum(x * k ** (n - 2 * m) for m, x in enumerate(c, 1))
+            assert expansion == D * h_poly(n, k)
 
 
 def test_h_polynomial_coeffs_n5():
     # h(k) = (k^3 + 11k)/3 for n = 5
-    assert _inverse_power_coeffs(5) == {1: Fraction(1, 3), 2: Fraction(11, 3)}
+    c, D = _inverse_power_coeffs(5)
+    assert [Fraction(x, D) for x in c] == [Fraction(1, 3), Fraction(11, 3)]
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -69,15 +73,19 @@ def test_series_catches_an_expansion_error(monkeypatch, n):
     expand = asymptotics._inverse_power_coeffs
 
     def perturbed(n):
-        a = expand(n)
-        a[2] += Fraction(1, 1000)
-        return a
+        c, D = expand(n)
+        c = [1000 * x for x in c]
+        c[1] += D  # a_2 + 1/1000
+        return c, 1000 * D
 
     for conv in (PAPER, FULL):
         series = leading_coefficient_series(n, 1e-12, conv)
         closed = leading_coefficient_closed(n, conv)
         assert abs(series.value - closed.value) <= series.error_bound
     monkeypatch.setattr(asymptotics, "_inverse_power_coeffs", perturbed)
+    # the perturbed series goes to a cache of its own, which the test undoes
+    fresh_cache = functools.lru_cache(asymptotics._series_sum.__wrapped__)
+    monkeypatch.setattr(asymptotics, "_series_sum", fresh_cache)
     for conv in (PAPER, FULL):
         series = leading_coefficient_series(n, 1e-12, conv)
         closed = leading_coefficient_closed(n, conv)
@@ -187,6 +195,30 @@ def test_series_certificate_is_sound():
                 assert series.error_bound <= eps
                 with mpmath.workdps(60):
                     assert abs(series.value - closed.value) <= series.error_bound
+
+
+@pytest.mark.parametrize("n", [20, 60, 150, 300])
+def test_series_certificate_is_sound_at_large_n(n):
+    # eps is 10^-20 of the coefficient where a float holds that, else the
+    # least positive float: from n = 150 on the coefficient (about 10^-308
+    # there, 10^-700 at n = 300) is below every eps, and the bound is loose
+    for conv in (FULL, PAPER):
+        closed = leading_coefficient_closed(n, conv)
+        eps = max(float(closed.value) * 1e-20, 5e-324)
+        series = leading_coefficient_series(n, eps, conv)
+        assert abs(series.value - closed.value) <= series.error_bound
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 30, 60, 150, 300])
+def test_tail_derivative_bounds_match_term_by_term_sums(n):
+    # the integer sums over one denominator are the same rationals as the
+    # Fraction terms, at both points the bracket reads
+    c, D = _inverse_power_coeffs(n)
+    a = {m: Fraction(x, D) for m, x in enumerate(c, 1)}
+    for K in (1, 2, 3, 10, 1000, 50126):
+        X = Fraction(2 * K + 1, 2)
+        for x in (X, X + 1):
+            assert _tail_derivative_bounds(c, D, x) == tail_derivative_bounds(a, x)
 
 
 def test_series_reports_truncation_depth():

@@ -3,7 +3,9 @@
 import argparse
 import ast
 import contextlib
+import functools
 import json
+import math
 import os
 import pathlib
 import re
@@ -331,6 +333,32 @@ def test_count_workers_agree(capsys, monkeypatch):
     assert out1 == out2
 
 
+def test_coeff_both_conventions_sum_the_series_once(capsys, monkeypatch):
+    # the partial sum, bracket and rounding allowance do not depend on the
+    # convention; only the gap is subtracted for each
+    from kohncount import asymptotics
+
+    calls = []
+    partial_sum = asymptotics._partial_sum_fixed
+
+    def counted(*args):
+        calls.append(args)
+        return partial_sum(*args)
+
+    monkeypatch.setattr(asymptotics, "_partial_sum_fixed", counted)
+    fresh_cache = functools.lru_cache(asymptotics._series_sum.__wrapped__)
+    monkeypatch.setattr(asymptotics, "_series_sum", fresh_cache)
+    rc, out, _ = run_cli(
+        capsys, "coeff", "--n", "5", "--method", "series", "--format", "json"
+    )
+    assert rc == 0
+    assert len(calls) == 1
+    paper, full = json.loads(out)["reports"]
+    assert paper["convention"] == "paper_restricted"
+    assert full["convention"] == "full_spectrum"
+    assert paper["K"] == full["K"] and paper["error_bound"] == full["error_bound"]
+
+
 def test_lambda_parses_exactly(capsys, monkeypatch):
     # 2^53 + 1 is the first integer a float cannot hold
     parser = build_parser()
@@ -374,6 +402,14 @@ def test_coeff_and_converge_lambdas_parse_exactly(capsys, monkeypatch):
     assert rc == 0
     assert seen == [2**53 + 1, 2**52]
     assert json.loads(out)["reports"][0]["lambda"] == float(2**54)
+    # an integer lambda halves exactly too: a float would take 2^54 + 2 as 2^54
+    seen.clear()
+    rc, _, _ = run_cli(
+        capsys, "coeff", "--n", "2", "--method", "empirical", "--convention", "full",
+        "--lambda", str(2**55 + 4),
+    )
+    assert rc == 0
+    assert seen == [2**54 + 2, 2**53 + 1]
     seen.clear()
     rc, out, _ = run_cli(capsys, "converge", "--n", "2", "--lambdas", lam)
     assert rc == 0
@@ -913,9 +949,46 @@ def test_cli_imports_stay_lazy(argv):
     assert result.stderr.strip() == LAZY_LOADS[" ".join(argv)]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "3", "--lambda", "1000"],
+        ["spectrum", "--n", "3", "--lambda-max", "200"],
+    ],
+)
+def test_integer_lambda_loads_no_fractions(argv):
+    # an integer lambda is parsed as an int, so fractions, and with it
+    # decimal and numbers, stay unloaded
+    code = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "from kohncount import cli\n"
+        "cli.main(sys.argv[1:])\n"
+        "print(' '.join(m for m in ('fractions', 'decimal', 'numbers')\n"
+        "               if m in sys.modules and m not in bare), file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True
+    )
+    assert result.stdout
+    assert result.stderr.strip() == ""
+
+
+def test_exact_real_spellings():
+    # integer spellings give an int; every other finite one a Fraction
+    assert _exact_real("1000") == 1000 and type(_exact_real("1000")) is int
+    assert type(_exact_real("-7")) is int and type(_exact_real("1_000")) is int
+    assert type(_exact_real("2e5")) is Fraction
+    assert _exact_real("2e5") == Fraction(200_000)
+    assert _exact_real("99999.5") == Fraction(199999, 2)
+    assert _exact_real("1_000.5") == Fraction(2001, 2)
+    assert math.isinf(_exact_real("inf"))
+
+
 def test_library_imports_neither_mpmath_nor_decimal():
     # values are evaluated and printed with integers and Fraction alone.
-    # decimal is still loaded by every command: fractions imports it.
+    # decimal is loaded with fractions, by any command that parses a
+    # non-integer or computes a coefficient.
     for path in sorted(pathlib.Path(spectrum.__file__).parent.glob("*.py")):
         imported = set()
         for node in ast.walk(ast.parse(path.read_text())):

@@ -25,10 +25,16 @@ from kohncount.exact import (
     format_significant,
     pipoly_eval,
     stirling_first_signed,
-    zeta_even,
 )
 from kohncount.spectrum import CountingConvention
-from tests.oracles import binomial, hockey_stick_sum, parse_pi_string, to_mpf
+from tests.oracles import (
+    bernoulli_by_recurrence,
+    binomial,
+    hockey_stick_sum,
+    parse_pi_string,
+    to_mpf,
+    zeta_even,
+)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -166,6 +172,26 @@ def test_bernoulli_defining_recurrence():
     for l in range(1, 25):
         total = sum(binomial(l + 1, j) * bernoulli(j) for j in range(l + 1))
         assert total == 0
+
+
+def test_bernoulli_matches_recurrence():
+    # the tangent-number route against the O(l^2) defining recurrence
+    for l in range(301):
+        assert bernoulli(l) == bernoulli_by_recurrence(l), l
+
+
+def test_tangent_numbers_kept_for_the_process():
+    # a smaller index reads the numbers already made; a larger one extends them
+    kept = exact._tangent_numbers(40)
+    assert exact._tangent_numbers(10) is kept
+    assert exact._tangent_numbers(len(kept))[: len(kept)] == kept
+    assert kept[:5] == (0, 1, 2, 16, 272)
+
+
+@pytest.mark.parametrize("l", [302, 500, 598, 600, 601, 998, 1000, 1001, 1500, 2000])
+def test_bernoulli_matches_mpmath(l):
+    p, q = mpmath.bernfrac(l)
+    assert bernoulli(l) == Fraction(int(p), int(q))
 
 
 def test_bernoulli_values():
