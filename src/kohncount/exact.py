@@ -5,12 +5,14 @@ Stirling numbers are exact rationals and integers, and a polynomial in pi^2
 has exact rational coefficients.
 Values are evaluated with integers and ``Fraction`` alone: pi comes from
 Machin's formula in fixed point, and ``format_significant`` prints a
-rational to a given number of significant digits.
+rational to a given number of significant digits by one ``decimal``
+division.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_FLOOR, ROUND_HALF_UP, Context
 from fractions import Fraction
 from functools import lru_cache
 
@@ -194,22 +196,21 @@ def _pi_squared(bits: int) -> int:
 def pipoly_eval(poly: PiPolynomial, digits: int = 50) -> Fraction:
     """``poly`` at pi, as a ``Fraction`` within relative 10^-(digits+20).
 
-    Horner's rule runs in integers on C_j = floor(c_j 2^S) with pi^2 to B
-    bits, so the sum stands for the value times 2^S. Each step floors twice,
-    and each floor is carried through at most deg factors pi^2 < 10; pi^2
-    errs by less than 2^(1-B). Together the sum errs by less than ``slack``.
-    S is set so that the sum is about 2^B, and S and B grow until ``slack``
-    is relative 10^-(digits+20). The bound is relative, as the coefficient
-    at n = 600 is about 10^-1590.
+    Horner's rule runs in integers on C_j = floor(c_j 2^S) with P = pi^2 2^B
+    to within 2 units, so the sum stands for the value times 2^S. Beside it
+    runs a bound on the sum's error: a step that multiplies by P and floors
+    carries an error e to at most (e (P + 2) + 2|sum|) / 2^B + 1, and adding
+    the floored C_j adds 1 more. S is set so that the sum is about 2^B, and
+    B grows until the bound is relative 10^-(digits+20). The bound is
+    relative, as the coefficient at n = 600 is about 10^-1590.
     """
     if digits < MIN_EVAL_DIGITS:
         raise ValueError(f"precision must be >= {MIN_EVAL_DIGITS} digits")
     coeffs = poly.coeffs
     if not coeffs:
         return Fraction(0)
-    deg = len(coeffs) - 1
-    floors = 3 * 10**deg
-    bits = (floors * 10 ** (digits + 20)).bit_length() + 8
+    # a first guess: each step multiplies the error by about pi^2 < 10
+    bits = (3 * 10 ** (len(coeffs) - 1 + digits + 20)).bit_length() + 8
     # log2 of the largest term, as pi^2 > 2^3
     top = max(
         c.numerator.bit_length() - c.denominator.bit_length() + 3 * j
@@ -225,16 +226,14 @@ def pipoly_eval(poly: PiPolynomial, digits: int = 50) -> Fraction:
             else c.numerator // (c.denominator << -shift)
             for c in coeffs
         ]
-        acc = 0
-        for c in reversed(scaled):
+        pi2_up = pi2 + 2
+        acc = scaled[-1]
+        err = 1
+        for c in reversed(scaled[:-1]):
+            err = -(-(err * pi2_up + 2 * abs(acc)) >> bits) + 2
             acc = ((acc * pi2) >> bits) + c
-        # |c_j| 2^S < |C_j| + 1 bounds what the error of pi^2 moves
-        moved = sum(
-            j * (abs(c) + 1) * 10 ** (j - 1) for j, c in enumerate(scaled[1:], start=1)
-        )
-        slack = floors + (2 * moved >> bits) + 1
-        # this makes slack <= 10^-(digits+20) (|acc| - slack)
-        need = slack * (10 ** (digits + 20) + 1)
+        # this makes err <= 10^-(digits+20) (|acc| - err)
+        need = err * (10 ** (digits + 20) + 1)
         if abs(acc) >= need:
             return Fraction(acc, 1 << shift) if shift >= 0 else Fraction(acc << -shift)
         bits += max(need.bit_length() - abs(acc).bit_length() + 1, 16)
@@ -243,13 +242,8 @@ def pipoly_eval(poly: PiPolynomial, digits: int = 50) -> Fraction:
 def _floor_log10(x: Fraction) -> int:
     if x <= 0:
         raise ValueError("positive value required")
-    p, q = x.numerator, x.denominator
-    # log10(2) < 0.30103 puts this estimate at or below floor(log10 x)
-    est = int((p.bit_length() - q.bit_length()) * 0.30103) - 2
-    # x >= 10^(est+1), in integers
-    while p * 10 ** max(-est - 1, 0) >= q * 10 ** max(est + 1, 0):
-        est += 1
-    return est
+    context = Context(prec=1, rounding=ROUND_FLOOR, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return context.divide(x.numerator, x.denominator).adjusted()
 
 
 def format_significant(x: Fraction, digits: int) -> str:
@@ -267,18 +261,10 @@ def format_significant(x: Fraction, digits: int) -> str:
     if x == 0:
         return "0.0"
     sign = "-" if x < 0 else ""
-    e = _floor_log10(abs(x))
-    shift = digits - 1 - e
-    num, den = abs(x.numerator), x.denominator
-    if shift >= 0:
-        num *= 10**shift
-    else:
-        den *= 10**-shift
-    m = (2 * num + den) // (2 * den)
-    if m == 10**digits:
-        m //= 10
-        e += 1
-    s = str(m)
+    context = Context(prec=digits, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    rounded = context.divide(abs(x.numerator), x.denominator)
+    e = rounded.adjusted()
+    s = "".join(map(str, rounded.as_tuple().digits)).ljust(digits, "0")
     if min(-(digits // 3), -5) < e < digits:
         if e < 0:
             return f"{sign}0.{'0' * (-e - 1)}{s}"
@@ -291,21 +277,14 @@ def _to_float(x: Fraction) -> float:
     power of two: a subnormal result is rounded twice, and one beyond the
     float range is +-inf. ``float(x)`` rounds once and raises
     ``OverflowError``; this is the rule the pinned outputs were made with.
+
+    The first rounding is CPython's correctly rounded division of x scaled
+    into [2^52, 2^54), the second ``math.ldexp``.
     """
     p, q = x.numerator, x.denominator
-    if p == 0:
-        return 0.0
-    a = abs(p)
-    # a/q * 2^shift in [2^52, 2^53)
-    shift = 53 - (a.bit_length() - q.bit_length())
-    num, den = (a << shift, q) if shift >= 0 else (a, q << -shift)
-    if num >= den << 53:
-        shift -= 1
-        num, den = (a << shift, q) if shift >= 0 else (a, q << -shift)
-    m, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and m & 1):
-        m += 1
+    shift = 53 - p.bit_length() + q.bit_length()
+    scaled = (p << shift) / q if shift >= 0 else p / (q << -shift)
     try:
-        return math.ldexp(m if p > 0 else -m, -shift)
+        return math.ldexp(scaled, -shift)
     except OverflowError:
         return math.inf if p > 0 else -math.inf

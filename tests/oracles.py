@@ -17,6 +17,12 @@ Bernoulli numbers, which the library takes from tangent numbers instead.
 B_2m, for the tests to check against partial sums of k^-2m.
 ``tail_derivative_bounds`` sums the series' tail bounds term by term in
 ``Fraction``, which the library sums in integers over one denominator.
+``pipoly_eval_closed_bound`` accepts the library's Horner sum on a
+closed-form error bound, where the library carries a running one;
+``floor_log10_by_search``, ``format_significant_by_integers`` and
+``to_float_by_integers`` round in integers, with a log estimate and a
+search, a hand carry and a hand ties-to-even, where the library takes one
+``decimal`` division or one correctly rounded integer quotient.
 ``parse_pi_string`` reads back what ``PiPolynomial.to_string`` writes, so the
 tests can check that rendering. ``csv_text`` renders rows through
 ``csv.writer``, and ``spectrum_csv`` and ``spectrum_json`` render spectrum
@@ -35,7 +41,7 @@ from functools import lru_cache
 
 import mpmath
 
-from kohncount.exact import PiPolynomial, bernoulli
+from kohncount.exact import MIN_EVAL_DIGITS, PiPolynomial, _pi_squared, bernoulli
 from kohncount.spectrum import CountingConvention, validate_sphere_n
 
 
@@ -332,6 +338,111 @@ def tail_derivative_bounds(a, X):
     d1 = sum(c * 2 * m / X ** (2 * m + 1) for m, c in a.items())
     d2 = sum(c * 2 * m * (2 * m + 1) / X ** (2 * m + 2) for m, c in a.items())
     return integral, d1, d2
+
+
+def pipoly_eval_closed_bound(poly, digits=50):
+    """``poly`` at pi within relative 10^-(digits+20), by the same Horner's
+    rule as the library, accepted on a closed-form error bound: each step
+    floors twice, each floor is carried through at most deg factors
+    pi^2 < 10, and pi^2 errs by less than 2^(1-B), so the sum errs by less
+    than ``slack``."""
+    if digits < MIN_EVAL_DIGITS:
+        raise ValueError(f"precision must be >= {MIN_EVAL_DIGITS} digits")
+    coeffs = poly.coeffs
+    if not coeffs:
+        return Fraction(0)
+    deg = len(coeffs) - 1
+    floors = 3 * 10**deg
+    bits = (floors * 10 ** (digits + 20)).bit_length() + 8
+    top = max(
+        c.numerator.bit_length() - c.denominator.bit_length() + 3 * j
+        for j, c in enumerate(coeffs)
+        if c
+    )
+    while True:
+        shift = bits - top
+        pi2 = _pi_squared(bits)
+        scaled = [
+            (c.numerator << shift) // c.denominator
+            if shift >= 0
+            else c.numerator // (c.denominator << -shift)
+            for c in coeffs
+        ]
+        acc = 0
+        for c in reversed(scaled):
+            acc = ((acc * pi2) >> bits) + c
+        # |c_j| 2^S < |C_j| + 1 bounds what the error of pi^2 moves
+        moved = sum(
+            j * (abs(c) + 1) * 10 ** (j - 1) for j, c in enumerate(scaled[1:], start=1)
+        )
+        slack = floors + (2 * moved >> bits) + 1
+        need = slack * (10 ** (digits + 20) + 1)
+        if abs(acc) >= need:
+            return Fraction(acc, 1 << shift) if shift >= 0 else Fraction(acc << -shift)
+        bits += max(need.bit_length() - abs(acc).bit_length() + 1, 16)
+
+
+def floor_log10_by_search(x):
+    """floor(log10 x) for a rational x > 0, from a bit-length estimate
+    raised one power of ten at a time."""
+    if x <= 0:
+        raise ValueError("positive value required")
+    p, q = x.numerator, x.denominator
+    # log10(2) < 0.30103 puts this estimate at or below floor(log10 x)
+    est = int((p.bit_length() - q.bit_length()) * 0.30103) - 2
+    while p * 10 ** max(-est - 1, 0) >= q * 10 ** max(est + 1, 0):
+        est += 1
+    return est
+
+
+def format_significant_by_integers(x, digits):
+    """x rounded half up to ``digits`` significant digits in integers, spelled
+    as ``exact.format_significant`` spells it."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    if x == 0:
+        return "0.0"
+    sign = "-" if x < 0 else ""
+    e = floor_log10_by_search(abs(x))
+    shift = digits - 1 - e
+    num, den = abs(x.numerator), x.denominator
+    if shift >= 0:
+        num *= 10**shift
+    else:
+        den *= 10**-shift
+    m = (2 * num + den) // (2 * den)
+    if m == 10**digits:
+        m //= 10
+        e += 1
+    s = str(m)
+    if min(-(digits // 3), -5) < e < digits:
+        if e < 0:
+            return f"{sign}0.{'0' * (-e - 1)}{s}"
+        return f"{sign}{s[: e + 1]}.{s[e + 1 :]}"
+    return f"{sign}{s[0]}.{s[1:]}e{e:+d}"
+
+
+def to_float_by_integers(x):
+    """x rounded to 53 significant bits, ties to even, by an integer divmod
+    with the binade fixed up by hand, then scaled by ``math.ldexp``; +-inf
+    beyond the float range."""
+    p, q = x.numerator, x.denominator
+    if p == 0:
+        return 0.0
+    a = abs(p)
+    # a/q * 2^shift in [2^52, 2^53)
+    shift = 53 - (a.bit_length() - q.bit_length())
+    num, den = (a << shift, q) if shift >= 0 else (a, q << -shift)
+    if num >= den << 53:
+        shift -= 1
+        num, den = (a << shift, q) if shift >= 0 else (a, q << -shift)
+    m, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and m & 1):
+        m += 1
+    try:
+        return math.ldexp(m if p > 0 else -m, -shift)
+    except OverflowError:
+        return math.inf if p > 0 else -math.inf
 
 
 def _parse_pi_term(term):

@@ -18,6 +18,8 @@ from kohncount.asymptotics import (
     PrecisionUnattainableError,
     _inverse_power_coeffs,
     _partial_sum_fixed,
+    _select_truncation,
+    _tail_bracket,
     _tail_derivative_bounds,
     closed_scale,
     empirical_ratio,
@@ -231,6 +233,25 @@ def test_series_reports_truncation_depth():
 def test_series_unattainable_precision():
     with pytest.raises(PrecisionUnattainableError):
         leading_coefficient_series(2, 1e-100, FULL)
+
+
+def test_series_tries_the_term_cap(monkeypatch):
+    # K doubles 2, 4, ..., 512 and then stops at the cap of 1000 rather
+    # than pass it: a tolerance that K = 700 meets is met, one that needs
+    # K = 1001 is not
+    monkeypatch.setattr(asymptotics, "DEFAULT_MAX_TERMS", 1000)
+    c, D = _inverse_power_coeffs(2)
+    widths = {K: _tail_bracket(c, D, K)[1] for K in range(1, 1002)}
+    target = widths[700]
+    assert min(K for K in widths if widths[K] <= target) == 700
+    assert _select_truncation(c, D, target) == 700
+    with pytest.raises(PrecisionUnattainableError, match="more than 1000 terms"):
+        _select_truncation(c, D, (widths[1000] + widths[1001]) / 2)
+    # the same through the public entry, with eps = 1% over the target
+    scale = closed_scale(2)
+    eps = float((widths[700] + widths[699]) / 2 / scale * Fraction(100, 99))
+    assert widths[700] < Fraction(eps) * scale * Fraction(99, 100) < widths[699]
+    assert leading_coefficient_series(2, eps, FULL).truncation_K == 700
 
 
 def test_series_rejects_bad_eps():

@@ -985,10 +985,8 @@ def test_exact_real_spellings():
     assert math.isinf(_exact_real("inf"))
 
 
-def test_library_imports_neither_mpmath_nor_decimal():
-    # values are evaluated and printed with integers and Fraction alone.
-    # decimal is loaded with fractions, by any command that parses a
-    # non-integer or computes a coefficient.
+def test_library_imports_no_mpmath():
+    # mpmath is a test oracle only: the package has no runtime dependency
     for path in sorted(pathlib.Path(spectrum.__file__).parent.glob("*.py")):
         imported = set()
         for node in ast.walk(ast.parse(path.read_text())):
@@ -996,7 +994,7 @@ def test_library_imports_neither_mpmath_nor_decimal():
                 imported.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
-        assert not imported & {"mpmath", "decimal"}, path.name
+        assert "mpmath" not in imported, path.name
 
 
 # The process entries. Each runs the command in its own interpreter, as a

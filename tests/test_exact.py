@@ -8,6 +8,8 @@ Expected values are frozen from independent oracles defined in this file
 import copy
 import math
 import pickle
+import struct
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -16,9 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 
 from kohncount import exact
-from kohncount.asymptotics import leading_coefficient_closed
+from kohncount.asymptotics import leading_coefficient_closed, weyl_ball_constant
 from kohncount.exact import (
     PiPolynomial,
+    _floor_log10,
     _pi_squared,
     _to_float,
     bernoulli,
@@ -30,8 +33,12 @@ from kohncount.spectrum import CountingConvention
 from tests.oracles import (
     bernoulli_by_recurrence,
     binomial,
+    floor_log10_by_search,
+    format_significant_by_integers,
     hockey_stick_sum,
     parse_pi_string,
+    pipoly_eval_closed_bound,
+    to_float_by_integers,
     to_mpf,
     zeta_even,
 )
@@ -348,6 +355,18 @@ def test_pipoly_eval_under_cancellation():
         assert abs(to_mpf(value) - reference) <= abs(reference) * mpmath.mpf(10) ** -50
 
 
+def test_pipoly_eval_under_cancellation_carries_its_error():
+    # (pi^2 - 9.8696044)^20, expanded, has terms near 10^20 and a value near
+    # 10^-160: the error carried through the 20 steps, not the first
+    # precision, decides how far the bits grow
+    r = Fraction(98696044, 10**7)
+    poly = PiPolynomial(tuple(math.comb(20, j) * (-r) ** (20 - j) for j in range(21)))
+    value = pipoly_eval(poly, 30)
+    with mpmath.workdps(400):
+        reference = (mpmath.pi**2 - to_mpf(r)) ** 20
+        assert abs(to_mpf(value) - reference) <= abs(reference) * mpmath.mpf(10) ** -50
+
+
 # ---------------------------------------------------------------------------
 # decimal and float rendering of exact values, against mpmath
 
@@ -454,3 +473,156 @@ def test_to_float_rounds_subnormals_twice_and_saturates():
         float(Fraction(10**400))
     assert _to_float(Fraction(0)) == 0.0
     assert _to_float(Fraction(1, 3)) == 1 / 3
+
+
+def test_format_significant_prints_past_the_int_str_cap():
+    # outside cli.main the 4300-digit int <-> str cap of Python 3.11+ holds
+    assert format_significant(Fraction(1, 3), 5000) == "0." + "3" * 5000
+
+
+# ---------------------------------------------------------------------------
+# rounding against the integer oracles it replaced: same bits, same bytes
+
+TINY = Fraction(2) ** -1074  # the least subnormal
+FLOAT_MAX = Fraction(sys.float_info.max)  # (2^53 - 1) 2^971
+
+
+def float_bytes(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        Fraction(0),
+        Fraction(1, 3),
+        Fraction(-2, 3),
+        # exact ties at 53 bits, to even down and up
+        1 + Fraction(2) ** -53,
+        1 + 3 * Fraction(2) ** -53,
+        -(1 + 3 * Fraction(2) ** -53),
+        # subnormals: 53 bits give k + 1/2 units, which tie to even again
+        3 * TINY / 2 - Fraction(2) ** -1200,
+        5 * TINY / 2 + Fraction(2) ** -1200,
+        -(3 * TINY / 2 - Fraction(2) ** -1200),
+        TINY / 2,
+        TINY / 2 + Fraction(2) ** -1200,
+        TINY / 4,
+        -TINY / 4,
+        Fraction(2) ** -1022 - TINY / 2,
+        Fraction(2) ** -2000,
+        # the float maximum, half a unit past it (a tie, to 2^1024) and less
+        FLOAT_MAX,
+        -FLOAT_MAX,
+        FLOAT_MAX + Fraction(2) ** 970,
+        FLOAT_MAX + Fraction(2) ** 970 - Fraction(1, 3),
+        -(FLOAT_MAX + Fraction(2) ** 970),
+        Fraction(2) ** 1024,
+        Fraction(10**400),
+        Fraction(-(10**400), 7),
+    ],
+)
+def test_to_float_matches_integer_oracle_at_edges(x):
+    assert float_bytes(_to_float(x)) == float_bytes(to_float_by_integers(x))
+
+
+@given(
+    st.integers(min_value=-(2**120), max_value=2**120),
+    st.integers(min_value=1, max_value=2**120),
+    st.integers(min_value=-1250, max_value=1100),
+)
+@settings(derandomize=True, max_examples=600)
+def test_to_float_matches_integer_oracle(num, den, two):
+    x = Fraction(num, den) * Fraction(2) ** two
+    assert float_bytes(_to_float(x)) == float_bytes(to_float_by_integers(x))
+
+
+@given(
+    st.integers(min_value=2**53, max_value=2**54 - 1),
+    st.integers(min_value=-1130, max_value=1030),
+    st.booleans(),
+)
+@settings(derandomize=True, max_examples=400)
+def test_to_float_matches_integer_oracle_on_ties(m, two, negative):
+    # (2m + 1) / 2 has 55 bits with a last bit of 1: a tie at 53 bits
+    x = Fraction(2 * m + 1, 2) * Fraction(2) ** two
+    x = -x if negative else x
+    assert float_bytes(_to_float(x)) == float_bytes(to_float_by_integers(x))
+
+
+@pytest.mark.parametrize(
+    "x, digits",
+    [
+        (Fraction(5, 2), 1),
+        (Fraction(-35, 1000), 1),
+        (Fraction(125, 1000), 2),
+        (Fraction(10) ** 400 * Fraction(15, 10), 1),
+        (Fraction(1, 10**1700) * Fraction(95, 10), 1),
+        (Fraction(10) ** -1700, 200),
+        (Fraction(10) ** 400, 200),
+        (Fraction(1), 1),
+    ],
+)
+def test_format_significant_matches_integer_oracle_at_edges(x, digits):
+    assert format_significant(x, digits) == format_significant_by_integers(x, digits)
+    assert _floor_log10(abs(x)) == floor_log10_by_search(abs(x))
+
+
+@given(
+    st.integers(min_value=-(10**40), max_value=10**40).filter(bool),
+    st.integers(min_value=1, max_value=10**40),
+    st.integers(min_value=-1700, max_value=400),
+    st.integers(min_value=1, max_value=200),
+)
+@settings(derandomize=True, max_examples=400)
+def test_format_significant_matches_integer_oracle(num, den, ten, digits):
+    x = Fraction(num, den) * Fraction(10) ** ten
+    assert format_significant(x, digits) == format_significant_by_integers(x, digits)
+    assert _floor_log10(abs(x)) == floor_log10_by_search(abs(x))
+
+
+@given(st.data(), st.integers(min_value=-1700, max_value=400), st.integers(1, 200))
+@settings(derandomize=True, max_examples=400)
+def test_format_significant_matches_integer_oracle_on_ties_and_carries(
+    data, ten, digits
+):
+    # m + 1/2 with m of `digits` digits is an exact tie, rounded half up;
+    # at m = 99...9 it carries into a new digit (9.99...95 -> 10.00...0)
+    top = 10**digits - 1
+    m = data.draw(st.one_of(st.just(top), st.integers(10 ** (digits - 1), top)))
+    for x in (Fraction(2 * m + 1, 2) * Fraction(10) ** ten, -Fraction(2 * m + 1, 2)):
+        assert format_significant(x, digits) == format_significant_by_integers(
+            x, digits
+        )
+        assert _floor_log10(abs(x)) == floor_log10_by_search(abs(x))
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 60, 150, 300, 600])
+def test_pipoly_eval_matches_closed_bound_oracle_on_closed_forms(n):
+    for conv in CountingConvention:
+        poly = leading_coefficient_closed(n, conv).exact
+        for digits in (16, 50):
+            assert pipoly_eval(poly, digits) == pipoly_eval_closed_bound(poly, digits)
+
+
+def test_pipoly_eval_matches_closed_bound_oracle_on_weyl_constants():
+    for n in range(1, 61):
+        for normalization in ("paper_text", "conventional"):
+            poly = weyl_ball_constant(n, normalization)
+            for digits in (16, 50):
+                assert pipoly_eval(poly, digits) == pipoly_eval_closed_bound(
+                    poly, digits
+                )
+
+
+@pytest.mark.parametrize("places", [1, 5, 10, 30, 60])
+@pytest.mark.parametrize("digits", [16, 50])
+def test_pipoly_eval_matches_closed_bound_oracle_under_cancellation(places, digits):
+    # pi^2 - r for r = pi^2 cut to `places` decimals is about 10^-places:
+    # both grow the precision past the first, and print the same digits
+    with mpmath.workdps(places + 30):
+        r = Fraction(int(mpmath.floor(mpmath.pi**2 * 10**places)), 10**places)
+    poly = PiPolynomial((-r, 1))
+    assert format_significant(pipoly_eval(poly, digits), digits) == format_significant(
+        pipoly_eval_closed_bound(poly, digits), digits
+    )
