@@ -52,20 +52,7 @@ WRITE_BLOCK_ROWS = 4096
 # 2 cores).
 PARALLEL_MIN_SQRT_X = 2**14
 
-# For n <= 3, the term T(i, Q) that the index i of ``_count_index_range``
-# adds to its numerator ``acc`` is an integer polynomial in i and Q = X//i,
-# equal to the binomial form at every i >= 1: T = g * sum_b c_b(i) Q^b for
-# the entry (g, (c_0, ..., c_d)), each c_b with integer power-basis
-# coefficients in i, lowest power first. Each c_b has a positive leading
-# coefficient, and c_d is either 1 or of degree >= 1.
-# From n = 4 on this form is no faster than a binomial loop, and at n = 10
-# it is about 2.7 times slower (measured on 2 cores), so only these two are
-# written out.
-_TERM_TABLES = {
-    2: (2, ((0, 1), (1, 2), (1,))),
-    3: (1, ((0, -3, 3), (-3, -5, 3), (-3, 3, 3), (0, 2))),
-}
-# Indices per block of ``_term_block_sums``
+# Indices per block of ``_block_sums``
 _TERM_BLOCK = 4096
 
 
@@ -105,7 +92,7 @@ def _count_index_range(n: int, X: int, i_lo: int, i_hi: int) -> int:
     column p = i (every q <= X//i) and the row q = i (lo < p <= X//i). These
     cover each lattice point once, and this sums the columns and rows of i
     in [i_lo, i_hi], a subrange of [1, s], with Q = X//i and its linear
-    factor computed once for the pair: by ``_term_block_sums`` for n <= 3
+    factor computed once for the pair: by ``_block_sums`` for n <= 3
     and ``_falling_factorial_sums`` from n = 4 on. A row with Q = lo is
     empty, and its numerator cancels its share of ``rest`` exactly, so the
     call runs to j = min(i_hi, X//lo), which is i_hi when lo = s. When
@@ -126,9 +113,9 @@ def _count_index_range(n: int, X: int, i_lo: int, i_hi: int) -> int:
     # Columns: over q <= Q = X//i, A(q) sums to C(Q+n-1, n) = D Q/n with
     # D = C(Q+n-1, n-1) and B(q) to D - 1; also b(i) = a(i) i/(n-1).
     # With L = (n-1)Q + n i, row i adds B(i) C(Q, n-1) (L + n-1) to ``acc``
-    # and column i adds a(i) D L; together they add T(i, Q) of _TERM_TABLES.
+    # and column i adds a(i) D L; together they add T(i, Q).
     j = min(i_hi, X // lo)
-    sums = _term_block_sums if n in _TERM_TABLES else _falling_factorial_sums
+    sums = _block_sums if n <= 3 else _falling_factorial_sums
     acc = sums(n, X, i_lo, j)
     rest = comb(lo, m) * (comb(j + m, n) - comb(i_lo + n - 2, n))
     rest += comb(lo + 1, n) * (comb(j + m, m) - comb(i_lo + n - 2, m))
@@ -136,28 +123,35 @@ def _count_index_range(n: int, X: int, i_lo: int, i_hi: int) -> int:
     return acc // (n * m) - rest
 
 
-def _term_block_sums(n: int, X: int, i_lo: int, i_hi: int) -> int:
-    """The sum of T(i, X//i) over i in [i_lo, i_hi], for n in ``_TERM_TABLES``.
+def _block_sums(n: int, X: int, i_lo: int, i_hi: int) -> int:
+    """The sum of T(i, X//i) over i in [i_lo, i_hi], for n = 2 and 3, where
+    the term is a short formula in i and Q = X//i:
 
-    Each block of up to ``_TERM_BLOCK`` indices is summed in C: its Q = X//i
-    by ``map``, each c_b(i) for b >= 1 as a ``_run``, Horner in Q by ``map``
-    of ``operator.mul`` and ``add``, and ``sum``. The c_0(i) add up in closed
-    form: over ``size`` points from x, sum_k Delta^k c_0(x) C(size, k+1).
+        n = 2: T = 2 (Q (Q + 2i + 1) + i),
+        n = 3: T = Q ((Q + 1)(2iQ + 3i^2 + i - 3) - 6i) + 6 C(i, 2).
+
+    Each block of up to ``_TERM_BLOCK`` indices sums the parts with Q in C:
+    its Q by ``map``, the factors linear in i as ``range``s, 3i^2 + i - 3 as
+    a ``_run``, ``map`` of ``operator.mul``, ``add`` and ``sub``, and
+    ``sum``. The parts in i alone add up in closed form over the whole
+    range; the empty range [i_lo, i_lo - 1] gives 0.
     """
-    mul, add = operator.mul, operator.add
-    g, (c0, *cs) = _TERM_TABLES[n]
-    *lower, top = cs
+    mul, add, sub = operator.mul, operator.add, operator.sub
     total = 0
     for x in range(i_lo, i_hi + 1, _TERM_BLOCK):
-        size = min(_TERM_BLOCK, i_hi + 1 - x)
-        Qs = list(map(X.__floordiv__, range(x, x + size)))
-        v = Qs if top == (1,) else map(mul, _run(_differences(top, x), size), Qs)
-        for c in reversed(lower):
-            v = map(mul, map(add, v, _run(_differences(c, x), size)), Qs)
+        y = min(x + _TERM_BLOCK, i_hi + 1)
+        Qs = list(map(X.__floordiv__, range(x, y)))
+        if n == 2:
+            v = map(mul, map(add, Qs, range(2 * x + 1, 2 * y, 2)), Qs)
+        else:
+            w = _run([3 * x * x + x - 3, 6 * x + 4, 6], y - x)
+            v = map(add, map(mul, Qs, range(2 * x, 2 * y, 2)), w)
+            v = map(mul, v, map(add, Qs, itertools.repeat(1)))
+            v = map(mul, map(sub, v, range(6 * x, 6 * y, 6)), Qs)
         total += sum(v)
-        for k, d in enumerate(_differences(c0, x)):
-            total += d * math.comb(size, k + 1)
-    return g * total
+    if n == 2:
+        return 2 * total + (i_lo + i_hi) * (i_hi - i_lo + 1)
+    return total + 6 * (math.comb(i_hi + 1, 3) - math.comb(i_lo, 3))
 
 
 def _falling_factorial_sums(n: int, X: int, i_lo: int, i_hi: int) -> int:
@@ -200,18 +194,6 @@ def _falling_factorial_sums(n: int, X: int, i_lo: int, i_hi: int) -> int:
         total += (t + a * R) * (m * Q + n * i)
         w = w * (i + m) // (i + 1)
     return (total + m * multiple) // math.factorial(m)
-
-
-def _differences(coeffs: tuple[int, ...], x: int) -> list[int]:
-    """Delta^0 .. Delta^d at x of the polynomial of degree d with the
-    power-basis coefficients ``coeffs``, lowest power first."""
-    points = range(x, x + len(coeffs))
-    values = [sum(c * t**e for e, c in enumerate(coeffs)) for t in points]
-    diffs = []
-    while values:
-        diffs.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    return diffs
 
 
 def _usable_cpus() -> int:
@@ -303,9 +285,9 @@ def count_N(
     column p = n-1, the H_{0,q} family, in closed form: dim H_{0,q} =
     C(q+n-1, n-1) sums to C(X//(n-1) + n, n) - 1 over q <= X//(n-1).
     The Dirichlet hyperbola method takes about isqrt(X) index steps, in one
-    of two kernels chosen by n: up to n = 3 the steps add a fixed integer
-    polynomial in i and X//i, summed in C a block of indices at a time
-    (``_term_block_sums``); from n = 4 on, where that form is no faster,
+    of two kernels chosen by n: up to n = 3 the steps add a short formula
+    in i and X//i, summed in C a block of indices at a time
+    (``_block_sums``); from n = 4 on, where that form is no faster,
     each step is a Python iteration over falling factorials, carried from
     the last index when X//i moves little (``_falling_factorial_sums``).
     With ``workers`` > 1 the count runs in one process per worker, at most

@@ -11,6 +11,8 @@ hockey-stick sums, dim H_{p,q}, eigenvalues, the h polynomial and the
 partial-sum lemma ratio) are the paper's definitions, written out directly;
 ``harmonic_dim`` finds dim H_{p,q} from the operator instead, as the
 dimension of a kernel.
+``divisor_sigma`` sieves the divisor sums sigma(m), with no hyperbola and no
+binomials, for the closed forms of the count and the table at n = 2 and 3.
 ``bernoulli_by_recurrence`` is the defining O(l^2) recurrence of the
 Bernoulli numbers, which the library takes from tangent numbers instead.
 ``zeta_even`` writes zeta(2m) as a multiple of (pi^2)^m from the library's
@@ -304,6 +306,15 @@ def count_index_range(n: int, X: int, pmin: int, i_lo: int, i_hi: int) -> int:
     if k <= i_hi:
         rest += comb(i_hi + 1, n) - comb(k, n)
     return acc // (n * m) - rest
+
+
+def divisor_sigma(M):
+    """sigma(m), the sum of the divisors of m, for m = 0..M (sigma(0) = 0):
+    each d adds itself to every multiple of d."""
+    sigma = [0] * (M + 1)
+    for d in range(1, M + 1):
+        sigma[d::d] = [x + d for x in sigma[d::d]]
+    return sigma
 
 
 @lru_cache(maxsize=None)

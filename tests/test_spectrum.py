@@ -1,8 +1,10 @@
 """Spectrum enumeration and counting functions, cross-checked three ways:
 divisor sums by trial division (``oracles.py``), a brute-force (p, q) lattice
-sieve, and the literal per-m double loop on small inputs."""
+sieve, and the literal per-m double loop on small inputs; at n = 2 and 3 also
+against closed forms in the divisor sums sigma(m)."""
 
 import io
+import itertools
 import math
 import os
 import sys
@@ -19,7 +21,7 @@ from kohncount.spectrum import (
     CountingConvention,
     SpectrumEntry,
     _TERM_BLOCK,
-    _TERM_TABLES,
+    _block_sums,
     _count_index_range,
     _multiplicities_by_runs,
     count_N,
@@ -33,6 +35,7 @@ from tests.oracles import (
     count_index_range,
     count_linear_range,
     delta_M,
+    divisor_sigma,
     eigenvalue,
     f_value,
     harmonic_dim,
@@ -314,23 +317,28 @@ def test_count_index_range_matches_block_oracle_at_loop_edges(n):
             assert sum(parts) == count_block_range(n, X, n - 1, X)
 
 
-@pytest.mark.parametrize("n", sorted(_TERM_TABLES))
-def test_term_tables_equal_the_index_term(n):
-    # g * sum_b c_b(i) Q^b is the polynomial T(i, Q) that index i adds to the
-    # kernel's numerator: equal on a grid wider than its degree in i and in Q
+def index_term(n, i, Q):
+    """T(i, Q), what index i adds to the kernel's numerator, in its binomial
+    form (see ``_count_index_range``)."""
     m = n - 1
-    g, cs = _TERM_TABLES[n]
-    assert all(c[-1] > 0 for c in cs)  # what _run needs of each c_b
-    deg_i, deg_Q = max(map(len, cs)) - 1, len(cs) - 1
-    for i in range(-2, deg_i + 3):
-        for Q in range(-2, deg_Q + 3):
-            T = binomial(i + n - 2, n - 2) * binomial(Q, m) * (m * Q + n * i + m)
-            T += binomial(i - 1, n - 2) * binomial(Q + m, m) * (m * Q + n * i)
-            table = sum(
-                sum(c * i**e for e, c in enumerate(cb)) * Q**b
-                for b, cb in enumerate(cs)
-            )
-            assert g * table == T
+    T = binomial(i + n - 2, n - 2) * binomial(Q, m) * (m * Q + n * i + m)
+    return T + binomial(i - 1, n - 2) * binomial(Q + m, m) * (m * Q + n * i)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_block_sums_equal_the_index_term(n):
+    # one index gives T(i, X//i), up to i = 40 and past isqrt(X), where
+    # X//i reaches 0; the empty range gives 0
+    for X in (1, 2, 3, 10, 99, 1000, 12345, 10**6 + 1, 10**12, 2**61 - 1):
+        for i in range(1, 41):
+            assert _block_sums(n, X, i, i) == index_term(n, i, X // i)
+            assert _block_sums(n, X, i, i - 1) == 0
+    # ranges that end just before, at and just after the first block's end
+    X = 10**10
+    for i_lo in (1, 2, 3000):
+        for i_hi in (_TERM_BLOCK - 1, _TERM_BLOCK, _TERM_BLOCK + 1):
+            singles = (_block_sums(n, X, i, i) for i in range(i_lo, i_hi + 1))
+            assert _block_sums(n, X, i_lo, i_hi) == sum(singles)
 
 
 # a chunk's middle range (its indices with both a row and a column) of no
@@ -628,6 +636,51 @@ def test_count_N_floors_lambda_exactly(monkeypatch, lam, X):
     monkeypatch.setattr(spectrum, "_count_index_range", record)
     count_N(2, lam, FULL)
     assert seen == [X]
+
+
+# ---------------------------------------------------------------------------
+# n = 2 and 3 from the divisor sums sigma(m)
+
+SIGMA_M = 2 * 10**5
+
+
+@pytest.fixture(scope="module")
+def sigma():
+    return divisor_sigma(SIGMA_M)
+
+
+def sigma_multiplicity(n, m, sigma, conv):
+    """The multiplicity of 2m at n = 2 or 3 from sigma(m): 2 sigma(m) and
+    (m-1) sigma(m) on the full spectrum, less the divisor p = n-1 on the
+    paper's, dim H_{0,q} for q = m/(n-1): m + 1, and C(m/2 + 2, 2) for even
+    m. It reads 0 for m < pmin."""
+    if n == 2:
+        full, dropped = 2 * sigma[m], m + 1
+    else:
+        full, dropped = (m - 1) * sigma[m], math.comb(m // 2 + 2, 2) * (m % 2 == 0)
+    return full - dropped if conv is PAPER else full
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("conv", [FULL, PAPER])
+def test_count_N_matches_sigma_closed_forms(n, conv, sigma):
+    # N at 2X and at the odd 2X + 1 sums the multiplicities of m <= X: at
+    # n = 2, 2 sum sigma(m) on the full spectrum, and at n = 3
+    # sum (m-1) sigma(m); X < n-1 included
+    mult = (sigma_multiplicity(n, m, sigma, conv) for m in range(1, SIGMA_M + 1))
+    counts = [0, *itertools.accumulate(mult)]
+    for X in [*range(300), *range(300, SIGMA_M, 97), SIGMA_M]:
+        assert count_N(n, 2 * X, conv) == count_N(n, 2 * X + 1, conv) == counts[X]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("conv", [FULL, PAPER])
+def test_spectrum_table_matches_sigma_closed_forms(n, conv, sigma):
+    pmin = n if conv is PAPER else n - 1
+    mult = [sigma_multiplicity(n, m, sigma, conv) for m in range(1, SIGMA_M + 1)]
+    assert not any(mult[: pmin - 1])
+    expected = map(SpectrumEntry, range(2 * pmin, 2 * SIGMA_M + 1, 2), mult[pmin - 1 :])
+    assert spectrum_table(n, 2 * SIGMA_M + 1, conv) == list(expected)
 
 
 # ---------------------------------------------------------------------------
