@@ -13,13 +13,14 @@ import contextlib
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, NoReturn
 
 from . import spectrum
 from .spectrum import CountingConvention
 
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import NoReturn
 
     from .asymptotics import CoefficientReport
 

@@ -27,7 +27,9 @@ __all__ = [
 MIN_EVAL_DIGITS = 16
 
 
-@lru_cache(maxsize=None)
+# One row: a coefficient at n reads only row n - 1, so a loop over n keeps
+# no rows it has passed.
+@lru_cache(maxsize=1)
 def _stirling_row(m: int) -> tuple[int, ...]:
     # Row of signed Stirling numbers of the first kind: coefficients of
     # x(x-1)...(x-m+1), index j <-> x^j, built by multiplying in each (x - i).

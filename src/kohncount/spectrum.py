@@ -17,23 +17,14 @@ import math
 import operator
 import os
 import sys
-from typing import (
-    TYPE_CHECKING,
-    BinaryIO,
-    Callable,
-    Iterator,
-    NamedTuple,
-    NoReturn,
-    Sequence,
-    TextIO,
-)
 
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence, TextIO
 
 __all__ = [
     "CountingConvention",
-    "SpectrumEntry",
     "validate_sphere_n",
     "count_N",
     "spectrum_table",
@@ -66,11 +57,6 @@ class CountingConvention(enum.Enum):
 
     PAPER_RESTRICTED = "paper_restricted"
     FULL_SPECTRUM = "full_spectrum"
-
-
-class SpectrumEntry(NamedTuple):
-    eigenvalue: int
-    multiplicity: int
 
 
 def validate_sphere_n(n: int) -> int:
@@ -330,7 +316,7 @@ def count_N(
 
 def spectrum_table(
     n: int, lambda_max: int | float | Fraction, conv: CountingConvention
-) -> list[SpectrumEntry]:
+) -> list[tuple[int, int]]:
     """All (eigenvalue, multiplicity) pairs with 0 < eigenvalue <= lambda_max.
 
     The multiplicity of 2m is the sum of f(p, m/p) over divisors p of m with
@@ -353,10 +339,7 @@ def spectrum_table(
     if M < pmin:
         return []
     mult = _multiplicities_by_runs(n, M, pmin)
-    # tuple.__new__ makes each entry in C; SpectrumEntry(ev, m) would run
-    # the named tuple's Python-level __new__ once per entry
-    entry = functools.partial(tuple.__new__, SpectrumEntry)
-    return list(map(entry, zip(range(2 * pmin, 2 * M + 1, 2), mult)))
+    return list(zip(range(2 * pmin, 2 * M + 1, 2), mult))
 
 
 def _run(diffs: list[int], length: int) -> Iterator[int]:
@@ -422,7 +405,7 @@ def _write_blocks(stream: TextIO, lines: Iterator[str]) -> None:
 
 
 def write_spectrum_csv(
-    entries: Sequence[SpectrumEntry], stream: TextIO, delimiter: str = ","
+    entries: Sequence[tuple[int, int]], stream: TextIO, delimiter: str = ","
 ) -> None:
     """CSV export: header ``eigenvalue,multiplicity,cumulative``, ascending.
 
@@ -437,7 +420,7 @@ def write_spectrum_csv(
 
 
 def write_spectrum_json(
-    entries: Sequence[SpectrumEntry], stream: TextIO, header: dict
+    entries: Sequence[tuple[int, int]], stream: TextIO, header: dict
 ) -> None:
     """JSON export: the bytes of ``json.dumps(payload, indent=2) + "\\n"``.
 

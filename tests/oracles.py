@@ -504,19 +504,19 @@ def csv_text(rows, delimiter=","):
 
 def spectrum_csv(entries, delimiter=","):
     """The spectrum table through ``csv.writer``."""
-    cumulative = itertools.accumulate(e.multiplicity for e in entries)
-    rows = [(e.eigenvalue, e.multiplicity, c) for e, c in zip(entries, cumulative)]
+    cumulative = itertools.accumulate(mult for _, mult in entries)
+    rows = [(ev, mult, c) for (ev, mult), c in zip(entries, cumulative)]
     return csv_text([("eigenvalue", "multiplicity", "cumulative"), *rows], delimiter)
 
 
 def spectrum_json(entries, header):
     """The spectrum table as one dict payload, through ``json.dumps(indent=2)``."""
-    cumulative = itertools.accumulate(e.multiplicity for e in entries)
+    cumulative = itertools.accumulate(mult for _, mult in entries)
     payload = {
         **header,
         "entries": [
-            dict(eigenvalue=e.eigenvalue, multiplicity=e.multiplicity, cumulative=c)
-            for e, c in zip(entries, cumulative)
+            dict(eigenvalue=ev, multiplicity=mult, cumulative=c)
+            for (ev, mult), c in zip(entries, cumulative)
         ],
     }
     return json.dumps(payload, indent=2) + "\n"

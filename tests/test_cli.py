@@ -974,6 +974,37 @@ def test_integer_lambda_loads_no_fractions(argv):
     assert result.stderr.strip() == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["count", "--n", "3", "--lambda", "1000"],
+        ["spectrum", "--n", "3", "--lambda-max", "200", "--format", "csv"],
+    ],
+)
+def test_count_and_spectrum_load_no_typing(argv):
+    # the annotations are strings, so count and spectrum need no typing.
+    # Under -S no site hook can have loaded it first, which would hide an
+    # import from the package; the package is found through PYTHONPATH alone.
+    code = (
+        "import sys\n"
+        "from kohncount import cli\n"
+        "if sys.argv[1:]:\n"
+        "    cli.main(sys.argv[1:])\n"
+        "print('typing' in sys.modules, file=sys.stderr)\n"
+    )
+    root = pathlib.Path(spectrum.__file__).parent.parent
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(root)},
+    )
+    assert result.stdout if argv else not result.stdout
+    assert result.stderr.strip() == "False"
+
+
 def test_exact_real_spellings():
     # integer spellings give an int; every other finite one a Fraction
     assert _exact_real("1000") == 1000 and type(_exact_real("1000")) is int

@@ -17,8 +17,12 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 
-from kohncount import exact
-from kohncount.asymptotics import leading_coefficient_closed, weyl_ball_constant
+from kohncount import asymptotics, exact
+from kohncount.asymptotics import (
+    leading_coefficient_closed,
+    leading_coefficient_series,
+    weyl_ball_constant,
+)
 from kohncount.exact import (
     PiPolynomial,
     _floor_log10,
@@ -152,6 +156,21 @@ def test_stirling_frozen_values():
 def test_stirling_deep_row():
     # s(m, 1) = (-1)^(m-1) (m-1)!; the row is built without recursion
     assert stirling_first_signed(1000, 1) == -math.factorial(999)
+
+
+def test_stirling_rows_cached_one_at_a_time():
+    # a loop over n keeps only the last row, and one n builds its row once:
+    # the series and the closed form under both conventions read row n - 1
+    exact._stirling_row.cache_clear()
+    for m in range(1, 60):
+        stirling_first_signed(m, 1)
+    assert exact._stirling_row.cache_info().currsize == 1
+    exact._stirling_row.cache_clear()
+    asymptotics._series_sum.cache_clear()
+    for conv in CountingConvention:
+        leading_coefficient_series(40, conv=conv)
+        leading_coefficient_closed(40, conv)
+    assert exact._stirling_row.cache_info().misses == 1
 
 
 def test_stirling_unsigned_from_rising_factorial():

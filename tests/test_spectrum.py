@@ -19,7 +19,6 @@ from kohncount import spectrum
 from kohncount.spectrum import (
     PARALLEL_MIN_SQRT_X,
     CountingConvention,
-    SpectrumEntry,
     _TERM_BLOCK,
     _block_sums,
     _count_index_range,
@@ -679,7 +678,7 @@ def test_spectrum_table_matches_sigma_closed_forms(n, conv, sigma):
     pmin = n if conv is PAPER else n - 1
     mult = [sigma_multiplicity(n, m, sigma, conv) for m in range(1, SIGMA_M + 1)]
     assert not any(mult[: pmin - 1])
-    expected = map(SpectrumEntry, range(2 * pmin, 2 * SIGMA_M + 1, 2), mult[pmin - 1 :])
+    expected = zip(range(2 * pmin, 2 * SIGMA_M + 1, 2), mult[pmin - 1 :])
     assert spectrum_table(n, 2 * SIGMA_M + 1, conv) == list(expected)
 
 
@@ -688,22 +687,31 @@ def test_spectrum_table_matches_sigma_closed_forms(n, conv, sigma):
 
 
 def test_spectrum_table_examples():
-    assert spectrum_table(2, 4, FULL) == [
-        SpectrumEntry(eigenvalue=2, multiplicity=2),
-        SpectrumEntry(eigenvalue=4, multiplicity=6),
-    ]
-    assert spectrum_table(2, 4, PAPER) == [
-        SpectrumEntry(eigenvalue=4, multiplicity=3)
-    ]
+    assert spectrum_table(2, 4, FULL) == [(2, 2), (4, 6)]
+    assert spectrum_table(2, 4, PAPER) == [(4, 3)]
     assert spectrum_table(5, 2, FULL) == []
     assert spectrum_table(5, 2, PAPER) == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 20])
+@pytest.mark.parametrize("conv", [FULL, PAPER])
+def test_spectrum_table_rows_are_plain_int_pairs(n, conv):
+    # a list of exact tuples, not a tuple subclass, each of two exact ints
+    table = spectrum_table(n, 2000, conv)
+    assert type(table) is list and table
+    assert all(type(row) is tuple and len(row) == 2 for row in table)
+    assert all(type(ev) is int and type(mult) is int for ev, mult in table)
+    pmin = n if conv is PAPER else n - 1
+    if pmin > 1:  # below the first eigenvalue 2 pmin; n = 2, full has none
+        empty = spectrum_table(n, 2 * pmin - 1, conv)
+        assert type(empty) is list and empty == []
 
 
 # up to n = 40, where each run adds n-1 orders of many-digit differences
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 12, 20, 40])
 def test_spectrum_table_matches_divisor_sums(n):
     for conv in (FULL, PAPER):
-        table = {e.eigenvalue: e.multiplicity for e in spectrum_table(n, 801, conv)}
+        table = dict(spectrum_table(n, 801, conv))
         expected = {2 * m: delta_M(n, m, conv) for m in range(1, 401)}
         assert table == {ev: mult for ev, mult in expected.items() if mult}
 
@@ -711,11 +719,10 @@ def test_spectrum_table_matches_divisor_sums(n):
 def test_spectrum_table_consistent_with_count():
     for n, lam_max, conv in ((2, 60, FULL), (3, 100, PAPER), (4, 80, FULL)):
         entries = spectrum_table(n, lam_max, conv)
-        assert [e.eigenvalue for e in entries] == sorted(
-            e.eigenvalue for e in entries
-        )
-        assert all(e.multiplicity > 0 for e in entries)
-        assert sum(e.multiplicity for e in entries) == count_N(n, lam_max, conv)
+        eigenvalues = [ev for ev, _ in entries]
+        assert eigenvalues == sorted(eigenvalues)
+        assert all(mult > 0 for _, mult in entries)
+        assert sum(mult for _, mult in entries) == count_N(n, lam_max, conv)
 
 
 @given(
@@ -763,7 +770,7 @@ def test_multiplicity_runs_match_divisor_loop(n_M, conv):
         return
     runs = _multiplicities_by_runs(n, M, pmin)
     assert runs == multiplicities_by_divisors(n, M, pmin)
-    assert table == list(map(SpectrumEntry, range(2 * pmin, 2 * M + 1, 2), runs))
+    assert table == list(zip(range(2 * pmin, 2 * M + 1, 2), runs))
 
 
 def test_spectrum_table_rejects_small_lambda_max():
@@ -792,9 +799,9 @@ def test_spectrum_csv_round_trip():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "eigenvalue,multiplicity,cumulative"
     running = 0
-    for line, entry in zip(lines[1:], entries):
-        running += entry.multiplicity
-        assert line == f"{entry.eigenvalue},{entry.multiplicity},{running}"
+    for line, (ev, mult) in zip(lines[1:], entries):
+        running += mult
+        assert line == f"{ev},{mult},{running}"
     assert len(lines) == len(entries) + 1
 
 
