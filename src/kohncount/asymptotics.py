@@ -17,11 +17,11 @@ convention drops the H_{0,q} eigenspaces.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul
-from typing import NamedTuple, Sequence
 
 from .exact import (
     PiPolynomial,
@@ -32,6 +32,10 @@ from .exact import (
     stirling_first_signed,
 )
 from .spectrum import CountingConvention, count_N, validate_sphere_n
+
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from typing import Sequence
 
 __all__ = [
     "CoefficientReport",
@@ -55,7 +59,13 @@ class PrecisionUnattainableError(Exception):
     """Requested tolerance needs more series terms than the configured cap."""
 
 
-class CoefficientReport(NamedTuple):
+class CoefficientReport(
+    namedtuple(
+        "CoefficientReport",
+        "n convention method exact value error_bound truncation_K lam",
+        defaults=(None, None),
+    )
+):
     """One determination of the leading coefficient, as values: the CLI
     chooses the digits it prints.
 
@@ -71,30 +81,18 @@ class CoefficientReport(NamedTuple):
     bound certifies nothing about ``value`` (ROADMAP item 12).
     """
 
-    n: int
-    convention: CountingConvention
-    method: str
-    exact: PiPolynomial | None
-    value: Fraction
-    error_bound: float
-    truncation_K: int | None = None
-    lam: Fraction | float | None = None
+    __slots__ = ()
 
 
-class ProfileSample(NamedTuple):
-    lam: float
-    count: int
-    residual: float
-    normalized: float
+# lam, residual and normalized are floats, count an int
+ProfileSample = namedtuple("ProfileSample", "lam count residual normalized")
 
 
-class RemainderProfile(NamedTuple):
+class RemainderProfile(namedtuple("RemainderProfile", "n convention samples")):
     """Residuals N(lambda) - c*lambda^n scaled by the lambda^{n-1} ln(lambda)
     envelope, one sample per (ascending) lambda."""
 
-    n: int
-    convention: CountingConvention
-    samples: tuple[ProfileSample, ...]
+    __slots__ = ()
 
 
 def closed_scale(n: int) -> int:

@@ -148,8 +148,7 @@ def _exact_real(text: str) -> int | Fraction | float:
 
     The accepted spellings are a float's, with a float's usage error.
     Values a float cannot hold (inf, nan, 1e400) stay floats, which the
-    library rejects as not finite. Digit underscores are dropped before the
-    ``Fraction``, which accepts them only from Python 3.11 on.
+    library rejects as not finite.
     """
     try:
         return int(text)
@@ -163,7 +162,7 @@ def _exact_real(text: str) -> int | Fraction | float:
         return value
     from fractions import Fraction
 
-    return Fraction(text.replace("_", ""))
+    return Fraction(text)
 
 
 def parse_lambda_spec(spec: str) -> list[int | Fraction | float]:
@@ -403,12 +402,11 @@ HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Python 3.11+ refuses int <-> str conversions past 4300 digits, and
+    # Python refuses int <-> str conversions past 4300 digits by default, and
     # exact inputs and outputs can be longer, so the command runs with no
-    # cap and restores the caller's after. Python 3.10 has no cap.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    # cap and restores the caller's after.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         return HANDLERS[args.command](args)
@@ -418,8 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         return 141  # the reader left: end quietly, as a SIGPIPE death would
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 def run() -> NoReturn:

@@ -116,25 +116,21 @@ def _block_sums(n: int, X: int, i_lo: int, i_hi: int) -> int:
         n = 2: T = 2 (Q (Q + 2i + 1) + i),
         n = 3: T = Q ((Q + 1)(2iQ + 3i^2 + i - 3) - 6i) + 6 C(i, 2).
 
-    Each block of up to ``_TERM_BLOCK`` indices sums the parts with Q in C:
-    its Q by ``map``, the factors linear in i as ``range``s, 3i^2 + i - 3 as
-    a ``_run``, ``map`` of ``operator.mul``, ``add`` and ``sub``, and
-    ``sum``. The parts in i alone add up in closed form over the whole
-    range; the empty range [i_lo, i_lo - 1] gives 0.
+    The parts with Q are summed as written, one list comprehension per block
+    of up to ``_TERM_BLOCK`` indices; the parts in i alone add up in closed
+    form over the whole range. The empty range [i_lo, i_lo - 1] gives 0.
     """
-    mul, add, sub = operator.mul, operator.add, operator.sub
     total = 0
     for x in range(i_lo, i_hi + 1, _TERM_BLOCK):
-        y = min(x + _TERM_BLOCK, i_hi + 1)
-        Qs = list(map(X.__floordiv__, range(x, y)))
+        r = range(x, min(x + _TERM_BLOCK, i_hi + 1))
         if n == 2:
-            v = map(mul, map(add, Qs, range(2 * x + 1, 2 * y, 2)), Qs)
+            terms = [(Q := X // i) * (Q + 2 * i + 1) for i in r]
         else:
-            w = _run([3 * x * x + x - 3, 6 * x + 4, 6], y - x)
-            v = map(add, map(mul, Qs, range(2 * x, 2 * y, 2)), w)
-            v = map(mul, v, map(add, Qs, itertools.repeat(1)))
-            v = map(mul, map(sub, v, range(6 * x, 6 * y, 6)), Qs)
-        total += sum(v)
+            terms = [
+                (Q := X // i) * ((Q + 1) * (2 * i * Q + 3 * i * i + i - 3) - 6 * i)
+                for i in r
+            ]
+        total += sum(terms)
     if n == 2:
         return 2 * total + (i_lo + i_hi) * (i_hi - i_lo + 1)
     return total + 6 * (math.comb(i_hi + 1, 3) - math.comb(i_lo, 3))
@@ -272,7 +268,7 @@ def count_N(
     C(q+n-1, n-1) sums to C(X//(n-1) + n, n) - 1 over q <= X//(n-1).
     The Dirichlet hyperbola method takes about isqrt(X) index steps, in one
     of two kernels chosen by n: up to n = 3 the steps add a short formula
-    in i and X//i, summed in C a block of indices at a time
+    in i and X//i, evaluated as written a block of indices at a time
     (``_block_sums``); from n = 4 on, where that form is no faster,
     each step is a Python iteration over falling factorials, carried from
     the last index when X//i moves little (``_falling_factorial_sums``).

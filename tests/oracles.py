@@ -6,9 +6,10 @@ route: multiplicities by trial division per m, or one divisor pair at a time
 counting sum over p, one at a time or in blocks of constant X//p, instead of
 by the Dirichlet hyperbola method. ``count_index_range`` is the
 hyperbola kernel with binomials at every index, the binomial oracle of the
-library's polynomial block sums. The formulas (total binomials,
-hockey-stick sums, dim H_{p,q}, eigenvalues, the h polynomial and the
-partial-sum lemma ratio) are the paper's definitions, written out directly;
+library's polynomial block sums; ``block_sums_by_maps`` sums those blocks'
+terms through ``map`` pipelines instead of as written. The formulas (total
+binomials, hockey-stick sums, dim H_{p,q}, eigenvalues, the h polynomial and
+the partial-sum lemma ratio) are the paper's definitions, written out directly;
 ``harmonic_dim`` finds dim H_{p,q} from the operator instead, as the
 dimension of a kernel.
 ``divisor_sigma`` sieves the divisor sums sigma(m), with no hyperbola and no
@@ -38,13 +39,14 @@ import io
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 
 from kohncount.exact import MIN_EVAL_DIGITS, PiPolynomial, _pi_squared, bernoulli
-from kohncount.spectrum import CountingConvention, validate_sphere_n
+from kohncount.spectrum import _TERM_BLOCK, CountingConvention, validate_sphere_n
 
 
 def to_mpf(x: Fraction) -> mpmath.mpf:
@@ -306,6 +308,35 @@ def count_index_range(n: int, X: int, pmin: int, i_lo: int, i_hi: int) -> int:
     if k <= i_hi:
         rest += comb(i_hi + 1, n) - comb(k, n)
     return acc // (n * m) - rest
+
+
+def block_sums_by_maps(n: int, X: int, i_lo: int, i_hi: int) -> int:
+    """The sum of T(i, X//i) over i in [i_lo, i_hi] for n = 2 and 3, as
+    ``spectrum._block_sums`` returns it, with the parts that hold Q = X//i
+    built from C pipelines instead of evaluated as written: per block of
+    ``_TERM_BLOCK`` indices, Q by ``map`` of ``X.__floordiv__``, the factors
+    linear in i as ``range``s, 3i^2 + i - 3 by ``accumulate`` from its
+    forward differences (3x^2 + x - 3, 6x + 4, 6), and ``map`` of
+    ``operator.mul``, ``add`` and ``sub``.
+    """
+    mul, add, sub = operator.mul, operator.add, operator.sub
+    total = 0
+    for x in range(i_lo, i_hi + 1, _TERM_BLOCK):
+        y = min(x + _TERM_BLOCK, i_hi + 1)
+        Qs = list(map(X.__floordiv__, range(x, y)))
+        if n == 2:
+            v = map(mul, map(add, Qs, range(2 * x + 1, 2 * y, 2)), Qs)
+        else:
+            w = itertools.accumulate(
+                range(6 * x + 4, 6 * y, 6), initial=3 * x * x + x - 3
+            )
+            v = map(add, map(mul, Qs, range(2 * x, 2 * y, 2)), w)
+            v = map(mul, v, map(add, Qs, itertools.repeat(1)))
+            v = map(mul, map(sub, v, range(6 * x, 6 * y, 6)), Qs)
+        total += sum(v)
+    if n == 2:
+        return 2 * total + (i_lo + i_hi) * (i_hi - i_lo + 1)
+    return total + 6 * (math.comb(i_hi + 1, 3) - math.comb(i_lo, 3))
 
 
 def divisor_sigma(M):

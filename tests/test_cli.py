@@ -13,8 +13,10 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import mpmath
 import pytest
+from hypothesis import assume, example, given
 
 from kohncount.asymptotics import (
     empirical_report,
@@ -768,25 +770,19 @@ def test_weyl_invalid_normalization_usage_error():
 
 
 # ---------------------------------------------------------------------------
-# exact values past the 4300 digits that Python 3.11+ converts between int
-# and str by default (Python 3.10 has no such cap)
-
-
-def _int_digit_limit():
-    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+# exact values past the 4300 digits that Python converts between int and
+# str by default
 
 
 @contextlib.contextmanager
 def uncapped_int_digits():
     """The expected strings are built with the cap lifted, as ``main`` does."""
-    limit = _int_digit_limit()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 # just below the eigenvalue 4 of n = 2, which its float rounds up to
@@ -824,28 +820,26 @@ def _closed_n680_lines():
     ids=["count-n12000", "weyl-n1000", "coeff-closed-n680", "count-lambda-5001-digits"],
 )
 def test_exact_values_of_any_length(capsys, argv, expected):
-    limit = _int_digit_limit()
+    limit = sys.get_int_max_str_digits()
     rc, out, err = run_cli(capsys, *argv)
     assert (rc, err) == (0, "")
     # main restores the caller's cap
-    assert _int_digit_limit() == limit
+    assert sys.get_int_max_str_digits() == limit
     with uncapped_int_digits():
         assert expected(out)
 
 
 def test_failed_command_restores_int_digit_limit(capsys):
     # a caller's own cap comes back also when the command exits 2
-    limit = _int_digit_limit()
-    if limit is not None:
-        sys.set_int_max_str_digits(4500)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4500)
     try:
         rc, _, err = run_cli(
             capsys, "converge", "--n", "2", "--lambdas", LONG_LAMBDA
         )
-        assert _int_digit_limit() == (None if limit is None else 4500)
+        assert sys.get_int_max_str_digits() == 4500
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
     assert rc == 2
     assert err == "kohncount: all lambdas must be >= 4 (so ln(lambda) > 1)\n"
 
@@ -980,10 +974,14 @@ def test_integer_lambda_loads_no_fractions(argv):
         [],
         ["count", "--n", "3", "--lambda", "1000"],
         ["spectrum", "--n", "3", "--lambda-max", "200", "--format", "csv"],
+        ["coeff", "--n", "3", "--method", "all", "--format", "json"],
+        ["converge", "--n", "2", "--lambdas", "256:4096:x2"],
+        ["weyl", "--n", "3"],
     ],
 )
 def test_count_and_spectrum_load_no_typing(argv):
-    # the annotations are strings, so count and spectrum need no typing.
+    # the annotations are strings, so no command needs typing; the reports
+    # of coeff and converge are collections.namedtuple subclasses.
     # Under -S no site hook can have loaded it first, which would hide an
     # import from the package; the package is found through PYTHONPATH alone.
     code = (
@@ -1014,6 +1012,32 @@ def test_exact_real_spellings():
     assert _exact_real("99999.5") == Fraction(199999, 2)
     assert _exact_real("1_000.5") == Fraction(2001, 2)
     assert math.isinf(_exact_real("inf"))
+
+
+# spellings with digit underscores where a float allows them, and anywhere
+UNDERSCORED = st.one_of(
+    st.from_regex(
+        r"[+-]?[0-9](_?[0-9]){0,5}(\.([0-9](_?[0-9]){0,5})?)?"
+        r"([eE][+-]?[0-9](_?[0-9]){0,3})?",
+        fullmatch=True,
+    ),
+    st.from_regex(r"[+-]?[0-9_]{0,6}(\.[0-9_]{0,6})?([eE][+-]?[0-9_]{1,4})?", fullmatch=True),
+).filter(lambda text: "_" in text)
+
+
+@given(UNDERSCORED)
+@example("1_000.000_5e-1_0")
+@example("1__0.5")
+def test_exact_real_takes_underscores_as_float_does(text):
+    # Fraction reads PEP 515 underscores itself, where float does
+    try:
+        value = float(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _exact_real(text)
+        return
+    assume(math.isfinite(value))
+    assert _exact_real(text) == Fraction(text.replace("_", ""))
 
 
 def test_library_imports_no_mpmath():

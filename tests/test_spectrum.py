@@ -30,6 +30,7 @@ from kohncount.spectrum import (
 )
 from tests.oracles import (
     binomial,
+    block_sums_by_maps,
     count_block_range,
     count_index_range,
     count_linear_range,
@@ -338,6 +339,26 @@ def test_block_sums_equal_the_index_term(n):
         for i_hi in (_TERM_BLOCK - 1, _TERM_BLOCK, _TERM_BLOCK + 1):
             singles = (_block_sums(n, X, i, i) for i in range(i_lo, i_hi + 1))
             assert _block_sums(n, X, i_lo, i_hi) == sum(singles)
+
+
+@given(
+    n=st.sampled_from([2, 3]),
+    X=st.integers((5 * _TERM_BLOCK) ** 2, 2**62),
+    width=st.integers(2 * _TERM_BLOCK + 1, 5 * _TERM_BLOCK - 1),
+    offset=st.integers(0, 2**62),
+)
+@example(n=2, X=2**62, width=2 * _TERM_BLOCK + 1, offset=0)
+@example(n=3, X=(5 * _TERM_BLOCK) ** 2, width=3 * _TERM_BLOCK + 7, offset=8185)
+@settings(max_examples=60, deadline=None)
+def test_block_sums_match_the_map_pipelines(n, X, width, offset):
+    # a range inside [1, isqrt(X)] of two to five blocks, so it crosses
+    # several block ends and ends in a partial block (the second example ends
+    # at isqrt(X)), and the empty range
+    i_lo = 1 + offset % (math.isqrt(X) - width + 1)
+    i_hi = i_lo + width - 1
+    assert _block_sums(n, X, i_lo, i_hi) == block_sums_by_maps(n, X, i_lo, i_hi)
+    assert _block_sums(n, X, i_lo, i_lo - 1) == 0
+    assert block_sums_by_maps(n, X, i_lo, i_lo - 1) == 0
 
 
 # a chunk's middle range (its indices with both a row and a column) of no
