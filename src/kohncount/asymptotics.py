@@ -17,11 +17,10 @@ convention drops the H_{0,q} eigenspaces.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import mul
 
 from .exact import (
     PiPolynomial,
@@ -115,30 +114,31 @@ def _inverse_power_coeffs(n: int) -> tuple[list[int], int]:
 
 
 def _tail_derivative_bounds(
-    c: list[int], D: int, X: Fraction
+    c: list[int], D: int, p: int
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """(integral of g over [X, inf), |g'(X)|, g''(X)) as exact rationals, for
-    g(x) = sum_m a_m x^-2m with a_m = c[m-1] / D.
+    """(integral of g over [X, inf), |g'(X)|, g''(X)) as exact rationals at
+    the half-integer X = p/2, p odd, for g(x) = sum_m a_m x^-2m with a_m =
+    c[m-1] / D.
 
-    With X = p/q and t_m = q^(2m-1) p^(2M-2m), X^-(2m-1) = t_m / p^(2M-1),
-    so each series is an integer sum over one denominator: the integral
-    over L D p^(2M-1) with L = lcm(1, 3, ..., 2M-1), |g'(X)| = sum 2m a_m
-    X^-(2m+1) over D p^(2M+1) and g''(X) = sum 2m(2m+1) a_m X^-(2m+2) over
-    D p^(2M+2).
+    X^-(2m-1) = 2^(2m-1) p^(2M-2m) / p^(2M-1), so each series is a
+    polynomial in p^2, summed by Horner's rule, over one denominator: the
+    integral over L D p^(2M-1) with L = lcm(1, 3, ..., 2M-1), |g'(X)| =
+    sum 2m a_m X^-(2m+1) over D p^(2M+1) / 4 and g''(X) = sum 2m(2m+1)
+    a_m X^-(2m+2) over D p^(2M+2) / 8.
     """
-    p, q = X.numerator, X.denominator
     M = len(c)
-    q_odd = accumulate(repeat(q * q, M - 1), mul, initial=q)  # q^(2m-1)
-    p_even = list(accumulate(repeat(p * p, M - 1), mul, initial=1))  # p^(2m-2)
-    w = [x * y * z for x, y, z in zip(c, q_odd, reversed(p_even))]  # c_m t_m
     L = math.lcm(*range(1, 2 * M, 2))
-    integral = sum(L // (2 * m - 1) * x for m, x in enumerate(w, 1))
-    d1 = sum(2 * m * x for m, x in enumerate(w, 1))
-    d2 = sum(2 * m * (2 * m + 1) * x for m, x in enumerate(w, 1))
+    p2 = p * p
+    integral = d1 = d2 = 0
+    for m, x in enumerate(c, 1):
+        x <<= 2 * m - 1  # c_m 2^(2m-1)
+        integral = integral * p2 + L // (2 * m - 1) * x
+        d1 = d1 * p2 + 2 * m * x
+        d2 = d2 * p2 + 2 * m * (2 * m + 1) * x
     return (
         Fraction(integral, L * D * p ** (2 * M - 1)),
-        Fraction(q * q * d1, D * p ** (2 * M + 1)),
-        Fraction(q**3 * d2, D * p ** (2 * M + 2)),
+        Fraction(d1 << 2, D * p ** (2 * M + 1)),
+        Fraction(d2 << 3, D * p ** (2 * M + 2)),
     )
 
 
@@ -153,22 +153,21 @@ def _tail_bracket(c: list[int], D: int, K: int) -> tuple[Fraction, Fraction]:
         integral_X^inf g  -  |g'(X+1)|/24,
 
     valid because g is positive, decreasing and convex with g'' decreasing
-    (all inverse-power coefficients are positive).
+    (all inverse-power coefficients are positive). The tail sums are read
+    at the half-integers X = (2K+1)/2 and X + 1 = (2K+3)/2.
     """
-    X = Fraction(2 * K + 1, 2)
-    integral, d1, d2 = _tail_derivative_bounds(c, D, X)
-    _, d1_next, _ = _tail_derivative_bounds(c, D, X + 1)
-    upper_defect = (d2 + d1) / 24
-    lower_defect = d1_next / 24
+    integral, d1, d2 = _tail_derivative_bounds(c, D, 2 * K + 1)
+    _, d1_next, _ = _tail_derivative_bounds(c, D, 2 * K + 3)
+    upper_defect, lower_defect = (d2 + d1) / 24, d1_next / 24
     midpoint = integral - (upper_defect + lower_defect) / 2
-    half_width = (upper_defect - lower_defect) / 2
-    return midpoint, half_width
+    return midpoint, (upper_defect - lower_defect) / 2
 
 
 def _select_truncation(c: list[int], D: int, target: Fraction) -> int:
-    """Smallest K >= 2 with certified tail half-width <= target; K doubles
+    """Smallest K >= 2 with certified tail half-width <= target. K doubles
     up to ``DEFAULT_MAX_TERMS``, and the bracket at that cap is the last
-    one tried."""
+    one tried; the half-width falls as K grows, so one bisection between
+    the last two doublings finds K."""
     lo, hi = 1, 2
     while _tail_bracket(c, D, hi)[1] > target:
         if hi >= DEFAULT_MAX_TERMS:
@@ -177,13 +176,9 @@ def _select_truncation(c: list[int], D: int, target: Fraction) -> int:
                 "requested tolerance"
             )
         lo, hi = hi, min(2 * hi, DEFAULT_MAX_TERMS)
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _tail_bracket(c, D, mid)[1] <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return lo + 1 + bisect_left(
+        range(lo + 1, hi), True, key=lambda K: _tail_bracket(c, D, K)[1] <= target
+    )
 
 
 def _convention_gap(n: int, conv: CountingConvention) -> Fraction:

@@ -318,18 +318,23 @@ def cmd_spectrum(args) -> int:
 
 def cmd_count(args) -> int:
     conv = CONVENTIONS[args.convention]
+    if args.format == "text":
+        count = spectrum.count_N(args.n, args.lam, conv, workers=args.workers)
+        return _emit(f"{count}\n", args.out)
+    # csv and json print lambda as a float, so one with none fails before
+    # the count
+    try:
+        lam = float(args.lam)
+    except OverflowError:
+        raise ValueError(
+            f"--format {args.format} prints lambda as a float, and this lambda "
+            "is beyond the float range"
+        ) from None
     count = spectrum.count_N(args.n, args.lam, conv, workers=args.workers)
-    record = {
-        "n": args.n,
-        "lambda": float(args.lam),
-        "convention": conv.value,
-        "count": count,
-    }
+    record = {"n": args.n, "lambda": lam, "convention": conv.value, "count": count}
     if args.format == "json":
         return _json(record, args.out)
-    if args.format == "csv":
-        return _csv(list(record), [record.values()], args.out)
-    return _emit(f"{count}\n", args.out)
+    return _csv(list(record), [record.values()], args.out)
 
 
 def cmd_coeff(args) -> int:

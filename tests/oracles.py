@@ -20,6 +20,8 @@ Bernoulli numbers, which the library takes from tangent numbers instead.
 B_2m, for the tests to check against partial sums of k^-2m.
 ``tail_derivative_bounds`` sums the series' tail bounds term by term in
 ``Fraction``, which the library sums in integers over one denominator.
+``select_truncation_by_halving`` finds the series truncation K by doubling
+and a hand-written halving loop, where the library ends in ``bisect_left``.
 ``pipoly_eval_closed_bound`` accepts the library's Horner sum on a
 closed-form error bound, where the library carries a running one;
 ``floor_log10_by_search``, ``format_significant_by_integers`` and
@@ -45,6 +47,7 @@ from functools import lru_cache
 
 import mpmath
 
+from kohncount.asymptotics import PrecisionUnattainableError, _tail_bracket
 from kohncount.exact import MIN_EVAL_DIGITS, PiPolynomial, _pi_squared, bernoulli
 from kohncount.spectrum import _TERM_BLOCK, CountingConvention, validate_sphere_n
 
@@ -380,6 +383,28 @@ def tail_derivative_bounds(a, X):
     d1 = sum(c * 2 * m / X ** (2 * m + 1) for m, c in a.items())
     d2 = sum(c * 2 * m * (2 * m + 1) / X ** (2 * m + 2) for m, c in a.items())
     return integral, d1, d2
+
+
+def select_truncation_by_halving(c, D, target, max_terms):
+    """Smallest K >= 2 whose certified tail half-width is <= target, as
+    ``asymptotics._select_truncation`` finds it: K doubles up to max_terms,
+    the bracket at that cap is the last one tried, and the last doubling
+    step is halved until one K is left."""
+    lo, hi = 1, 2
+    while _tail_bracket(c, D, hi)[1] > target:
+        if hi >= max_terms:
+            raise PrecisionUnattainableError(
+                f"series needs more than {max_terms} terms for the "
+                "requested tolerance"
+            )
+        lo, hi = hi, min(2 * hi, max_terms)
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if _tail_bracket(c, D, mid)[1] <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def pipoly_eval_closed_bound(poly, digits=50):

@@ -10,8 +10,10 @@ import functools
 import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import mpmath
 import pytest
+from hypothesis import given, settings
 
 from kohncount import asymptotics
 from kohncount.asymptotics import (
@@ -31,7 +33,13 @@ from kohncount.asymptotics import (
 )
 from kohncount.exact import PiPolynomial, pipoly_eval
 from kohncount.spectrum import CountingConvention
-from tests.oracles import h_poly, lemma_ratio, tail_derivative_bounds, to_mpf
+from tests.oracles import (
+    h_poly,
+    lemma_ratio,
+    select_truncation_by_halving,
+    tail_derivative_bounds,
+    to_mpf,
+)
 
 PAPER = CountingConvention.PAPER_RESTRICTED
 FULL = CountingConvention.FULL_SPECTRUM
@@ -218,9 +226,10 @@ def test_tail_derivative_bounds_match_term_by_term_sums(n):
     c, D = _inverse_power_coeffs(n)
     a = {m: Fraction(x, D) for m, x in enumerate(c, 1)}
     for K in (1, 2, 3, 10, 1000, 50126):
-        X = Fraction(2 * K + 1, 2)
-        for x in (X, X + 1):
-            assert _tail_derivative_bounds(c, D, x) == tail_derivative_bounds(a, x)
+        for p in (2 * K + 1, 2 * K + 3):
+            assert _tail_derivative_bounds(c, D, p) == tail_derivative_bounds(
+                a, Fraction(p, 2)
+            )
 
 
 def test_series_reports_truncation_depth():
@@ -252,6 +261,33 @@ def test_series_tries_the_term_cap(monkeypatch):
     eps = float((widths[700] + widths[699]) / 2 / scale * Fraction(100, 99))
     assert widths[700] < Fraction(eps) * scale * Fraction(99, 100) < widths[699]
     assert leading_coefficient_series(2, eps, FULL).truncation_K == 700
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([*range(2, 13), 30, 60, 150]),
+    cap=st.sampled_from([2, 3, 1000, 1024, 1025]),
+    data=st.data(),
+)
+def test_select_truncation_matches_the_halving_search(n, cap, data):
+    # targets at a half-width and halfway to the next one, from K = 1 to
+    # one past the cap: the library's bisection and the halving loop find
+    # the same K, or both find none within the cap
+    c, D = _inverse_power_coeffs(n)
+    K = data.draw(st.integers(1, cap + 1) | st.sampled_from([cap - 1, cap, cap + 1]))
+    width, width_next = (_tail_bracket(c, D, k)[1] for k in (K, K + 1))
+    target = data.draw(st.sampled_from([width, (width + width_next) / 2]))
+    try:
+        expected = select_truncation_by_halving(c, D, target, cap)
+    except PrecisionUnattainableError:
+        expected = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(asymptotics, "DEFAULT_MAX_TERMS", cap)
+        if expected is None:
+            with pytest.raises(PrecisionUnattainableError, match=f"more than {cap} "):
+                _select_truncation(c, D, target)
+        else:
+            assert _select_truncation(c, D, target) == expected
 
 
 def test_series_rejects_bad_eps():

@@ -886,6 +886,31 @@ def test_non_finite_values_exit_2(capsys, argv):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_count_of_a_lambda_beyond_floats(capsys, monkeypatch, fmt):
+    # a float spelling beyond the range, decimal too, parses as inf, as before
+    huge = str(10**400)
+    for lam in ("1e400", f"{huge}.5"):
+        argv = ["count", "--n", "3", "--lambda", lam, "--format", fmt]
+        assert run_cli(capsys, *argv) == (2, "", "kohncount: lambda must be finite\n")
+    # an integer spelling is exact: at n = 10^401, X < n - 1 and the count is
+    # 0 at once, which the text form prints alone; csv and json, which print
+    # lambda as a float, refuse lambda before counting, at n = 3 too
+    if fmt == "text":
+        argv = ["count", "--n", str(10**401), "--lambda", huge, "--format", fmt]
+        assert run_cli(capsys, *argv) == (0, "0\n", "")
+        return
+    monkeypatch.setattr(spectrum, "count_N", None)
+    for n in (str(10**401), "3"):
+        argv = ["count", "--n", n, "--lambda", huge, "--format", fmt]
+        assert run_cli(capsys, *argv) == (
+            2,
+            "",
+            f"kohncount: --format {fmt} prints lambda as a float, and this "
+            "lambda is beyond the float range\n",
+        )
+
+
 # the modules that only some commands need
 LAZY = (
     "kohncount.asymptotics",

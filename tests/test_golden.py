@@ -70,6 +70,15 @@ def _cases() -> dict[str, tuple[list[str], int]]:
                     "coeff", "--n", str(n), "--method", method, "--convention", conv,
                     "--format", fmt, "--lambda", "4096",
                 ]
+    # the series' K search: a deep bisection (K = 50126), and a doubling
+    # that stops at its first bracket (K = 2)
+    cases["coeff-series-n2-both-csv-eps1e-20"] = [
+        "coeff", "--n", "2", "--method", "series", "--eps", "1e-20",
+        "--convention", "both", "--format", "csv",
+    ]
+    cases["coeff-series-n150-both-json"] = [
+        "coeff", "--n", "150", "--method", "series", "--format", "json",
+    ]
     for n in (3, 5):
         # lambda^n and the count are not exact floats here, unlike at 4096
         cases[f"coeff-empirical-n{n}-both-text-lambda99999.5"] = [
@@ -144,7 +153,7 @@ def test_values_print_without_mpmath():
         text=True,
         check=True,
     )
-    assert len(cases) == 42
+    assert len(cases) == 44
     assert result.stdout.splitlines() == [f"{case} 0 True" for case, _, _ in cases]
 
 
