@@ -113,35 +113,6 @@ def _inverse_power_coeffs(n: int) -> tuple[list[int], int]:
     return c, math.factorial(n - 2)
 
 
-def _tail_derivative_bounds(
-    c: list[int], D: int, p: int
-) -> tuple[Fraction, Fraction, Fraction]:
-    """(integral of g over [X, inf), |g'(X)|, g''(X)) as exact rationals at
-    the half-integer X = p/2, p odd, for g(x) = sum_m a_m x^-2m with a_m =
-    c[m-1] / D.
-
-    X^-(2m-1) = 2^(2m-1) p^(2M-2m) / p^(2M-1), so each series is a
-    polynomial in p^2, summed by Horner's rule, over one denominator: the
-    integral over L D p^(2M-1) with L = lcm(1, 3, ..., 2M-1), |g'(X)| =
-    sum 2m a_m X^-(2m+1) over D p^(2M+1) / 4 and g''(X) = sum 2m(2m+1)
-    a_m X^-(2m+2) over D p^(2M+2) / 8.
-    """
-    M = len(c)
-    L = math.lcm(*range(1, 2 * M, 2))
-    p2 = p * p
-    integral = d1 = d2 = 0
-    for m, x in enumerate(c, 1):
-        x <<= 2 * m - 1  # c_m 2^(2m-1)
-        integral = integral * p2 + L // (2 * m - 1) * x
-        d1 = d1 * p2 + 2 * m * x
-        d2 = d2 * p2 + 2 * m * (2 * m + 1) * x
-    return (
-        Fraction(integral, L * D * p ** (2 * M - 1)),
-        Fraction(d1 << 2, D * p ** (2 * M + 1)),
-        Fraction(d2 << 3, D * p ** (2 * M + 2)),
-    )
-
-
 def _tail_bracket(c: list[int], D: int, K: int) -> tuple[Fraction, Fraction]:
     """Certified (midpoint, half_width) for the tail sum_{k>K} g(k), with
     g(x) = sum_m a_m x^-2m and a_m = c[m-1] / D.
@@ -153,13 +124,33 @@ def _tail_bracket(c: list[int], D: int, K: int) -> tuple[Fraction, Fraction]:
         integral_X^inf g  -  |g'(X+1)|/24,
 
     valid because g is positive, decreasing and convex with g'' decreasing
-    (all inverse-power coefficients are positive). The tail sums are read
-    at the half-integers X = (2K+1)/2 and X + 1 = (2K+3)/2.
+    (all inverse-power coefficients are positive).
+
+    The three sums at X = p/2, p = 2K + 1, and |g'| at X + 1 = q/2, q =
+    2K + 3, are exact rationals summed in one Horner pass:
+    X^-(2m-1) = 2^(2m-1) p^(2M-2m) / p^(2M-1), so each is a polynomial in
+    p^2 (or q^2) over one denominator. The integral is over L D p^(2M-1)
+    with L = lcm(1, 3, ..., 2M-1), |g'(X)| = sum 2m a_m X^-(2m+1) over
+    D p^(2M+1) / 4 and g''(X) = sum 2m(2m+1) a_m X^-(2m+2) over
+    D p^(2M+2) / 8.
     """
-    integral, d1, d2 = _tail_derivative_bounds(c, D, 2 * K + 1)
-    _, d1_next, _ = _tail_derivative_bounds(c, D, 2 * K + 3)
-    upper_defect, lower_defect = (d2 + d1) / 24, d1_next / 24
-    midpoint = integral - (upper_defect + lower_defect) / 2
+    M = len(c)
+    L = math.lcm(*range(1, 2 * M, 2))
+    p, q = 2 * K + 1, 2 * K + 3
+    p2, q2 = p * p, q * q
+    integral = d1 = d2 = d1_next = 0
+    for m, x in enumerate(c, 1):
+        x <<= 2 * m - 1  # c_m 2^(2m-1)
+        integral = integral * p2 + L // (2 * m - 1) * x
+        x *= 2 * m
+        d1 = d1 * p2 + x
+        d2 = d2 * p2 + (2 * m + 1) * x
+        d1_next = d1_next * q2 + x
+    # (g''(X) + |g'(X)|)/24 and |g'(X+1)|/24
+    upper_defect = Fraction(2 * d2 + p * d1, 6 * D * p ** (2 * M + 2))
+    lower_defect = Fraction(d1_next, 6 * D * q ** (2 * M + 1))
+    midpoint = Fraction(integral, L * D * p ** (2 * M - 1))
+    midpoint -= (upper_defect + lower_defect) / 2
     return midpoint, (upper_defect - lower_defect) / 2
 
 

@@ -142,6 +142,15 @@ class _InvalidNumber(argparse.ArgumentTypeError, ValueError):
     and in ``--lambdas`` it is the ``ValueError`` that exits 2."""
 
 
+def _float(text: str) -> float:
+    """``float(text)``, with a float's usage error. An integer spelling
+    beyond the float range reads as inf, as ``1e400`` does."""
+    try:
+        return float(text)
+    except ValueError:
+        raise _InvalidNumber(f"invalid float value: {text!r}") from None
+
+
 def _exact_real(text: str) -> int | Fraction | float:
     """A finite number parsed exactly: an ``int`` when spelled as one, else a
     ``Fraction``.
@@ -154,10 +163,7 @@ def _exact_real(text: str) -> int | Fraction | float:
         return int(text)
     except ValueError:
         pass
-    try:
-        value = float(text)
-    except ValueError:
-        raise _InvalidNumber(f"invalid float value: {text!r}") from None
+    value = _float(text)
     if not math.isfinite(value):
         return value
     from fractions import Fraction
@@ -170,16 +176,16 @@ def parse_lambda_spec(spec: str) -> list[int | Fraction | float]:
     where STEP is xFACTOR (geometric) or +INCREMENT (arithmetic).
 
     List items are parsed exactly, like ``count --lambda``. Range fields
-    are parsed the same way, then rounded: range points are floats, since
-    START * FACTOR^k in exact arithmetic would grow to numerators of some
-    10^5 digits within the range cap.
+    are parsed as floats, with the same usage error: range points are
+    floats, since START * FACTOR^k in exact arithmetic would grow to
+    numerators of some 10^5 digits within the range cap.
     """
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"malformed lambda range {spec!r}")
-        start, stop = float(_exact_real(parts[0])), float(_exact_real(parts[1]))
+        start, stop = _float(parts[0]), _float(parts[1])
         step = parts[2].strip()
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError(f"lambda range {spec!r} must be finite")
@@ -187,11 +193,11 @@ def parse_lambda_spec(spec: str) -> list[int | Fraction | float]:
             raise ValueError(f"malformed lambda range {spec!r}")
         top = stop * (1 + 1e-9)
         if step.startswith("x"):
-            factor, increment = float(_exact_real(step[1:])), 0.0
+            factor, increment = _float(step[1:]), 0.0
             if factor <= 1:
                 raise ValueError("geometric factor must be > 1")
         elif step.startswith("+"):
-            factor, increment = 1.0, float(_exact_real(step[1:]))
+            factor, increment = 1.0, _float(step[1:])
             if increment <= 0:
                 raise ValueError("arithmetic step must be > 0")
         else:

@@ -2,7 +2,8 @@
 
 Each algorithm computes the same quantity as a production path by a different
 route: multiplicities by trial division per m, or one divisor pair at a time
-(``multiplicities_by_divisors``), instead of by polynomial runs, and the
+(``multiplicities_by_divisors``) or one (p, q) pair at a time
+(``multiplicity_sieve``), instead of by polynomial runs, and the
 counting sum over p, one at a time or in blocks of constant X//p, instead of
 by the Dirichlet hyperbola method. ``count_index_range`` is the
 hyperbola kernel with binomials at every index, the binomial oracle of the
@@ -19,7 +20,8 @@ Bernoulli numbers, which the library takes from tangent numbers instead.
 ``zeta_even`` writes zeta(2m) as a multiple of (pi^2)^m from the library's
 B_2m, for the tests to check against partial sums of k^-2m.
 ``tail_derivative_bounds`` sums the series' tail bounds term by term in
-``Fraction``, which the library sums in integers over one denominator.
+``Fraction``, and ``tail_bracket`` builds the tail bracket from them, where
+the library sums both points in one pass in integers over one denominator.
 ``select_truncation_by_halving`` finds the series truncation K by doubling
 and a hand-written halving loop, where the library ends in ``bisect_left``.
 ``pipoly_eval_closed_bound`` accepts the library's Horner sum on a
@@ -204,6 +206,19 @@ def delta_M(n, m, conv):
     return total
 
 
+def multiplicity_sieve(n, m_max, conv):
+    """delta M table by looping every (p, q) pair with q(p+n-1) <= m_max."""
+    table = [0] * (m_max + 1)
+    p_floor = 1 if conv is CountingConvention.PAPER_RESTRICTED else 0
+    for p in range(p_floor, m_max + 2):
+        step = p + n - 1
+        if step > m_max:
+            break
+        for q in range(1, m_max // step + 1):
+            table[q * step] += hpq_dim(n, p, q)
+    return table
+
+
 def multiplicities_by_divisors(n: int, M: int, pmin: int) -> list[int]:
     """The multiplicities of m = pmin..M, adding f(p, q) for one divisor
     pair at a time: O(M log M) steps, each of two multiplications."""
@@ -383,6 +398,18 @@ def tail_derivative_bounds(a, X):
     d1 = sum(c * 2 * m / X ** (2 * m + 1) for m, c in a.items())
     d2 = sum(c * 2 * m * (2 * m + 1) / X ** (2 * m + 2) for m, c in a.items())
     return integral, d1, d2
+
+
+def tail_bracket(a, K):
+    """(midpoint, half_width) of the series' midpoint-rule sandwich for the
+    tail sum_{k>K} g(k), from the term-by-term sums at X = K + 1/2 and
+    X + 1, as ``asymptotics._tail_bracket`` defines it."""
+    X = Fraction(2 * K + 1, 2)
+    integral, d1, d2 = tail_derivative_bounds(a, X)
+    _, d1_next, _ = tail_derivative_bounds(a, X + 1)
+    upper_defect, lower_defect = (d2 + d1) / 24, d1_next / 24
+    midpoint = integral - (upper_defect + lower_defect) / 2
+    return midpoint, (upper_defect - lower_defect) / 2
 
 
 def select_truncation_by_halving(c, D, target, max_terms):

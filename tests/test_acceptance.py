@@ -42,6 +42,7 @@ from tests.oracles import (
     hockey_stick_sum,
     hpq_dim,
     lemma_ratio,
+    multiplicity_sieve,
     zeta_even,
 )
 
@@ -85,23 +86,11 @@ def test_criterion_2_series_closed_cross_check():
     report(2, time.perf_counter() - t0, 5.0, f"max |series - closed| = {worst:.2e}")
 
 
-def _multiplicity_sieve(n, m_max, conv):
-    table = [0] * (m_max + 1)
-    p_floor = 1 if conv is PAPER else 0
-    for p in range(p_floor, m_max + 2):
-        step = p + n - 1
-        if step > m_max:
-            break
-        for q in range(1, m_max // step + 1):
-            table[q * step] += hpq_dim(n, p, q)
-    return table
-
-
 def test_criterion_3_counting_oracle_equivalence():
     t0 = time.perf_counter()
     for n in (2, 3, 4):
         # brute-force (p, q) double loop vs divisor-based multiplicities
-        table = _multiplicity_sieve(n, 5000, FULL)
+        table = multiplicity_sieve(n, 5000, FULL)
         for m in range(1, 5001):
             assert delta_M(n, m, FULL) == table[m]
         # the literal quadratic loop on a small prefix
@@ -115,7 +104,7 @@ def test_criterion_3_counting_oracle_equivalence():
             assert delta_M(n, m, FULL) == literal
         # hockey-stick-collapsed count vs cumulative multiplicities
         for conv in (FULL, PAPER):
-            cum_table = _multiplicity_sieve(n, 3000, conv)
+            cum_table = multiplicity_sieve(n, 3000, conv)
             # the production table's sieve vs the lattice loop
             assert {
                 ev // 2: mult for ev, mult in spectrum_table(n, 6000, conv)

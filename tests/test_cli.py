@@ -684,6 +684,21 @@ def test_converge_malformed_range(capsys):
         assert err == f"kohncount: {message}\n"
 
 
+def test_converge_range_fields_beyond_floats(capsys):
+    # an integer spelling of 10^400 in a range field reads as inf, as 1e400
+    # does: START or STOP is not finite, and FACTOR or STEP steps once past
+    # STOP, a one-point range
+    huge = str(10**400)
+    for spec in (f"{huge}:{huge}:x2", f"4:{huge}:x2"):
+        rc, out, err = run_cli(capsys, "converge", "--n", "2", "--lambdas", spec)
+        assert (rc, out) == (2, "")
+        assert err == f"kohncount: lambda range {spec!r} must be finite\n"
+    one_point = run_cli(capsys, "converge", "--n", "2", "--lambdas", "4:8:x1e400")
+    assert one_point[0] == 0 and len(one_point[1].splitlines()) == 2
+    for spec in (f"4:8:x{huge}", f"4:8:+{huge}"):
+        assert run_cli(capsys, "converge", "--n", "2", "--lambdas", spec) == one_point
+
+
 def test_parse_lambda_spec_forms():
     assert parse_lambda_spec("100,200,400") == [100.0, 200.0, 400.0]
     assert parse_lambda_spec("256:1024:x2") == [256.0, 512.0, 1024.0]

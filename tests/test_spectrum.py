@@ -41,6 +41,7 @@ from tests.oracles import (
     harmonic_dim,
     hpq_dim,
     multiplicities_by_divisors,
+    multiplicity_sieve,
     spectrum_csv,
     spectrum_json,
 )
@@ -55,19 +56,6 @@ FORK_X_N2 = (2 * PARALLEL_MIN_SQRT_X) ** 2
 
 # ---------------------------------------------------------------------------
 # oracles
-
-
-def multiplicity_sieve(n, m_max, conv):
-    """delta M table by looping every (p, q) pair with q(p+n-1) <= m_max."""
-    table = [0] * (m_max + 1)
-    p_floor = 1 if conv is PAPER else 0
-    for p in range(p_floor, m_max + 2):
-        step = p + n - 1
-        if step > m_max:
-            break
-        for q in range(1, m_max // step + 1):
-            table[q * step] += hpq_dim(n, p, q)
-    return table
 
 
 def delta_double_loop(n, m, conv):
