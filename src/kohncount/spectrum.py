@@ -66,49 +66,6 @@ def validate_sphere_n(n: int) -> int:
     return n
 
 
-def _count_index_range(n: int, X: int, i_lo: int, i_hi: int) -> int:
-    """Part of the sum of f(p, q) over pq <= X, q >= 1, exactly: the full
-    spectrum.
-
-    f(p, q) = a(p) A(q) + b(p) B(q) with a(p) = C(p-1, n-2), b(p) = C(p, n-1),
-    A(q) = C(q+n-2, n-1) and B(q) = C(q+n-2, n-2); for p >= n-1 it equals
-    dim H_{p-n+1, q}, and for 1 <= p <= n-2 both a(p) and b(p) vanish, so the
-    sum needs no lower bound on p. Dirichlet hyperbola method with
-    s = isqrt(X) and lo = max(s, n-2): the index i in [1, s] stands for the
-    column p = i (every q <= X//i) and the row q = i (lo < p <= X//i). These
-    cover each lattice point once, and this sums the columns and rows of i
-    in [i_lo, i_hi], a subrange of [1, s], with Q = X//i and its linear
-    factor computed once for the pair: by ``_block_sums`` for n <= 3
-    and ``_falling_factorial_sums`` from n = 4 on. A row with Q = lo is
-    empty, and its numerator cancels its share of ``rest`` exactly, so the
-    call runs to j = min(i_hi, X//lo), which is i_hi when lo = s. When
-    lo = n-2 > s, every index past j has an empty row and a zero column;
-    the clamp keeps X//i >= n-2 over the call, as the carry of
-    ``_falling_factorial_sums`` needs.
-    """
-    comb = math.comb
-    m = n - 1
-    lo = max(math.isqrt(X), n - 2)
-    # Every row and column sum is an integer of the form (weight * big
-    # binomial * linear factor) / (n(n-1)) minus a part that does not depend
-    # on X//i. The numerators go to ``acc``, divided once at the end; the
-    # other parts are hockey-stick sums, collected in ``rest``.
-    # Rows: over lo < p <= Q = X//i, a(p) sums to C(Q, n-1) - C(lo, n-1) and
-    # b(p) to C(Q+1, n) - C(lo+1, n) = C(Q, n-1) (Q+1)/n - C(lo+1, n); also
-    # A(i) = B(i) i/(n-1). The row is empty once Q <= lo.
-    # Columns: over q <= Q = X//i, A(q) sums to C(Q+n-1, n) = D Q/n with
-    # D = C(Q+n-1, n-1) and B(q) to D - 1; also b(i) = a(i) i/(n-1).
-    # With L = (n-1)Q + n i, row i adds B(i) C(Q, n-1) (L + n-1) to ``acc``
-    # and column i adds a(i) D L; together they add T(i, Q).
-    j = min(i_hi, X // lo)
-    sums = _block_sums if n <= 3 else _falling_factorial_sums
-    acc = sums(n, X, i_lo, j)
-    rest = comb(lo, m) * (comb(j + m, n) - comb(i_lo + n - 2, n))
-    rest += comb(lo + 1, n) * (comb(j + m, m) - comb(i_lo + n - 2, m))
-    rest += comb(j + 1, n) - comb(i_lo, n)
-    return acc // (n * m) - rest
-
-
 def _block_sums(n: int, X: int, i_lo: int, i_hi: int) -> int:
     """The sum of T(i, X//i) over i in [i_lo, i_hi], for n = 2 and 3, where
     the term is a short formula in i and Q = X//i:
@@ -266,15 +223,17 @@ def count_N(
     The kernel counts the full spectrum; ``paper_restricted`` then drops the
     column p = n-1, the H_{0,q} family, in closed form: dim H_{0,q} =
     C(q+n-1, n-1) sums to C(X//(n-1) + n, n) - 1 over q <= X//(n-1).
-    The Dirichlet hyperbola method takes about isqrt(X) index steps, in one
-    of two kernels chosen by n: up to n = 3 the steps add a short formula
-    in i and X//i, evaluated as written a block of indices at a time
-    (``_block_sums``); from n = 4 on, where that form is no faster,
-    each step is a Python iteration over falling factorials, carried from
-    the last index when X//i moves little (``_falling_factorial_sums``).
-    With ``workers`` > 1 the count runs in one process per worker, at most
-    one per CPU that this process may use: the index range [1, isqrt(X)] is
-    split into one chunk of equal width per process, this process counts the
+    The Dirichlet hyperbola method sums a term T(i, X//i) over the indices
+    i in [1, j], j <= isqrt(X), in one of two kernels chosen by n: up to
+    n = 3 the terms are a short formula in i and X//i, evaluated as written
+    a block of indices at a time (``_block_sums``); from n = 4 on, where that
+    form is no faster, each index is a Python iteration over falling
+    factorials, carried from the last index when X//i moves little
+    (``_falling_factorial_sums``). One exact division of that sum and one
+    closed form for the hyperbola's remainder give the count.
+    With ``workers`` > 1 the kernel runs in one process per worker, at most
+    one per CPU that this process may use: the index range [1, j] is
+    split into one chunk of equal width per process, this process sums the
     first, and a child forked for each other chunk sends back its part.
     Integer addition makes the result identical to the serial run; a failed
     child makes this raise ``ChildProcessError``. The count is serial when that
@@ -297,16 +256,42 @@ def count_N(
     X = math.floor(lam) // 2
     if X < n - 1:
         return 0
+    # f(p, q) = a(p) A(q) + b(p) B(q) with a(p) = C(p-1, n-2), b(p) = C(p, n-1),
+    # A(q) = C(q+n-2, n-1) and B(q) = C(q+n-2, n-2); for p >= n-1 it equals
+    # dim H_{p-n+1, q}, and for 1 <= p <= n-2 both a(p) and b(p) vanish, so the
+    # sum needs no lower bound on p. With s = isqrt(X) and lo = max(s, n-2),
+    # the index i stands for the column p = i (every q <= X//i) and the row
+    # q = i (lo < p <= X//i), which cover each lattice point once. Each row
+    # and column sum is (weight * big binomial * linear factor) / (n(n-1))
+    # less a part that does not depend on Q = X//i, summed over i below.
+    # Rows: over lo < p <= Q, a(p) sums to C(Q, n-1) - C(lo, n-1) and b(p) to
+    # C(Q+1, n) - C(lo+1, n) = C(Q, n-1) (Q+1)/n - C(lo+1, n); also
+    # A(i) = B(i) i/(n-1). Columns: over q <= Q, A(q) sums to C(Q+n-1, n) =
+    # D Q/n with D = C(Q+n-1, n-1) and B(q) to D - 1; also b(i) = a(i) i/(n-1).
+    # With L = (n-1)Q + n i, row i adds B(i) C(Q, n-1) (L + n-1) to the
+    # numerator and column i adds a(i) D L; together they add T(i, Q).
+    # A row with Q = lo is empty, and its numerator cancels its share of the
+    # remainder exactly, so the sum runs to j = min(s, X//lo), which is s
+    # when lo = s. When lo = n-2 > s, every index past j has an empty row and
+    # a zero column, and X//i >= n-2 holds up to j, as the carry of
+    # ``_falling_factorial_sums`` needs.
+    comb, m = math.comb, n - 1
     s = math.isqrt(X)
+    lo = max(s, n - 2)
+    j = min(s, X // lo)
+    sums = functools.partial(_block_sums if n <= 3 else _falling_factorial_sums, n, X)
     procs = min(workers, _usable_cpus()) if hasattr(os, "fork") else 1
     if procs == 1 or s < PARALLEL_MIN_SQRT_X * (2 if n == 2 else 1):
-        N = _count_index_range(n, X, 1, s)
+        acc = sums(1, j)
     else:
-        bounds = [1 + s * k // procs for k in range(procs + 1)]
-        kernel = functools.partial(_count_index_range, n, X)
-        N = _fork_join(kernel, [(b, c - 1) for b, c in zip(bounds, bounds[1:])])
+        bounds = [1 + j * k // procs for k in range(procs + 1)]
+        acc = _fork_join(sums, [(b, c - 1) for b, c in zip(bounds, bounds[1:])])
+    # the remainder, by the hockey stick over i in [1, j]: the rows' A(i)
+    # C(lo, n-1) and B(i) C(lo+1, n), and the columns' b(i)
+    N = acc // (n * m) - comb(lo, m) * comb(j + m, n)
+    N -= comb(lo + 1, n) * (comb(j + m, m) - 1) + comb(j + 1, n)
     if conv is CountingConvention.PAPER_RESTRICTED:
-        N -= math.comb(X // (n - 1) + n, n) - 1  # sum of dim H_{0,q}
+        N -= comb(X // m + n, n) - 1  # sum of dim H_{0,q}
     return N
 
 

@@ -6,9 +6,12 @@ route: multiplicities by trial division per m, or one divisor pair at a time
 (``multiplicity_sieve``), instead of by polynomial runs, and the
 counting sum over p, one at a time or in blocks of constant X//p, instead of
 by the Dirichlet hyperbola method. ``count_index_range`` is the
-hyperbola kernel with binomials at every index, the binomial oracle of the
-library's polynomial block sums; ``block_sums_by_maps`` sums those blocks'
-terms through ``map`` pipelines instead of as written. The formulas (total
+hyperbola count with binomials at every index. ``index_term`` is one
+index's term of the library's kernels in binomials, the oracle of their
+sums, and ``count_from_index_terms`` closes the hyperbola from the whole
+sum one index at a time, where the library takes one closed form;
+``block_sums_by_maps`` sums the block kernel's terms through ``map``
+pipelines instead of as written. The formulas (total
 binomials, hockey-stick sums, dim H_{p,q}, eigenvalues, the h polynomial and
 the partial-sum lemma ratio) are the paper's definitions, written out directly;
 ``harmonic_dim`` finds dim H_{p,q} from the operator instead, as the
@@ -326,6 +329,32 @@ def count_index_range(n: int, X: int, pmin: int, i_lo: int, i_hi: int) -> int:
     if k <= i_hi:
         rest += comb(i_hi + 1, n) - comb(k, n)
     return acc // (n * m) - rest
+
+
+def index_term(n, i, Q):
+    """T(i, Q), what index i adds to the numerator that the library's
+    hyperbola kernels sum, in its binomial form (see ``count_N``)."""
+    m = n - 1
+    T = binomial(i + n - 2, n - 2) * binomial(Q, m) * (m * Q + n * i + m)
+    return T + binomial(i - 1, n - 2) * binomial(Q + m, m) * (m * Q + n * i)
+
+
+def count_from_index_terms(n, X, total):
+    """The full count from ``total``, the sum of T(i, X//i) over the indices
+    [1, j] that ``count_N`` sums: total / (n(n-1)) less what the rows and
+    columns of those indices leave out of it, added one index at a time
+    rather than in closed form. That part of row i is
+    A(i) C(lo, n-1) + B(i) C(lo+1, n), and of column i b(i)."""
+    m = n - 1
+    s = math.isqrt(X)
+    lo = max(s, n - 2)
+    rest = sum(
+        binomial(i + n - 2, m) * binomial(lo, m)
+        + binomial(i + n - 2, n - 2) * binomial(lo + 1, n)
+        + binomial(i, m)
+        for i in range(1, min(s, X // lo) + 1)
+    )
+    return total // (n * m) - rest
 
 
 def block_sums_by_maps(n: int, X: int, i_lo: int, i_hi: int) -> int:

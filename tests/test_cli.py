@@ -49,14 +49,19 @@ def run_cli(capsys, *argv):
 
 
 def record_kernel(monkeypatch):
-    """Replace the counting kernel by one that records its X and counts 0."""
+    """Replace the counting kernels by one that records its X and counts 0:
+    it sums [1, j] to n(n-1) times the hyperbola's remainder there, which
+    ``count_N`` then subtracts (see there)."""
     seen = []
 
     def record(n, X, i_lo, i_hi):
         seen.append(X)
-        return 0
+        comb, m, lo, j = math.comb, n - 1, max(math.isqrt(X), n - 2), i_hi
+        rest = comb(lo, m) * comb(j + m, n) + comb(j + 1, n)
+        return n * m * (rest + comb(lo + 1, n) * (comb(j + m, m) - 1))
 
-    monkeypatch.setattr(spectrum, "_count_index_range", record)
+    monkeypatch.setattr(spectrum, "_block_sums", record)
+    monkeypatch.setattr(spectrum, "_falling_factorial_sums", record)
     return seen
 
 

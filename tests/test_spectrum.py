@@ -21,7 +21,7 @@ from kohncount.spectrum import (
     CountingConvention,
     _TERM_BLOCK,
     _block_sums,
-    _count_index_range,
+    _falling_factorial_sums,
     _multiplicities_by_runs,
     count_N,
     spectrum_table,
@@ -32,6 +32,7 @@ from tests.oracles import (
     binomial,
     block_sums_by_maps,
     count_block_range,
+    count_from_index_terms,
     count_index_range,
     count_linear_range,
     delta_M,
@@ -40,6 +41,7 @@ from tests.oracles import (
     f_value,
     harmonic_dim,
     hpq_dim,
+    index_term,
     multiplicities_by_divisors,
     multiplicity_sieve,
     spectrum_csv,
@@ -227,14 +229,18 @@ def test_count_N_matches_block_oracle(X, n, conv):
     assert count_N(n, 2 * X, conv) == count_block_range(n, X, pmin, X)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 10, 40])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 10, 40, 100])
 def test_count_N_matches_block_oracle_at_edges(n):
     # around the square s^2, where the column and row ranges meet, and every
     # X <= (n-1)^2 + 2n: around pmin, where the columns start, and where
-    # isqrt(X) < n-2, so that lo = n-2 and the rows at X//i = lo are empty
+    # isqrt(X) < n-2, so that lo = n-2, the rows at X//i = lo are empty and
+    # X//lo clamps the last index j. At n = 100 only every 7th such X, where
+    # the falling-factorial kernel carries its factors up to j; the carry-edge
+    # test takes n = 100 at X = 10^6 and 10^7.
+    step, squares = (7, ()) if n == 100 else (1, (1, 2, 3, n, 31, 1000, 3163))
     for conv, pmin in ((FULL, n - 1), (PAPER, n)):
-        xs = list(range((n - 1) ** 2 + 2 * n + 1))
-        for s in (1, 2, 3, n, 31, 1000, 3163):
+        xs = list(range(0, (n - 1) ** 2 + 2 * n + 1, step))
+        for s in squares:
             xs += [s * s - 1, s * s, s * s + 1, s * (s + 1), s * (s + 2)]
         for X in xs:
             assert count_N(n, 2 * X, conv) == count_block_range(n, X, pmin, X)
@@ -259,6 +265,21 @@ def test_count_N_convention_gap_closed_form_deep(n):
     assert gap == math.comb(X // (n - 1) + n, n) - 1
 
 
+def kernel(n):
+    """The kernel that ``count_N`` sums at n."""
+    return _block_sums if n <= 3 else _falling_factorial_sums
+
+
+def last_index(n, X):
+    """j, the last index that ``count_N`` sums."""
+    s = math.isqrt(X)
+    return min(s, X // max(s, n - 2))
+
+
+def term_sum(n, X, i_lo, i_hi):
+    return sum(index_term(n, i, X // i) for i in range(i_lo, i_hi + 1))
+
+
 @given(
     st.integers(min_value=1, max_value=10**6),
     st.integers(min_value=2, max_value=8),
@@ -266,51 +287,32 @@ def test_count_N_convention_gap_closed_form_deep(n):
 )
 @settings(derandomize=True, max_examples=100, deadline=None)
 def test_count_index_range_chunks_add_up(X, n, cuts):
-    # the kernel over any split of [1, isqrt(X)] sums to the whole range
-    s = math.isqrt(X)
-    bounds = sorted({1, s + 1, *(1 + c % s for c in cuts)})
-    parts = [
-        _count_index_range(n, X, lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])
-    ]
-    assert sum(parts) == _count_index_range(n, X, 1, s)
-
-
-def chunk_oracle(n, X, i_lo, i_hi):
-    """The part of the full count that the kernel's chunk [i_lo, i_hi]
-    stands for: the columns p = i >= n-1 by the block oracle, the rows q = i
-    (p > max(isqrt(X), n-2)) one lattice point at a time."""
-    lo = max(math.isqrt(X), n - 2)
-    columns = count_block_range(n, X, max(i_lo, n - 1), i_hi)
-    rows = sum(
-        f_value(n, p, q)
-        for q in range(i_lo, i_hi + 1)
-        for p in range(lo + 1, X // q + 1)
-    )
-    return columns + rows
+    # the kernel over any split of [1, j] sums to the whole range, and each
+    # part divides by n(n-1), so one division of the sum is exact
+    j = last_index(n, X)
+    bounds = sorted({1, j + 1, *(1 + c % (j + 1) for c in cuts)})
+    parts = [kernel(n)(n, X, lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])]
+    assert sum(parts) == kernel(n)(n, X, 1, j)
+    assert all(part % (n * (n - 1)) == 0 for part in parts)
 
 
 @pytest.mark.parametrize("n", [2, 3, 10])
 def test_count_index_range_matches_block_oracle_at_loop_edges(n):
     # a second chunk that starts around the first non-zero column n-1, at
-    # and after the last non-empty row X//(lo+1), and at isqrt(X)
+    # and after the last non-empty row X//(lo+1), at isqrt(X) and past j,
+    # where it is empty
     for X in (n - 1, n, n + 1, 99, 100, 2000, 9999, 10000, 10001, 12345):
         s = math.isqrt(X)
+        j = last_index(n, X)
         last_row = X // (max(s, n - 2) + 1)
         for cut in {n - 2, n - 1, n, last_row, last_row + 1, s}:
-            if not 1 <= cut <= s:
+            if not 1 <= cut <= j + 1:
                 continue
-            chunks = [(1, cut - 1), (cut, s)]
-            parts = [_count_index_range(n, X, *chunk) for chunk in chunks]
-            assert parts == [chunk_oracle(n, X, *chunk) for chunk in chunks]
-            assert sum(parts) == count_block_range(n, X, n - 1, X)
-
-
-def index_term(n, i, Q):
-    """T(i, Q), what index i adds to the kernel's numerator, in its binomial
-    form (see ``_count_index_range``)."""
-    m = n - 1
-    T = binomial(i + n - 2, n - 2) * binomial(Q, m) * (m * Q + n * i + m)
-    return T + binomial(i - 1, n - 2) * binomial(Q + m, m) * (m * Q + n * i)
+            chunks = [(1, cut - 1), (cut, j)]
+            parts = [kernel(n)(n, X, *chunk) for chunk in chunks]
+            assert parts == [term_sum(n, X, *chunk) for chunk in chunks]
+            whole = count_from_index_terms(n, X, sum(parts))
+            assert whole == count_block_range(n, X, n - 1, X)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -385,9 +387,7 @@ def assert_chunk_matches_binomial_oracle(n, X, size, at_one, u):
     if i_hi == last_row:
         i_hi = s
     assert min(i_hi, last_row) - max(i_lo, pmin) + 1 == size
-    assert _count_index_range(n, X, i_lo, i_hi) == count_index_range(
-        n, X, pmin, i_lo, i_hi
-    )
+    assert kernel(n)(n, X, i_lo, i_hi) == term_sum(n, X, i_lo, i_hi)
 
 
 # a chunk's middle range of k (n-1) + c indices for (k, c) below: of none,
@@ -409,7 +409,7 @@ RING_SIZES = [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 0), (2, 3), (0, 700)]
 )
 @settings(derandomize=True, max_examples=120, deadline=None)
 def test_count_index_range_matches_binomial_oracle_from_n4(n, X, ring, at_one, u):
-    # the falling-factorial loop of n >= 4 against the binomial loop
+    # the falling-factorial loop of n >= 4 against the terms in binomials
     k, c = ring
     assert_chunk_matches_binomial_oracle(n, X, k * (n - 1) + c, at_one, u)
 
@@ -428,12 +428,13 @@ def test_count_index_range_matches_oracles_at_carry_edges(n, X):
     past_cut = max(i for i in d if d[i] == cut + 1)
     last_recompute = max(i for i in d if d[i] > cut)
     starts = {at_cut, at_cut + 1, past_cut, last_recompute, last_recompute + 1}
+    terms = [0, *(index_term(n, i, X // i) for i in range(1, s + 1))]
     whole = count_block_range(n, X, n - 1, X)
     for start in sorted(starts):
         chunks = [(1, start - 1), (start, s)]
-        parts = [_count_index_range(n, X, *chunk) for chunk in chunks]
-        assert parts == [count_index_range(n, X, n - 1, *chunk) for chunk in chunks]
-        assert sum(parts) == whole
+        parts = [_falling_factorial_sums(n, X, *chunk) for chunk in chunks]
+        assert parts == [sum(terms[lo : hi + 1]) for lo, hi in chunks]
+        assert count_from_index_terms(n, X, sum(parts)) == whole
 
 
 def test_count_N_convention_gap():
@@ -572,12 +573,12 @@ def test_fork_join_returns_big_values(value):
 def test_count_N_raises_when_a_child_fails(monkeypatch, capfd):
     parent = os.getpid()
 
-    def kernel(n, X, i_lo, i_hi):
+    def failing(n, X, i_lo, i_hi):
         if os.getpid() != parent:
             raise RuntimeError("the child's kernel fails")
-        return _count_index_range(n, X, i_lo, i_hi)
+        return _block_sums(n, X, i_lo, i_hi)
 
-    monkeypatch.setattr(spectrum, "_count_index_range", kernel)
+    monkeypatch.setattr(spectrum, "_block_sums", failing)
     monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
     with pytest.raises(ChildProcessError, match="exited with 1"):
         count_N(3, 2 * FORK_X, FULL, workers=2)
@@ -641,7 +642,7 @@ def test_count_N_floors_lambda_exactly(monkeypatch, lam, X):
         seen.append(X)
         return 0
 
-    monkeypatch.setattr(spectrum, "_count_index_range", record)
+    monkeypatch.setattr(spectrum, "_block_sums", record)
     count_N(2, lam, FULL)
     assert seen == [X]
 
