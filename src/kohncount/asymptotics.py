@@ -88,8 +88,8 @@ ProfileSample = namedtuple("ProfileSample", "lam count residual normalized")
 
 
 class RemainderProfile(namedtuple("RemainderProfile", "n convention samples")):
-    """Residuals N(lambda) - c*lambda^n scaled by the lambda^{n-1} ln(lambda)
-    envelope, one sample per (ascending) lambda."""
+    """Residuals N(lambda) - c*lambda^n over lambda^{n-1} ln(lambda), one
+    sample per (ascending) lambda; N has no lambda^{n-1} ln(lambda) term."""
 
     __slots__ = ()
 
@@ -334,14 +334,16 @@ def remainder_profile(
 
     The count and c*lambda^n take lambda exactly, and the residual is
     rounded to a float once; the samples record lambda as a float.
-    Normalization divides by lambda^{n-1} ln(lambda), the expected size of
-    the remainder term, in floats, so that must be a finite float at the
-    largest lambda. Boundedness of the normalized column is the empirical
-    signature that the constant matches the enumerated spectrum.
+    Normalization divides by lambda^{n-1} ln(lambda) in floats, so that must
+    be a finite float at the largest lambda. N has no lambda^{n-1} ln(lambda)
+    term, so the normalized column falls like 1/ln(lambda); it stays bounded
+    only against the constant that matches the enumerated spectrum.
     """
     validate_sphere_n(n)
     if not lambdas:
         raise ValueError("at least one lambda required")
+    if any(isinstance(lam, float) and not math.isfinite(lam) for lam in lambdas):
+        raise ValueError("lambda must be finite")
     if any(lam < 4 for lam in lambdas):
         raise ValueError("all lambdas must be >= 4 (so ln(lambda) > 1)")
     if list(lambdas) != sorted(lambdas):

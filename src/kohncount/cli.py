@@ -324,19 +324,19 @@ def cmd_spectrum(args) -> int:
 
 def cmd_count(args) -> int:
     conv = CONVENTIONS[args.convention]
-    if args.format == "text":
-        count = spectrum.count_N(args.n, args.lam, conv, workers=args.workers)
-        return _emit(f"{count}\n", args.out)
-    # csv and json print lambda as a float, so one with none fails before
-    # the count
-    try:
-        lam = float(args.lam)
-    except OverflowError:
-        raise ValueError(
-            f"--format {args.format} prints lambda as a float, and this lambda "
-            "is beyond the float range"
-        ) from None
+    if args.format != "text":
+        # csv and json print lambda as a float, so one with none fails
+        # before the count
+        try:
+            lam = float(args.lam)
+        except OverflowError:
+            raise ValueError(
+                f"--format {args.format} prints lambda as a float, and this "
+                "lambda is beyond the float range"
+            ) from None
     count = spectrum.count_N(args.n, args.lam, conv, workers=args.workers)
+    if args.format == "text":
+        return _emit(f"{count}\n", args.out)
     record = {"n": args.n, "lambda": lam, "convention": conv.value, "count": count}
     if args.format == "json":
         return _json(record, args.out)

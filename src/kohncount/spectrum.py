@@ -37,7 +37,7 @@ __all__ = [
 # would cost a system call per row.
 WRITE_BLOCK_ROWS = 4096
 
-# ``count_N`` runs serially below this isqrt(X): there, on two cores, forking
+# ``count_N`` plans one chunk below this isqrt(X): there, on two cores, forking
 # a second process costs more than it saves. At n = 2, whose kernel takes the
 # least time per index, that holds up to twice as far (both measured on
 # 2 cores).
@@ -231,16 +231,15 @@ def count_N(
     factorials, carried from the last index when X//i moves little
     (``_falling_factorial_sums``). One exact division of that sum and one
     closed form for the hyperbola's remainder give the count.
-    With ``workers`` > 1 the kernel runs in one process per worker, at most
-    one per CPU that this process may use: the index range [1, j] is
-    split into one chunk of equal width per process, this process sums the
-    first, and a child forked for each other chunk sends back its part.
-    Integer addition makes the result identical to the serial run; a failed
-    child makes this raise ``ChildProcessError``. The count is serial when that
-    leaves one process, when isqrt(X) is below ``PARALLEL_MIN_SQRT_X`` (at
-    n = 2, twice that), or where ``os.fork`` does not exist. Forking is
-    unsafe in a process that runs threads, so call it there with ``workers``
-    = 1.
+    The index range [1, j] is cut into one chunk of equal width per
+    process, and ``_fork_join`` sums them: this process sums the first, and
+    a child forked for each other chunk sends back its part. The plan is
+    one chunk, summed here with no fork and no pipe, when isqrt(X) is below
+    ``PARALLEL_MIN_SQRT_X`` (at n = 2, twice that), where ``os.fork`` does
+    not exist, or when ``workers`` = 1; else ``workers`` chunks, at most one
+    per CPU that this process may use. Every plan gives the same count; a
+    failed child makes this raise ``ChildProcessError``. Forking is unsafe
+    in a process that runs threads, so call it there with ``workers`` = 1.
     """
     validate_sphere_n(n)
     try:
@@ -280,12 +279,10 @@ def count_N(
     lo = max(s, n - 2)
     j = min(s, X // lo)
     sums = functools.partial(_block_sums if n <= 3 else _falling_factorial_sums, n, X)
-    procs = min(workers, _usable_cpus()) if hasattr(os, "fork") else 1
-    if procs == 1 or s < PARALLEL_MIN_SQRT_X * (2 if n == 2 else 1):
-        acc = sums(1, j)
-    else:
-        bounds = [1 + j * k // procs for k in range(procs + 1)]
-        acc = _fork_join(sums, [(b, c - 1) for b, c in zip(bounds, bounds[1:])])
+    can_fork = hasattr(os, "fork") and s >= PARALLEL_MIN_SQRT_X * (2 if n == 2 else 1)
+    procs = min(workers, _usable_cpus()) if can_fork else 1
+    bounds = [1 + j * k // procs for k in range(procs + 1)]
+    acc = _fork_join(sums, [(b, c - 1) for b, c in zip(bounds, bounds[1:])])
     # the remainder, by the hockey stick over i in [1, j]: the rows' A(i)
     # C(lo, n-1) and B(i) C(lo+1, n), and the columns' b(i)
     N = acc // (n * m) - comb(lo, m) * comb(j + m, n)

@@ -22,6 +22,11 @@ binomials, for the closed forms of the count and the table at n = 2 and 3.
 Bernoulli numbers, which the library takes from tangent numbers instead.
 ``zeta_even`` writes zeta(2m) as a multiple of (pi^2)^m from the library's
 B_2m, for the tests to check against partial sums of k^-2m.
+``dirichlet_weights`` expands f(p, q) into the weights of its Dirichlet
+series, a double sum of zeta(s-j) zeta(s-k), and
+``leading_coefficient_by_residues`` takes the leading coefficient from
+that series' residue at s = n, a fourth route that shares no algebra with
+the closed form's h(k) and Stirling row.
 ``tail_derivative_bounds`` sums the series' tail bounds term by term in
 ``Fraction``, and ``tail_bracket`` builds the tail bracket from them, where
 the library sums both points in one pass in integers over one denominator.
@@ -418,6 +423,65 @@ def zeta_even(two_m):
         raise ValueError("zeta_even requires a positive even argument")
     coeff = abs(bernoulli(two_m)) * 2 ** (two_m - 1) / Fraction(math.factorial(two_m))
     return PiPolynomial((0,) * (two_m // 2) + (coeff,))
+
+
+def _factor_product(shift, k):
+    """k! C(x + shift, k) as its integer coefficients of x^0 .. x^k, the
+    product of the linear factors x + shift - t for t < k."""
+    coeffs = [1]
+    for t in range(k):
+        c = shift - t
+        coeffs = [c * x + y for x, y in zip([*coeffs, 0], [0, *coeffs])]
+    return coeffs
+
+
+def dirichlet_weights(n):
+    """The weights of the Dirichlet series F(s) = sum_{p,q>=1} f(p, q)
+    (pq)^-s of the full count, as a function w: F(s) = sum_{j,k} w(j, k)
+    zeta(s-j) zeta(s-k) over j, k in [0, n-1], w(j, k) the coefficient of
+    p^j q^k in f(p, q).
+
+    f = a(p) A(q) + b(p) B(q) with a(p) = C(p-1, n-2), b(p) = C(p, n-1),
+    A(q) = C(q+n-2, n-1) and B(q) = C(q+n-2, n-2), each expanded here from
+    its linear factors; both products share the denominator (n-2)! (n-1)!."""
+    a = [*_factor_product(-1, n - 2), 0]
+    b = _factor_product(0, n - 1)
+    A = _factor_product(n - 2, n - 1)
+    B = [*_factor_product(n - 2, n - 2), 0]
+    D = math.factorial(n - 2) * math.factorial(n - 1)
+    return lambda j, k: Fraction(a[j] * A[k] + b[j] * B[k], D)
+
+
+def leading_coefficient_by_residues(n, conv):
+    """c = lim N(lambda)/lambda^n from the residue at s = n of the spectral
+    zeta function, as (even, odd): ``even`` the PiPolynomial of the zeta
+    values at even integers, and ``odd`` {r: coefficient of zeta(r)} for
+    every odd r that appears, kept symbolic.
+
+    With X = lambda/2, Perron's formula gives N ~ Res_{s=n} F(s) X^n / n, so
+    c = Res / (n 2^n). Only the terms with j or k = n-1 have a pole at
+    s = n, where zeta(s-n+1) has residue 1: Res = sum_{k<n-1}
+    (w_{n-1,k} + w_{k,n-1}) zeta(n-k). zeta(2m) = |B_2m| 2^(2m-1)/(2m)!
+    (pi^2)^m, with B_2m from ``bernoulli_by_recurrence``. The paper
+    convention drops the H_{0,q} family, whose series
+    sum_q C(q+n-1, n-1) ((n-1)q)^-s has at s = n the residue
+    (n-1)^-n times the q^(n-1) coefficient of C(q+n-1, n-1).
+    """
+    w = dirichlet_weights(n)
+    m = n - 1
+    even = [Fraction(0)] * (n // 2 + 1)
+    odd = {}
+    for k in range(m):
+        r, residue = n - k, (w(m, k) + w(k, m)) / (n * 2**n)
+        if r % 2:
+            odd[r] = residue
+        else:
+            b = bernoulli_by_recurrence(r)
+            even[r // 2] += residue * abs(b) * 2 ** (r - 1) / math.factorial(r)
+    if conv is CountingConvention.PAPER_RESTRICTED:
+        g = _factor_product(n - 1, m)[m]
+        even[0] -= Fraction(g, math.factorial(m) * m**n * n * 2**n)
+    return PiPolynomial(even), odd
 
 
 def tail_derivative_bounds(a, X):

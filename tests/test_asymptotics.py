@@ -33,7 +33,10 @@ from kohncount.asymptotics import (
 from kohncount.exact import PiPolynomial, pipoly_eval
 from kohncount.spectrum import CountingConvention
 from tests.oracles import (
+    dirichlet_weights,
     h_poly,
+    hpq_dim,
+    leading_coefficient_by_residues,
     lemma_ratio,
     select_truncation_by_halving,
     tail_bracket,
@@ -162,6 +165,44 @@ def test_closed_form_stirling_route_matches_direct_sum():
         assert abs(S_value - direct) <= tail_bound
 
 
+RESIDUE_NS = [*range(2, 13), 20, 30, 45, 60]
+
+
+@pytest.mark.parametrize("n", RESIDUE_NS)
+@pytest.mark.parametrize("conv", [FULL, PAPER])
+def test_residue_route_matches_closed_form(n, conv):
+    # the residue at s = n of the spectral zeta function, from the Dirichlet
+    # weights of f(p, q), against the closed form from h(k) and one
+    # Stirling row: the same element of Q[pi^2], exactly
+    even, _ = leading_coefficient_by_residues(n, conv)
+    assert even == leading_coefficient_closed(n, conv).exact
+
+
+@pytest.mark.parametrize("n", RESIDUE_NS)
+def test_residue_route_has_no_odd_zeta(n):
+    # zeta(r) at every odd r in [3, n] appears term by term, and each of
+    # its coefficients cancels to exactly 0, under both conventions
+    for conv in (FULL, PAPER):
+        _, odd = leading_coefficient_by_residues(n, conv)
+        assert sorted(odd) == list(range(3, n + 1, 2))
+        assert all(c == 0 for c in odd.values())
+
+
+def test_no_double_pole_at_n_minus_1():
+    # a lambda^(n-1) ln(lambda) term in N needs a double pole of F(s) at
+    # s = n-1, whose weight w(n-2, n-2) = a_{n-2} A_{n-2} + b_{n-2} B_{n-2}
+    # is 0 at every n; the weights are first checked to expand f(p, q),
+    # which is dim H_{p-n+1, q} from p = n-1 on and 0 below
+    for n in (2, 3, 5, 10):
+        w = dirichlet_weights(n)
+        for p in range(1, n + 4):
+            for q in range(1, 5):
+                f = sum(w(j, k) * p**j * q**k for j in range(n) for k in range(n))
+                assert f == (hpq_dim(n, p - n + 1, q) if p >= n - 1 else 0)
+    for n in range(2, 201):
+        assert dirichlet_weights(n)(n - 2, n - 2) == 0
+
+
 # ---------------------------------------------------------------------------
 # certified series
 
@@ -219,7 +260,7 @@ def test_series_certificate_is_sound_at_large_n(n):
 
 
 @pytest.mark.parametrize("n", [*range(2, 13), 30, 60, 150, 300])
-def test_tail_derivative_bounds_match_term_by_term_sums(n):
+def test_tail_bracket_matches_term_by_term_sums(n):
     # the tail sums that _tail_bracket takes in one pass, in integers over
     # one denominator, give the same bracket as the Fraction terms at both
     # points it reads
@@ -375,6 +416,19 @@ def test_remainder_profile_rejects_envelope_beyond_floats(monkeypatch, n, lambda
     monkeypatch.setattr(asymptotics, "count_N", None)
     with pytest.raises(ValueError, match=r"ln\(lambda\) is not a finite float"):
         remainder_profile(n, lambdas, FULL)
+
+
+@pytest.mark.parametrize(
+    "lambdas",
+    [[math.nan], [8.0, math.nan], [4.0, math.inf], [math.inf, 4.0]],
+    ids=str,
+)
+def test_remainder_profile_rejects_non_finite_lambda(monkeypatch, lambdas):
+    # with the message of count_N, wherever the lambda sits: before the
+    # order and envelope checks and before any count
+    monkeypatch.setattr(asymptotics, "count_N", None)
+    with pytest.raises(ValueError, match=r"^lambda must be finite$"):
+        remainder_profile(2, lambdas, FULL)
 
 
 def test_remainder_profile_keeps_envelope_inside_floats():

@@ -896,6 +896,8 @@ def test_identical_flags_identical_bytes():
         ["converge", "--n", "2", "--lambdas", "4:inf:x2"],
         ["converge", "--n", "2", "--lambdas", "inf:inf:x2"],
         ["converge", "--n", "2", "--lambdas", "4,inf"],
+        ["converge", "--n", "2", "--lambdas", "nan"],
+        ["converge", "--n", "2", "--lambdas", "8,nan"],
     ],
 )
 def test_non_finite_values_exit_2(capsys, argv):
@@ -904,6 +906,14 @@ def test_non_finite_values_exit_2(capsys, argv):
     assert out == ""
     assert err.startswith("kohncount: ")
     assert "finite" in err
+    if argv[0] == "converge":
+        # a range field names the range; a listed lambda, wherever it sits
+        # in the list, gets the message of count, spectrum and coeff
+        spec = argv[-1]
+        if ":" in spec:
+            assert err == f"kohncount: lambda range {spec!r} must be finite\n"
+        else:
+            assert err == "kohncount: lambda must be finite\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

@@ -286,7 +286,7 @@ def term_sum(n, X, i_lo, i_hi):
     st.lists(st.integers(min_value=0, max_value=10**3), max_size=6),
 )
 @settings(derandomize=True, max_examples=100, deadline=None)
-def test_count_index_range_chunks_add_up(X, n, cuts):
+def test_kernel_chunks_add_up(X, n, cuts):
     # the kernel over any split of [1, j] sums to the whole range, and each
     # part divides by n(n-1), so one division of the sum is exact
     j = last_index(n, X)
@@ -297,7 +297,7 @@ def test_count_index_range_chunks_add_up(X, n, cuts):
 
 
 @pytest.mark.parametrize("n", [2, 3, 10])
-def test_count_index_range_matches_block_oracle_at_loop_edges(n):
+def test_kernels_match_block_oracle_at_loop_edges(n):
     # a second chunk that starts around the first non-zero column n-1, at
     # and after the last non-empty row X//(lo+1), at isqrt(X) and past j,
     # where it is empty
@@ -370,7 +370,7 @@ MIN_SQRT_X = 4 * BLOCK  # room for every middle size
     st.integers(min_value=0),
 )
 @settings(derandomize=True, max_examples=120, deadline=None)
-def test_count_index_range_matches_binomial_oracle(n, X, size, at_one, u):
+def test_kernels_match_binomial_oracle(n, X, size, at_one, u):
     assert_chunk_matches_binomial_oracle(n, X, size, at_one, u)
 
 
@@ -408,14 +408,14 @@ RING_SIZES = [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 0), (2, 3), (0, 700)]
     st.integers(min_value=0),
 )
 @settings(derandomize=True, max_examples=120, deadline=None)
-def test_count_index_range_matches_binomial_oracle_from_n4(n, X, ring, at_one, u):
+def test_falling_factorial_sums_match_binomial_oracle(n, X, ring, at_one, u):
     # the falling-factorial loop of n >= 4 against the terms in binomials
     k, c = ring
     assert_chunk_matches_binomial_oracle(n, X, k * (n - 1) + c, at_one, u)
 
 
 @pytest.mark.parametrize("n, X", [(100, 10**6), (100, 10**7), (300, 10**7)])
-def test_count_index_range_matches_oracles_at_carry_edges(n, X):
+def test_falling_factorial_sums_match_oracles_at_carry_edges(n, X):
     # _falling_factorial_sums carries its factors from index i-1 to i while
     # d = X//(i-1) - X//i <= (n-1)//4 and recomputes them past that and at a
     # chunk's first index. Second chunks start where d is the cut-off and the
@@ -480,8 +480,9 @@ def test_count_N_caps_processes_at_cpu_count(monkeypatch, workers, cpus, expecte
     # Where the OS has no affinity mask, os.cpu_count() caps the processes.
     # A stand-in for the fork-join records the chunks and runs them in this
     # process, so no large number of processes is ever started. When the cap
-    # leaves one process, the count is serial and never reaches the
-    # fork-join. X = FORK_X is the smallest X at which it is used at all.
+    # leaves one process, the plan is one chunk, [(1, isqrt(X))], as it is
+    # for the count with workers = 1. X = FORK_X is the smallest X at which
+    # the plan has more than one chunk at all.
     seen = []
 
     def in_process(kernel, chunks):
@@ -492,13 +493,15 @@ def test_count_N_caps_processes_at_cpu_count(monkeypatch, workers, cpus, expecte
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     X = FORK_X
+    s = math.isqrt(X)
     assert count_N(3, 2 * X, FULL, workers=workers) == count_N(3, 2 * X, FULL)
-    assert [len(chunks) for chunks in seen] == ([expected] if expected > 1 else [])
-    for chunks in seen:  # contiguous, of equal width, covering [1, isqrt(X)]
-        assert [lo for lo, _ in chunks[1:]] == [hi + 1 for _, hi in chunks[:-1]]
-        assert chunks[0][0] == 1 and chunks[-1][1] == math.isqrt(X)
-        widths = [hi - lo for lo, hi in chunks]
-        assert max(widths) - min(widths) <= 1
+    assert [len(chunks) for chunks in seen] == [expected, 1]
+    assert seen[1] == [(1, s)]
+    chunks = seen[0]  # contiguous, of equal width, covering [1, isqrt(X)]
+    assert [lo for lo, _ in chunks[1:]] == [hi + 1 for _, hi in chunks[:-1]]
+    assert chunks[0][0] == 1 and chunks[-1][1] == s
+    widths = [hi - lo for lo, hi in chunks]
+    assert max(widths) - min(widths) <= 1
 
 
 def forbid_fork(monkeypatch):
@@ -530,18 +533,42 @@ def test_count_N_stays_serial_below_fork_cut_off(monkeypatch):
 
 def test_count_N_forks_at_the_cut_off(monkeypatch):
     # the smallest X that forks at n = 2 and at n = 3 and 10; a stand-in
-    # for the fork-join records the chunks and runs them in this process
+    # for the fork-join records the chunks and runs them in this process.
+    # There j = isqrt(X): workers = 2 cuts [1, j] in two, and workers = 1
+    # plans the one chunk [(1, j)]
     seen = []
 
     def in_process(kernel, chunks):
-        seen.append(len(chunks))
+        seen.append(list(chunks))
         return sum(kernel(lo, hi) for lo, hi in chunks)
 
     monkeypatch.setattr(spectrum, "_fork_join", in_process)
     monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+    expected = []
     for n, X in ((2, FORK_X_N2), (3, FORK_X), (10, FORK_X)):
         assert count_N(n, 2 * X, PAPER, workers=2) == count_N(n, 2 * X, PAPER)
-    assert seen == [2, 2, 2]
+        j = math.isqrt(X)
+        expected += [[(1, j // 2), (j // 2 + 1, j)], [(1, j)]]
+    assert seen == expected
+
+
+@pytest.mark.parametrize(
+    "n, X", [(2, FORK_X_N2 - 1), (3, FORK_X - 1), (10, FORK_X - 1)]
+)
+@pytest.mark.parametrize("conv", [FULL, PAPER], ids=["full", "paper"])
+def test_count_N_one_chunk_plan_never_forks(monkeypatch, n, X, conv):
+    # one isqrt(X) below the cut-off, workers = 2 plans one chunk: it is
+    # summed in this process, with no fork, no pipe and no look at the CPU
+    # count, to the count of the binomial oracle
+    def refuse(*args):
+        raise AssertionError("a one-chunk plan forked, piped or read the CPUs")
+
+    for name in ("fork", "pipe"):
+        monkeypatch.setattr(os, name, refuse)
+    monkeypatch.setattr(spectrum, "_usable_cpus", refuse)
+    pmin = n if conv is PAPER else n - 1
+    expected = count_index_range(n, X, pmin, 1, math.isqrt(X))
+    assert count_N(n, 2 * X, conv, workers=2) == expected
 
 
 def test_count_N_runs_serially_without_fork(monkeypatch):
