@@ -143,8 +143,8 @@ class _InvalidNumber(argparse.ArgumentTypeError, ValueError):
 
 
 def _float(text: str) -> float:
-    """``float(text)``, with a float's usage error. An integer spelling
-    beyond the float range reads as inf, as ``1e400`` does."""
+    """``float(text)``, with a float's usage error. A spelling beyond the
+    float range reads as inf, whether ``1e400`` or an integer written out."""
     try:
         return float(text)
     except ValueError:
@@ -152,20 +152,19 @@ def _float(text: str) -> float:
 
 
 def _exact_real(text: str) -> int | Fraction | float:
-    """A finite number parsed exactly: an ``int`` when spelled as one, else a
+    """A number read first as a float, with a float's spellings and usage
+    error. A value the float cannot hold (inf, nan, ``1e400``, an integer of
+    400 digits) stays that float, which the library rejects as not finite;
+    a finite one is parsed exactly: an ``int`` when spelled as one, else a
     ``Fraction``.
-
-    The accepted spellings are a float's, with a float's usage error.
-    Values a float cannot hold (inf, nan, 1e400) stay floats, which the
-    library rejects as not finite.
     """
+    value = _float(text)
+    if not math.isfinite(value):
+        return value
     try:
         return int(text)
     except ValueError:
         pass
-    value = _float(text)
-    if not math.isfinite(value):
-        return value
     from fractions import Fraction
 
     return Fraction(text)
@@ -194,11 +193,11 @@ def parse_lambda_spec(spec: str) -> list[int | Fraction | float]:
         top = stop * (1 + 1e-9)
         if step.startswith("x"):
             factor, increment = _float(step[1:]), 0.0
-            if factor <= 1:
+            if not factor > 1:
                 raise ValueError("geometric factor must be > 1")
         elif step.startswith("+"):
             factor, increment = 1.0, _float(step[1:])
-            if increment <= 0:
+            if not increment > 0:
                 raise ValueError("arithmetic step must be > 0")
         else:
             raise ValueError(f"malformed lambda step {step!r}")
@@ -324,19 +323,10 @@ def cmd_spectrum(args) -> int:
 
 def cmd_count(args) -> int:
     conv = CONVENTIONS[args.convention]
-    if args.format != "text":
-        # csv and json print lambda as a float, so one with none fails
-        # before the count
-        try:
-            lam = float(args.lam)
-        except OverflowError:
-            raise ValueError(
-                f"--format {args.format} prints lambda as a float, and this "
-                "lambda is beyond the float range"
-            ) from None
     count = spectrum.count_N(args.n, args.lam, conv, workers=args.workers)
     if args.format == "text":
         return _emit(f"{count}\n", args.out)
+    lam = float(args.lam)
     record = {"n": args.n, "lambda": lam, "convention": conv.value, "count": count}
     if args.format == "json":
         return _json(record, args.out)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import mpmath
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 
 from kohncount.asymptotics import (
     empirical_report,
@@ -376,7 +376,7 @@ def test_lambda_parses_exactly(capsys, monkeypatch):
     )
     assert args.lambda_max == 2**53 + 1
     # the count sees X = 2^53 + 1 from lambda = 2^54 + 2; a float would give 2^53,
-    # and the output still prints lambda as a float
+    # and the json record still shows lambda's float
     seen = record_kernel(monkeypatch)
     rc, out, _ = run_cli(
         capsys, "count", "--n", "2", "--lambda", str(2**54 + 2), "--format", "json"
@@ -682,6 +682,8 @@ def test_converge_malformed_range(capsys):
         ("4:64", "malformed lambda range '4:64'"),
         ("4:64:x1", "geometric factor must be > 1"),
         ("4:64:+0", "arithmetic step must be > 0"),
+        ("4:8:xnan", "geometric factor must be > 1"),
+        ("4:8:+nan", "arithmetic step must be > 0"),
     ]:
         rc, out, err = run_cli(capsys, "converge", "--n", "2", "--lambdas", spec)
         assert rc == 2
@@ -700,7 +702,7 @@ def test_converge_range_fields_beyond_floats(capsys):
         assert err == f"kohncount: lambda range {spec!r} must be finite\n"
     one_point = run_cli(capsys, "converge", "--n", "2", "--lambdas", "4:8:x1e400")
     assert one_point[0] == 0 and len(one_point[1].splitlines()) == 2
-    for spec in (f"4:8:x{huge}", f"4:8:+{huge}"):
+    for spec in (f"4:8:x{huge}", f"4:8:+{huge}", "4:8:+inf"):
         assert run_cli(capsys, "converge", "--n", "2", "--lambdas", spec) == one_point
 
 
@@ -918,27 +920,62 @@ def test_non_finite_values_exit_2(capsys, argv):
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_count_of_a_lambda_beyond_floats(capsys, monkeypatch, fmt):
-    # a float spelling beyond the range, decimal too, parses as inf, as before
+    # every spelling beyond the float range, an integer written out too,
+    # parses as inf, which count_N refuses before it sums a chunk; at
+    # n = 10^401 an exact lambda of 10^400 would count 0 at once
+    monkeypatch.setattr(spectrum, "_fork_join", None)
     huge = str(10**400)
-    for lam in ("1e400", f"{huge}.5"):
-        argv = ["count", "--n", "3", "--lambda", lam, "--format", fmt]
+    for n, lam in [("3", "1e400"), ("3", f"{huge}.5"), ("3", huge), (str(10**401), huge)]:
+        argv = ["count", "--n", n, "--lambda", lam, "--format", fmt]
         assert run_cli(capsys, *argv) == (2, "", "kohncount: lambda must be finite\n")
-    # an integer spelling is exact: at n = 10^401, X < n - 1 and the count is
-    # 0 at once, which the text form prints alone; csv and json, which print
-    # lambda as a float, refuse lambda before counting, at n = 3 too
-    if fmt == "text":
-        argv = ["count", "--n", str(10**401), "--lambda", huge, "--format", fmt]
-        assert run_cli(capsys, *argv) == (0, "0\n", "")
-        return
-    monkeypatch.setattr(spectrum, "count_N", None)
-    for n in (str(10**401), "3"):
-        argv = ["count", "--n", n, "--lambda", huge, "--format", fmt]
-        assert run_cli(capsys, *argv) == (
-            2,
-            "",
-            f"kohncount: --format {fmt} prints lambda as a float, and this "
-            "lambda is beyond the float range\n",
-        )
+
+
+# commands with {} for a lambda beyond the float range, and the exit code of
+# each: coeff's closed and series methods do not use --lambda
+BEYOND_FLOATS = {
+    "count-text": (2, ["count", "--n", str(10**401), "--lambda={}"]),
+    "count-csv": (2, ["count", "--n", "3", "--lambda={}", "--format", "csv"]),
+    "count-json": (2, ["count", "--n", "3", "--lambda={}", "--format", "json"]),
+    "coeff-all": (2, ["coeff", "--n", "3", "--lambda={}"]),
+    "coeff-empirical": (2, ["coeff", "--n", "3", "--method", "empirical", "--lambda={}"]),
+    "coeff-closed": (0, ["coeff", "--n", "3", "--method", "closed", "--lambda={}"]),
+    "coeff-series": (0, ["coeff", "--n", "3", "--method", "series", "--lambda={}"]),
+    "spectrum": (2, ["spectrum", "--n", "2", "--lambda-max={}"]),
+    "converge-list": (2, ["converge", "--n", "2", "--lambdas=4,{}"]),
+    "converge-one": (2, ["converge", "--n", "2", "--lambdas={}"]),
+}
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("case", list(BEYOND_FLOATS))
+def test_integer_lambda_beyond_floats_reads_as_inf(capsys, case, sign):
+    # 10^400 written out gives the bytes of 1e400, and -10^400 those of
+    # -1e400: an error as not finite, or, where -inf is checked first, as
+    # below the least lambda
+    expected_rc, argv = BEYOND_FLOATS[case]
+    written = run_cli(capsys, *(arg.format(f"{sign}{10**400}") for arg in argv))
+    floated = run_cli(capsys, *(arg.format(f"{sign}1e400") for arg in argv))
+    assert written == floated
+    rc, out, err = written
+    assert rc == expected_rc
+    if rc:
+        assert out == "" and ("finite" in err if sign == "" else "must be" in err)
+    else:
+        assert out and err == ""
+
+
+def test_coeff_of_an_integer_lambda_beyond_floats_ends_at_once():
+    # the empirical method refuses it as not finite, where an exact 10^400
+    # would start a count of some 10^200 index steps
+    result = subprocess.run(
+        [sys.executable, "-m", "kohncount", "coeff", "--n", "3"]
+        + ["--lambda", str(10**400)],
+        capture_output=True,
+        text=True,
+        timeout=1,
+    )
+    assert result.returncode == 2
+    assert result.stderr == "kohncount: lambda must be finite\n"
 
 
 # the modules that only some commands need
@@ -1067,6 +1104,28 @@ def test_exact_real_spellings():
     assert _exact_real("99999.5") == Fraction(199999, 2)
     assert _exact_real("1_000.5") == Fraction(2001, 2)
     assert math.isinf(_exact_real("inf"))
+    # every value a float cannot hold stays that float, however spelled
+    top = 2**1024 - 2**970  # the least integer that float(int) refuses
+    assert _exact_real(str(top - 1)) == top - 1 and type(_exact_real(str(top - 1))) is int
+    with uncapped_int_digits():
+        for k in (top, 10**4999):
+            assert _exact_real(str(k)) == math.inf
+            assert _exact_real(str(-k)) == -math.inf
+        assert _exact_real(LONG_LAMBDA) == Fraction(LONG_LAMBDA)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.integers(-(2**975), 2**975))
+@example(-1)
+@example(0)
+def test_exact_real_reads_inf_exactly_where_float_overflows(offset):
+    k = 2**1024 - 2**970 + offset
+    try:
+        float(k)
+    except OverflowError:
+        assert _exact_real(str(k)) == math.inf
+    else:
+        assert _exact_real(str(k)) == k and type(_exact_real(str(k))) is int
 
 
 # spellings with digit underscores where a float allows them, and anywhere
