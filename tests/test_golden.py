@@ -90,6 +90,13 @@ def _cases() -> dict[str, tuple[list[str], int]]:
     cases["converge-n3-list"] = [
         "converge", "--n", "3", "--lambdas", "100,1000,5000.5", "--convention", "paper",
     ]
+    # subnormal floats: gap lines of 7.0407e-319, a first residual of
+    # -4.0547452075e-313
+    cases["coeff-all-n155-both-text-lambda1e3"] = [
+        "coeff", "--n", "155", "--method", "all", "--convention", "both",
+        "--precision", "200", "--lambda", "1e3",
+    ]
+    cases["converge-n200-list"] = ["converge", "--n", "200", "--lambdas", "4,8"]
     cases["spectrum-n4-out-csv"] = [
         "spectrum", "--n", "4", "--lambda-max", "120", "--format", "csv", "--out", OUT,
     ]
@@ -153,7 +160,7 @@ def test_values_print_without_mpmath():
         text=True,
         check=True,
     )
-    assert len(cases) == 44
+    assert len(cases) == 46
     assert result.stdout.splitlines() == [f"{case} 0 True" for case, _, _ in cases]
 
 
