@@ -25,7 +25,6 @@ from functools import lru_cache
 from .exact import (
     PiPolynomial,
     _floor_log10,
-    _to_float,
     bernoulli,
     pipoly_eval,
     stirling_first_signed,
@@ -333,7 +332,8 @@ def remainder_profile(
     """Residuals against the closed-form constant over ascending lambdas.
 
     The count and c*lambda^n take lambda exactly, and the residual is
-    rounded to a float once; the samples record lambda as a float.
+    rounded to a float once, to +-inf beyond the float range; the samples
+    record lambda as a float.
     Normalization divides by lambda^{n-1} ln(lambda) in floats, so that must
     be a finite float at the largest lambda. N has no lambda^{n-1} ln(lambda)
     term, so the normalized column falls like 1/ln(lambda); it stays bounded
@@ -363,7 +363,11 @@ def remainder_profile(
     samples = []
     for lam in lambdas:
         count = count_N(n, lam, conv)
-        residual = _to_float(count - c * Fraction(lam) ** n)
+        remainder = count - c * Fraction(lam) ** n
+        try:
+            residual = float(remainder)
+        except OverflowError:
+            residual = math.inf if remainder > 0 else -math.inf
         x = float(lam)
         normalized = residual / (x ** (n - 1) * math.log(x))
         samples.append(ProfileSample(x, count, residual, normalized))

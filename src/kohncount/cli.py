@@ -335,7 +335,7 @@ def cmd_count(args) -> int:
 
 def cmd_coeff(args) -> int:
     from . import asymptotics
-    from .exact import MIN_EVAL_DIGITS, _to_float
+    from .exact import MIN_EVAL_DIGITS
 
     if args.precision < MIN_EVAL_DIGITS:
         raise ValueError(f"precision must be >= {MIN_EVAL_DIGITS} digits")
@@ -352,7 +352,7 @@ def cmd_coeff(args) -> int:
         for i, r1 in enumerate(reports):
             for r2 in reports[i + 1 :]:
                 key = f"{conv.value}:{r1.method}_vs_{r2.method}"
-                gaps[key] = abs(_to_float(r1.value) - _to_float(r2.value))
+                gaps[key] = abs(float(r1.value) - float(r2.value))
     records = [_report_record(r, args.precision) for r in all_reports]
     if args.format == "json":
         return _json({"reports": records, "gaps": gaps}, args.out)

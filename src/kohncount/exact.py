@@ -11,7 +11,6 @@ division.
 
 from __future__ import annotations
 
-import math
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_FLOOR, ROUND_HALF_UP, Context
 from fractions import Fraction
 from functools import lru_cache
@@ -273,20 +272,3 @@ def format_significant(x: Fraction, digits: int) -> str:
         return f"{sign}{s[: e + 1]}.{s[e + 1 :]}"
     return f"{sign}{s[0]}.{s[1:]}e{e:+d}"
 
-
-def _to_float(x: Fraction) -> float:
-    """x rounded to 53 significant bits, ties to even, then scaled by its
-    power of two: a subnormal result is rounded twice, and one beyond the
-    float range is +-inf. ``float(x)`` rounds once and raises
-    ``OverflowError``; this is the rule the pinned outputs were made with.
-
-    The first rounding is CPython's correctly rounded division of x scaled
-    into [2^52, 2^54), the second ``math.ldexp``.
-    """
-    p, q = x.numerator, x.denominator
-    shift = 53 - p.bit_length() + q.bit_length()
-    scaled = (p << shift) / q if shift >= 0 else p / (q << -shift)
-    try:
-        return math.ldexp(scaled, -shift)
-    except OverflowError:
-        return math.inf if p > 0 else -math.inf

@@ -34,10 +34,9 @@ the library sums both points in one pass in integers over one denominator.
 and a hand-written halving loop, where the library ends in ``bisect_left``.
 ``pipoly_eval_closed_bound`` accepts the library's Horner sum on a
 closed-form error bound, where the library carries a running one;
-``floor_log10_by_search``, ``format_significant_by_integers`` and
-``to_float_by_integers`` round in integers, with a log estimate and a
-search, a hand carry and a hand ties-to-even, where the library takes one
-``decimal`` division or one correctly rounded integer quotient.
+``floor_log10_by_search`` and ``format_significant_by_integers`` round
+in integers, with a log estimate and a search and a hand carry, where the
+library takes one ``decimal`` division.
 ``parse_pi_string`` reads back what ``PiPolynomial.to_string`` writes, so the
 tests can check that rendering. ``csv_text`` renders rows through
 ``csv.writer``, and ``spectrum_csv`` and ``spectrum_json`` render spectrum
@@ -607,29 +606,6 @@ def format_significant_by_integers(x, digits):
             return f"{sign}0.{'0' * (-e - 1)}{s}"
         return f"{sign}{s[: e + 1]}.{s[e + 1 :]}"
     return f"{sign}{s[0]}.{s[1:]}e{e:+d}"
-
-
-def to_float_by_integers(x):
-    """x rounded to 53 significant bits, ties to even, by an integer divmod
-    with the binade fixed up by hand, then scaled by ``math.ldexp``; +-inf
-    beyond the float range."""
-    p, q = x.numerator, x.denominator
-    if p == 0:
-        return 0.0
-    a = abs(p)
-    # a/q * 2^shift in [2^52, 2^53)
-    shift = 53 - (a.bit_length() - q.bit_length())
-    num, den = (a << shift, q) if shift >= 0 else (a, q << -shift)
-    if num >= den << 53:
-        shift -= 1
-        num, den = (a << shift, q) if shift >= 0 else (a, q << -shift)
-    m, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and m & 1):
-        m += 1
-    try:
-        return math.ldexp(m if p > 0 else -m, -shift)
-    except OverflowError:
-        return math.inf if p > 0 else -math.inf
 
 
 def _parse_pi_term(term):

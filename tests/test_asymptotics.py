@@ -8,6 +8,7 @@ numeric values against direct summation.
 
 import functools
 import math
+import types
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -436,6 +437,19 @@ def test_remainder_profile_keeps_envelope_inside_floats():
     profile = remainder_profile(100, [1200], FULL)
     assert math.isfinite(profile.samples[0].normalized)
     assert profile.samples[0].normalized != 0
+
+
+@pytest.mark.parametrize("c, saturated", [(10**400, -math.inf), (-(10**400), math.inf)])
+def test_remainder_profile_saturates_a_residual_beyond_floats(monkeypatch, c, saturated):
+    # c lambda^n beyond the float range: the residual and the normalized
+    # column read as +-inf, while the envelope stays finite
+    closed = types.SimpleNamespace(value=Fraction(c))
+    monkeypatch.setattr(asymptotics, "leading_coefficient_closed", lambda n, conv: closed)
+    profile = remainder_profile(2, [4, 8.0], FULL)
+    assert [s.lam for s in profile.samples] == [4.0, 8.0]
+    for s in profile.samples:
+        assert math.isfinite(s.lam * math.log(s.lam))
+        assert s.residual == s.normalized == saturated
 
 
 # ---------------------------------------------------------------------------

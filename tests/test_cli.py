@@ -437,6 +437,21 @@ def test_converge_residual_takes_lambda_exactly(capsys):
     assert float(residual) == expected
 
 
+@pytest.mark.parametrize("n, lambdas", [(3, "100,1000,5000.5"), (200, "4,8")])
+def test_converge_residuals_are_floats_of_the_exact_remainders(capsys, n, lambdas):
+    # each residual is float() of N - c lambda^n, rounded once; at n = 200,
+    # lambda = 4 it is subnormal
+    rc, out, _ = run_cli(capsys, "converge", "--n", str(n), "--lambdas", lambdas)
+    assert rc == 0
+    c = leading_coefficient_closed(n, FULL).value
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == len(lambdas.split(","))
+    for lam, (_, count, residual, _) in zip(lambdas.split(","), rows):
+        assert float(residual) == float(int(count) - c * Fraction(lam) ** n)
+    if n == 200:
+        assert 0 < -float(rows[0][2]) < sys.float_info.min
+
+
 def test_lambda_items_reject_non_numbers(capsys):
     # a bad list item and a bad range field get the same message
     for spec in ("4,abc", "abc:100:x2", "4:abc:x2", "4:100:xabc", "4:100:+abc"):
@@ -500,6 +515,33 @@ def test_coeff_all_methods_agree(capsys):
     assert abs(values[0] - values[1]) <= 2e-12
     assert abs(values[2] - values[1]) / values[1] <= 0.01
     assert payload["gaps"]["full_spectrum:series_vs_closed_form"] <= 2e-12
+
+
+@pytest.mark.parametrize("n, precision, lam", [(3, 50, 200000), (155, 200, 1000)])
+def test_coeff_gaps_are_floats_of_the_exact_values(capsys, n, precision, lam):
+    # each gap is the difference of the two values' float(), each rounded
+    # once; at n = 155, lambda = 1e3 the gaps with the empirical value are
+    # subnormal
+    rc, out, _ = run_cli(
+        capsys, "coeff", "--n", str(n), "--format", "json",
+        "--precision", str(precision), "--lambda", str(lam),
+    )
+    assert rc == 0
+    expected = {}
+    for conv in (PAPER, FULL):
+        reports = [
+            leading_coefficient_series(n, eps=1e-12, conv=conv, digits=precision),
+            leading_coefficient_closed(n, conv, digits=precision),
+            empirical_report(n, lam, conv),
+        ]
+        for i, a in enumerate(reports):
+            for b in reports[i + 1 :]:
+                key = f"{conv.value}:{a.method}_vs_{b.method}"
+                expected[key] = abs(float(a.value) - float(b.value))
+    gaps = json.loads(out)["gaps"]
+    assert gaps == expected
+    if n == 155:
+        assert 0 < gaps["full_spectrum:series_vs_empirical"] < sys.float_info.min
 
 
 def test_coeff_default_convention_is_both(capsys):
@@ -916,6 +958,34 @@ def test_non_finite_values_exit_2(capsys, argv):
             assert err == f"kohncount: lambda range {spec!r} must be finite\n"
         else:
             assert err == "kohncount: lambda must be finite\n"
+
+
+# a command, an option, a negative value that argparse may read as an
+# option, and the message of the library's own check of that value
+NEGATIVE_SPELLINGS = [
+    (["count", "--n", "3"], "--lambda", "-inf", "lambda must be >= 0"),
+    (["spectrum", "--n", "3"], "--lambda-max", "-1e400", "lambda_max must be >= 2"),
+    (["converge", "--n", "3"], "--lambdas", "-inf,4", "lambda must be finite"),
+    (["coeff", "--n", "3"], "--eps", "-1e-3", "eps must be > 0"),
+]
+
+
+@pytest.mark.parametrize("argv, option, value, message", NEGATIVE_SPELLINGS)
+def test_negative_spellings_need_the_equals_form(capsys, argv, option, value, message):
+    joined = run_cli(capsys, *argv, f"{option}={value}")
+    assert joined == (2, "", f"kohncount: {message}\n")
+    # separated by a space, argparse reads the value as an option and exits
+    # 2 with a usage line; an argparse that reads a minus sign before a
+    # digit as a negative number passes -1e400 and -1e-3 on to the library
+    try:
+        rc = main([*argv, option, value])
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("usage: ") or (
+        value[1].isdigit() and err == f"kohncount: {message}\n"
+    )
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

@@ -1,5 +1,5 @@
 """Exact-arithmetic layer: binomials, Stirling/Bernoulli, zeta, pi-polynomials,
-and the decimal and float rendering of exact values (against mpmath).
+and the decimal rendering of exact values (against mpmath).
 
 Expected values are frozen from independent oracles defined in this file
 (direct products, polynomial expansion, brute-force sums, numeric series).
@@ -8,8 +8,6 @@ Expected values are frozen from independent oracles defined in this file
 import copy
 import math
 import pickle
-import struct
-import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -27,7 +25,6 @@ from kohncount.exact import (
     PiPolynomial,
     _floor_log10,
     _pi_squared,
-    _to_float,
     bernoulli,
     format_significant,
     pipoly_eval,
@@ -42,7 +39,6 @@ from tests.oracles import (
     hockey_stick_sum,
     parse_pi_string,
     pipoly_eval_closed_bound,
-    to_float_by_integers,
     to_mpf,
     zeta_even,
 )
@@ -467,106 +463,13 @@ def test_format_significant_rounds_exact_ties_up():
         assert format_significant(Fraction(x), 16) == expected
 
 
-@given(
-    st.integers(min_value=-(2**80), max_value=2**80),
-    st.integers(min_value=1, max_value=2**80),
-    st.integers(min_value=-1200, max_value=1100),
-)
-@settings(derandomize=True, max_examples=400)
-def test_to_float_matches_mpmath(num, den, two):
-    x = Fraction(num, den) * Fraction(2) ** two
-    with mpmath.workdps(200):
-        assert _to_float(x) == float(to_mpf(x))
-
-
-def test_to_float_rounds_subnormals_twice_and_saturates():
-    tiny = Fraction(2) ** -1074  # the least subnormal
-    # 1.5 units less a little: 53 bits give 1.5, which ties to even at 2
-    x = 3 * tiny / 2 - Fraction(2) ** -1200
-    with mpmath.workdps(200):
-        assert _to_float(x) == float(to_mpf(x)) == 2 * 5e-324
-    assert float(x) == 5e-324
-    assert _to_float(Fraction(10**400)) == math.inf
-    assert _to_float(Fraction(-(10**400))) == -math.inf
-    with pytest.raises(OverflowError):
-        float(Fraction(10**400))
-    assert _to_float(Fraction(0)) == 0.0
-    assert _to_float(Fraction(1, 3)) == 1 / 3
-
-
 def test_format_significant_prints_past_the_int_str_cap():
     # outside cli.main the 4300-digit int <-> str cap of Python 3.11+ holds
     assert format_significant(Fraction(1, 3), 5000) == "0." + "3" * 5000
 
 
 # ---------------------------------------------------------------------------
-# rounding against the integer oracles it replaced: same bits, same bytes
-
-TINY = Fraction(2) ** -1074  # the least subnormal
-FLOAT_MAX = Fraction(sys.float_info.max)  # (2^53 - 1) 2^971
-
-
-def float_bytes(x: float) -> bytes:
-    return struct.pack("<d", x)
-
-
-@pytest.mark.parametrize(
-    "x",
-    [
-        Fraction(0),
-        Fraction(1, 3),
-        Fraction(-2, 3),
-        # exact ties at 53 bits, to even down and up
-        1 + Fraction(2) ** -53,
-        1 + 3 * Fraction(2) ** -53,
-        -(1 + 3 * Fraction(2) ** -53),
-        # subnormals: 53 bits give k + 1/2 units, which tie to even again
-        3 * TINY / 2 - Fraction(2) ** -1200,
-        5 * TINY / 2 + Fraction(2) ** -1200,
-        -(3 * TINY / 2 - Fraction(2) ** -1200),
-        TINY / 2,
-        TINY / 2 + Fraction(2) ** -1200,
-        TINY / 4,
-        -TINY / 4,
-        Fraction(2) ** -1022 - TINY / 2,
-        Fraction(2) ** -2000,
-        # the float maximum, half a unit past it (a tie, to 2^1024) and less
-        FLOAT_MAX,
-        -FLOAT_MAX,
-        FLOAT_MAX + Fraction(2) ** 970,
-        FLOAT_MAX + Fraction(2) ** 970 - Fraction(1, 3),
-        -(FLOAT_MAX + Fraction(2) ** 970),
-        Fraction(2) ** 1024,
-        Fraction(10**400),
-        Fraction(-(10**400), 7),
-    ],
-)
-def test_to_float_matches_integer_oracle_at_edges(x):
-    assert float_bytes(_to_float(x)) == float_bytes(to_float_by_integers(x))
-
-
-@given(
-    st.integers(min_value=-(2**120), max_value=2**120),
-    st.integers(min_value=1, max_value=2**120),
-    st.integers(min_value=-1250, max_value=1100),
-)
-@settings(derandomize=True, max_examples=600)
-def test_to_float_matches_integer_oracle(num, den, two):
-    x = Fraction(num, den) * Fraction(2) ** two
-    assert float_bytes(_to_float(x)) == float_bytes(to_float_by_integers(x))
-
-
-@given(
-    st.integers(min_value=2**53, max_value=2**54 - 1),
-    st.integers(min_value=-1130, max_value=1030),
-    st.booleans(),
-)
-@settings(derandomize=True, max_examples=400)
-def test_to_float_matches_integer_oracle_on_ties(m, two, negative):
-    # (2m + 1) / 2 has 55 bits with a last bit of 1: a tie at 53 bits
-    x = Fraction(2 * m + 1, 2) * Fraction(2) ** two
-    x = -x if negative else x
-    assert float_bytes(_to_float(x)) == float_bytes(to_float_by_integers(x))
+# decimal rounding against the integer oracles it replaced: same bytes
 
 
 @pytest.mark.parametrize(
