@@ -76,6 +76,16 @@ def _cases() -> dict[str, tuple[list[str], int]]:
         "coeff", "--n", "2", "--method", "series", "--eps", "1e-20",
         "--convention", "both", "--format", "csv",
     ]
+    # at --precision 16 the round-off allowance, not digits + 10, sets the
+    # series' working precision: 28 digits in both
+    cases["coeff-series-n2-both-csv-eps1e-20-precision16"] = [
+        "coeff", "--n", "2", "--method", "series", "--eps", "1e-20",
+        "--precision", "16", "--convention", "both", "--format", "csv",
+    ]
+    cases["coeff-series-n3-paper-json-eps1e-20-precision16"] = [
+        "coeff", "--n", "3", "--method", "series", "--eps", "1e-20",
+        "--precision", "16", "--convention", "paper", "--format", "json",
+    ]
     cases["coeff-series-n150-both-json"] = [
         "coeff", "--n", "150", "--method", "series", "--format", "json",
     ]
@@ -160,7 +170,7 @@ def test_values_print_without_mpmath():
         text=True,
         check=True,
     )
-    assert len(cases) == 46
+    assert len(cases) == 48
     assert result.stdout.splitlines() == [f"{case} 0 True" for case, _, _ in cases]
 
 
