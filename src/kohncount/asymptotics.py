@@ -24,7 +24,6 @@ from functools import lru_cache
 
 from .exact import (
     PiPolynomial,
-    _floor_log10,
     bernoulli,
     pipoly_eval,
     stirling_first_signed,
@@ -229,17 +228,20 @@ def _series_sum(n: int, eps: float, digits: int) -> tuple[int, Fraction, float]:
     K = _select_truncation(c, D, target * Fraction(99, 100))
     tail_mid, tail_half_width = _tail_bracket(c, D, K)
 
-    # Round-off allocation: the sum is below 2 * sum(a_m) (zeta(2m) < 2), and
+    # Round-off allowance: the sum is below 2 * sum(a_m) (zeta(2m) < 2), and
     # (3K + 10) errors of one working ulp 10^(1-dps) each are allowed for.
-    # The partial sum is taken in fixed point with F > dps log2(10) fraction
+    # dps is the least working precision of at least digits + 10 whose
+    # allowance fits in the 1% of the budget left above. The partial sum is
+    # taken in fixed point with F = bitlen(10^dps) + 8 > dps log2(10) fraction
     # bits, so it errs by less than K 2^-F < K 10^-dps; the rest is exact,
     # so the allowance over-covers.
     sum_bound = Fraction(2 * sum(c), D) + 1
-    denom = target / (100 * sum_bound * (3 * K + 10))
-    need_dps = 1 + max(0, -_floor_log10(denom))
-    dps = max(digits + 10, need_dps)
+    dps = digits + 10
     rounding = sum_bound * (3 * K + 10) * Fraction(10) ** (1 - dps)
-    F = math.ceil(dps * math.log2(10)) + 8
+    while rounding > target / 100:
+        dps += 1
+        rounding /= 10
+    F = (10**dps).bit_length() + 8
     total = Fraction(_partial_sum_fixed(n, K, F), 2**F) + tail_mid
 
     bound_fraction = (tail_half_width + rounding) / scale

@@ -11,7 +11,7 @@ division.
 
 from __future__ import annotations
 
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_FLOOR, ROUND_HALF_UP, Context
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context
 from fractions import Fraction
 from functools import lru_cache
 
@@ -238,13 +238,6 @@ def pipoly_eval(poly: PiPolynomial, digits: int = 50) -> Fraction:
         if abs(acc) >= need:
             return Fraction(acc, 1 << shift) if shift >= 0 else Fraction(acc << -shift)
         bits += max(need.bit_length() - abs(acc).bit_length() + 1, 16)
-
-
-def _floor_log10(x: Fraction) -> int:
-    if x <= 0:
-        raise ValueError("positive value required")
-    context = Context(prec=1, rounding=ROUND_FLOOR, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    return context.divide(x.numerator, x.denominator).adjusted()
 
 
 def format_significant(x: Fraction, digits: int) -> str:

@@ -18,6 +18,9 @@ the partial-sum lemma ratio) are the paper's definitions, written out directly;
 dimension of a kernel.
 ``divisor_sigma`` sieves the divisor sums sigma(m), with no hyperbola and no
 binomials, for the closed forms of the count and the table at n = 2 and 3.
+``window_count`` sieves the divisor pairs of each m in a window (a, b] for
+N(2b) - N(2a), with no hyperbola and no kernel, where b is beyond the
+whole-range oracles' reach.
 ``bernoulli_by_recurrence`` is the defining O(l^2) recurrence of the
 Bernoulli numbers, which the library takes from tangent numbers instead.
 ``zeta_even`` writes zeta(2m) as a multiple of (pi^2)^m from the library's
@@ -34,9 +37,11 @@ the library sums both points in one pass in integers over one denominator.
 and a hand-written halving loop, where the library ends in ``bisect_left``.
 ``pipoly_eval_closed_bound`` accepts the library's Horner sum on a
 closed-form error bound, where the library carries a running one;
-``floor_log10_by_search`` and ``format_significant_by_integers`` round
-in integers, with a log estimate and a search and a hand carry, where the
-library takes one ``decimal`` division.
+``format_significant_by_integers`` rounds in integers, with a log estimate
+and a search (``floor_log10_by_search``) and a hand carry, where the
+library takes one ``decimal`` division. ``series_working_precision`` takes
+the series' working precision from the same floor log10, where the library
+raises it one digit at a time until its round-off allowance fits.
 ``parse_pi_string`` reads back what ``PiPolynomial.to_string`` writes, so the
 tests can check that rendering. ``csv_text`` renders rows through
 ``csv.writer``, and ``spectrum_csv`` and ``spectrum_json`` render spectrum
@@ -239,6 +244,32 @@ def multiplicities_by_divisors(n: int, M: int, pmin: int) -> list[int]:
         for i, A_q, B_q in zip(range(p - pmin, M + 1 - pmin, p), A, B):
             mult[i] += a * A_q + b * B_q
     return mult
+
+
+def window_count(n, a, b):
+    """{convention: N(2b) - N(2a)}, the sum of mult(m) over a < m <= b, from
+    a segmented divisor sieve: every d <= isqrt(b) adds f(d, m/d) and
+    f(m/d, d), once when m = d^2, at each of its multiples m >= d^2 in the
+    window. f(p, q) is 0 for p < n - 1, so every pair counts in the full
+    spectrum, and the paper convention drops the pairs with p = n - 1."""
+    comb = math.comb
+
+    def f(p, q):
+        A, B = comb(q + n - 2, n - 1), comb(q + n - 2, n - 2)
+        return comb(p - 1, n - 2) * A + comb(p, n - 1) * B
+
+    full = column = 0
+    for d in range(1, math.isqrt(b) + 1):
+        for m in range(max(a // d + 1, d) * d, b + 1, d):
+            for p, q in {(d, m // d), (m // d, d)}:
+                value = f(p, q)
+                full += value
+                if p == n - 1:
+                    column += value
+    return {
+        CountingConvention.FULL_SPECTRUM: full,
+        CountingConvention.PAPER_RESTRICTED: full - column,
+    }
 
 
 def count_linear_range(n, X, p_lo, p_hi):
@@ -579,6 +610,18 @@ def floor_log10_by_search(x):
     while p * 10 ** max(-est - 1, 0) >= q * 10 ** max(est + 1, 0):
         est += 1
     return est
+
+
+def series_working_precision(c, D, K, target, digits):
+    """(dps, round-off allowance) of ``asymptotics._series_sum`` at
+    truncation K, from a floor log10: u = target / (100 sum_bound (3K + 10))
+    is the largest working ulp whose allowance sum_bound (3K + 10) u fits in
+    target / 100, and dps = 1 - floor(log10 u), raised to digits + 10 if it
+    is below that."""
+    sum_bound = Fraction(2 * sum(c), D) + 1
+    u = target / (100 * sum_bound * (3 * K + 10))
+    dps = max(digits + 10, 1 + max(0, -floor_log10_by_search(u)))
+    return dps, sum_bound * (3 * K + 10) * Fraction(10) ** (1 - dps)
 
 
 def format_significant_by_integers(x, digits):

@@ -40,6 +40,7 @@ from tests.oracles import (
     leading_coefficient_by_residues,
     lemma_ratio,
     select_truncation_by_halving,
+    series_working_precision,
     tail_bracket,
     to_mpf,
 )
@@ -327,6 +328,41 @@ def test_select_truncation_matches_the_halving_search(n, cap, data):
                 _select_truncation(c, D, target)
         else:
             assert _select_truncation(c, D, target) == expected
+
+
+@pytest.mark.parametrize(
+    "n, eps, digits, dps",
+    [
+        # the round-off allowance sets dps above digits + 10
+        (2, 1e-20, 16, 28),
+        (3, 1e-20, 16, 28),
+        (4, 1e-24, 16, 31),
+        (5, 1e-24, 16, 30),
+        # digits + 10 does
+        (2, 1e-12, 50, 60),
+        (10, 1e-16, 16, 26),
+        (60, 1e-12, 16, 26),
+        (150, 1e-12, 50, 60),
+    ],
+)
+def test_series_matches_the_floor_log10_precision_rule(n, eps, digits, dps):
+    # value and error_bound rebuilt from the oracle's dps and allowance, with
+    # F = ceil(dps log2(10)) + 8 fraction bits in the partial sum
+    c, D = _inverse_power_coeffs(n)
+    scale = closed_scale(n)
+    target = Fraction(eps) * scale
+    K = _select_truncation(c, D, target * Fraction(99, 100))
+    working_dps, rounding = series_working_precision(c, D, K, target, digits)
+    assert working_dps == dps
+    F = math.ceil(dps * math.log2(10)) + 8
+    tail_mid, tail_half_width = _tail_bracket(c, D, K)
+    total = Fraction(_partial_sum_fixed(n, K, F), 2**F) + tail_mid
+    bound = float((tail_half_width + rounding) / scale) * (1 + 2**-40) + 5e-324
+    for conv, gap in ((FULL, 0), (PAPER, Fraction(1, (n - 1) ** n))):
+        report = leading_coefficient_series(n, eps, conv, digits)
+        assert report.truncation_K == K
+        assert report.value == (total - gap) / scale
+        assert report.error_bound == bound
 
 
 def test_series_rejects_bad_eps():

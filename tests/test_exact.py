@@ -23,7 +23,6 @@ from kohncount.asymptotics import (
 )
 from kohncount.exact import (
     PiPolynomial,
-    _floor_log10,
     _pi_squared,
     bernoulli,
     format_significant,
@@ -34,7 +33,6 @@ from kohncount.spectrum import CountingConvention
 from tests.oracles import (
     bernoulli_by_recurrence,
     binomial,
-    floor_log10_by_search,
     format_significant_by_integers,
     hockey_stick_sum,
     parse_pi_string,
@@ -487,7 +485,6 @@ def test_format_significant_prints_past_the_int_str_cap():
 )
 def test_format_significant_matches_integer_oracle_at_edges(x, digits):
     assert format_significant(x, digits) == format_significant_by_integers(x, digits)
-    assert _floor_log10(abs(x)) == floor_log10_by_search(abs(x))
 
 
 @given(
@@ -500,7 +497,6 @@ def test_format_significant_matches_integer_oracle_at_edges(x, digits):
 def test_format_significant_matches_integer_oracle(num, den, ten, digits):
     x = Fraction(num, den) * Fraction(10) ** ten
     assert format_significant(x, digits) == format_significant_by_integers(x, digits)
-    assert _floor_log10(abs(x)) == floor_log10_by_search(abs(x))
 
 
 @given(st.data(), st.integers(min_value=-1700, max_value=400), st.integers(1, 200))
@@ -516,7 +512,6 @@ def test_format_significant_matches_integer_oracle_on_ties_and_carries(
         assert format_significant(x, digits) == format_significant_by_integers(
             x, digits
         )
-        assert _floor_log10(abs(x)) == floor_log10_by_search(abs(x))
 
 
 @pytest.mark.parametrize("n", [*range(2, 41), 60, 150, 300, 600])

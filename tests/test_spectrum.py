@@ -46,6 +46,7 @@ from tests.oracles import (
     multiplicity_sieve,
     spectrum_csv,
     spectrum_json,
+    window_count,
 )
 
 PAPER = CountingConvention.PAPER_RESTRICTED
@@ -263,6 +264,16 @@ def test_count_N_convention_gap_closed_form_deep(n):
     assert paper == count_index_range(n, X, n, 1, math.isqrt(X))
     gap = count_N(n, 2 * X, FULL) - paper
     assert gap == math.comb(X // (n - 1) + n, n) - 1
+
+
+@pytest.mark.parametrize("n, b", [(2, 10**12), (3, 4 * 10**11 + 12345)])
+def test_count_N_windows_beyond_1e11_match_divisor_sieve(n, b):
+    # N(2b) - N(2a) over 10^4 values of m, against a sieve of each m's
+    # divisor pairs; b = 10^12 = (10^6)^2 is a hyperbola edge at n = 2
+    a = b - 10**4
+    expected = window_count(n, a, b)
+    for conv in (FULL, PAPER):
+        assert count_N(n, 2 * b, conv) - count_N(n, 2 * a, conv) == expected[conv]
 
 
 def kernel(n):
