@@ -28,11 +28,11 @@ from .exact import (
     pipoly_eval,
     stirling_first_signed,
 )
-from .spectrum import CountingConvention, count_N, validate_sphere_n
+from .spectrum import CountingConvention, WorkLimitError, count_N, validate_sphere_n
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
-    from typing import Sequence
+    from typing import Iterator, Sequence
 
 __all__ = [
     "CoefficientReport",
@@ -52,7 +52,7 @@ DEFAULT_DIGITS = 50
 DEFAULT_MAX_TERMS = 10**9
 
 
-class PrecisionUnattainableError(Exception):
+class PrecisionUnattainableError(WorkLimitError):
     """Requested tolerance needs more series terms than the configured cap."""
 
 
@@ -111,9 +111,11 @@ def _inverse_power_coeffs(n: int) -> tuple[list[int], int]:
     return c, math.factorial(n - 2)
 
 
-def _tail_bracket(c: list[int], D: int, K: int) -> tuple[Fraction, Fraction]:
-    """Certified (midpoint, half_width) for the tail sum_{k>K} g(k), with
-    g(x) = sum_m a_m x^-2m and a_m = c[m-1] / D.
+def _tail_bracket(c: list[int], D: int, K: int) -> Iterator[Fraction]:
+    """Certified half-width, then midpoint, of a bracket on the tail
+    sum_{k>K} g(k), with g(x) = sum_m a_m x^-2m and a_m = c[m-1] / D. The
+    search for K reads only the half-width, with ``next``, so the midpoint
+    and its integral are built only when the bracket is read to the end.
 
     Midpoint-rule sandwich: with X = K + 1/2,
 
@@ -124,32 +126,34 @@ def _tail_bracket(c: list[int], D: int, K: int) -> tuple[Fraction, Fraction]:
     valid because g is positive, decreasing and convex with g'' decreasing
     (all inverse-power coefficients are positive).
 
-    The three sums at X = p/2, p = 2K + 1, and |g'| at X + 1 = q/2, q =
-    2K + 3, are exact rationals summed in one Horner pass:
+    The sums at X = p/2, p = 2K + 1, and |g'| at X + 1 = q/2, q = 2K + 3,
+    are exact rationals, each summed in a Horner pass:
     X^-(2m-1) = 2^(2m-1) p^(2M-2m) / p^(2M-1), so each is a polynomial in
-    p^2 (or q^2) over one denominator. The integral is over L D p^(2M-1)
-    with L = lcm(1, 3, ..., 2M-1), |g'(X)| = sum 2m a_m X^-(2m+1) over
-    D p^(2M+1) / 4 and g''(X) = sum 2m(2m+1) a_m X^-(2m+2) over
-    D p^(2M+2) / 8.
+    p^2 (or q^2) over one denominator. |g'(X)| = sum 2m a_m X^-(2m+1) is
+    over D p^(2M+1) / 4, g''(X) = sum 2m(2m+1) a_m X^-(2m+2) over
+    D p^(2M+2) / 8, and the integral over L D p^(2M-1) with
+    L = lcm(1, 3, ..., 2M-1). With P = p^(2M+2) and Q = q^(2M+1), the
+    half-width is then one ``Fraction`` over 12 D P Q and the midpoint one
+    over 12 L D P Q.
     """
     M = len(c)
-    L = math.lcm(*range(1, 2 * M, 2))
     p, q = 2 * K + 1, 2 * K + 3
     p2, q2 = p * p, q * q
-    integral = d1 = d2 = d1_next = 0
+    d1 = d2 = d1_next = 0
     for m, x in enumerate(c, 1):
-        x <<= 2 * m - 1  # c_m 2^(2m-1)
-        integral = integral * p2 + L // (2 * m - 1) * x
-        x *= 2 * m
+        x = m * x << 2 * m  # 2m c_m 2^(2m-1)
         d1 = d1 * p2 + x
         d2 = d2 * p2 + (2 * m + 1) * x
         d1_next = d1_next * q2 + x
-    # (g''(X) + |g'(X)|)/24 and |g'(X+1)|/24
-    upper_defect = Fraction(2 * d2 + p * d1, 6 * D * p ** (2 * M + 2))
-    lower_defect = Fraction(d1_next, 6 * D * q ** (2 * M + 1))
-    midpoint = Fraction(integral, L * D * p ** (2 * M - 1))
-    midpoint -= (upper_defect + lower_defect) / 2
-    return midpoint, (upper_defect - lower_defect) / 2
+    # 6 D P Q times (g''(X) + |g'(X)|)/24 and |g'(X+1)|/24
+    P, Q = p ** (2 * M + 2), q ** (2 * M + 1)
+    upper, lower, denominator = (2 * d2 + p * d1) * Q, d1_next * P, 12 * D * P * Q
+    yield Fraction(upper - lower, denominator)
+    L = math.lcm(*range(1, 2 * M, 2))
+    integral = 0
+    for m, x in enumerate(c, 1):
+        integral = integral * p2 + (L // (2 * m - 1) * x << 2 * m - 1)
+    yield Fraction(12 * p**3 * Q * integral - L * (upper + lower), L * denominator)
 
 
 def _select_truncation(c: list[int], D: int, target: Fraction) -> int:
@@ -158,7 +162,7 @@ def _select_truncation(c: list[int], D: int, target: Fraction) -> int:
     one tried; the half-width falls as K grows, so one bisection between
     the last two doublings finds K."""
     lo, hi = 1, 2
-    while _tail_bracket(c, D, hi)[1] > target:
+    while next(_tail_bracket(c, D, hi)) > target:
         if hi >= DEFAULT_MAX_TERMS:
             raise PrecisionUnattainableError(
                 f"series needs more than {DEFAULT_MAX_TERMS} terms for the "
@@ -166,7 +170,7 @@ def _select_truncation(c: list[int], D: int, target: Fraction) -> int:
             )
         lo, hi = hi, min(2 * hi, DEFAULT_MAX_TERMS)
     return lo + 1 + bisect_left(
-        range(lo + 1, hi), True, key=lambda K: _tail_bracket(c, D, K)[1] <= target
+        range(lo + 1, hi), True, key=lambda K: next(_tail_bracket(c, D, K)) <= target
     )
 
 
@@ -226,7 +230,7 @@ def _series_sum(n: int, eps: float, digits: int) -> tuple[int, Fraction, float]:
 
     # Leave 1% of the budget for summation round-off.
     K = _select_truncation(c, D, target * Fraction(99, 100))
-    tail_mid, tail_half_width = _tail_bracket(c, D, K)
+    tail_half_width, tail_mid = _tail_bracket(c, D, K)
 
     # Round-off allowance: the sum is below 2 * sum(a_m) (zeta(2m) < 2), and
     # (3K + 10) errors of one working ulp 10^(1-dps) each are allowed for.
@@ -243,9 +247,7 @@ def _series_sum(n: int, eps: float, digits: int) -> tuple[int, Fraction, float]:
         rounding /= 10
     F = (10**dps).bit_length() + 8
     total = Fraction(_partial_sum_fixed(n, K, F), 2**F) + tail_mid
-
-    bound_fraction = (tail_half_width + rounding) / scale
-    return K, total, float(bound_fraction) * (1 + 2**-40) + 5e-324
+    return K, total, float((tail_half_width + rounding) / scale) * (1 + 2**-40) + 5e-324
 
 
 def _partial_sum_fixed(n: int, K: int, F: int) -> int:

@@ -1,9 +1,9 @@
 """Command-line front end: spectrum tables, counting, coefficients, profiles.
 
 Subcommands: ``spectrum``, ``count``, ``coeff``, ``converge``, ``weyl``.
-Exit codes: 0 success, 2 usage/validation error or failed write, 3
-requested series precision unattainable under the term cap, 141 stdout
-closed by its reader. Identical flags produce byte-identical bytes.
+Exit codes: 0 success, 2 usage/validation error or failed write, 3 a
+request beyond a work cap (10^9 series terms or 2^40 count index steps),
+141 stdout closed by its reader. Identical flags produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -216,10 +216,6 @@ def parse_lambda_spec(spec: str) -> list[int | Fraction | float]:
     return [_exact_real(part) for part in spec.split(",") if part.strip()]
 
 
-def _conventions(name: str) -> list[CountingConvention]:
-    return list(CONVENTIONS.values()) if name == "both" else [CONVENTIONS[name]]
-
-
 @contextlib.contextmanager
 def _output(out: str | None):
     """The output stream: stdout, or the ``--out`` file, opened for writing.
@@ -261,6 +257,16 @@ def _json(payload: dict, out: str | None) -> int:
     import json
 
     return _emit(json.dumps(payload, indent=2) + "\n", out)
+
+
+def _flat_record(record: dict, text: str, args) -> int:
+    """One flat record in ``args.format``: as JSON, as a CSV header and row,
+    or as the line ``text``."""
+    if args.format == "json":
+        return _json(record, args.out)
+    if args.format == "csv":
+        return _csv(list(record), [record.values()], args.out)
+    return _emit(text + "\n", args.out)
 
 
 def _report_record(report: CoefficientReport, digits: int) -> dict:
@@ -324,13 +330,9 @@ def cmd_spectrum(args) -> int:
 def cmd_count(args) -> int:
     conv = CONVENTIONS[args.convention]
     count = spectrum.count_N(args.n, args.lam, conv, workers=args.workers)
-    if args.format == "text":
-        return _emit(f"{count}\n", args.out)
     lam = float(args.lam)
     record = {"n": args.n, "lambda": lam, "convention": conv.value, "count": count}
-    if args.format == "json":
-        return _json(record, args.out)
-    return _csv(list(record), [record.values()], args.out)
+    return _flat_record(record, str(count), args)
 
 
 def cmd_coeff(args) -> int:
@@ -342,12 +344,9 @@ def cmd_coeff(args) -> int:
     methods = list(METHODS) if args.method == "all" else [args.method]
     all_reports: list[CoefficientReport] = []
     gaps: dict[str, float] = {}
-    for conv in _conventions(args.convention):
-        try:
-            reports = [METHODS[m](asymptotics, args, conv) for m in methods]
-        except asymptotics.PrecisionUnattainableError as exc:
-            print(f"kohncount: {exc}", file=sys.stderr)
-            return 3
+    both = args.convention == "both"
+    for conv in CONVENTIONS.values() if both else [CONVENTIONS[args.convention]]:
+        reports = [METHODS[m](asymptotics, args, conv) for m in methods]
         all_reports.extend(reports)
         for i, r1 in enumerate(reports):
             for r2 in reports[i + 1 :]:
@@ -386,11 +385,8 @@ def cmd_weyl(args) -> int:
     poly = asymptotics.weyl_ball_constant(args.n, normalization)
     record = {"n": args.n, "normalization": normalization, "exact": poly.to_string()}
     if args.format == "json":
-        value = format_significant(asymptotics.pipoly_eval(poly), 50)
-        return _json({**record, "value": value}, args.out)
-    if args.format == "csv":
-        return _csv(list(record), [record.values()], args.out)
-    return _emit(record["exact"] + "\n", args.out)
+        record["value"] = format_significant(asymptotics.pipoly_eval(poly), 50)
+    return _flat_record(record, record["exact"], args)
 
 
 HANDLERS = {
@@ -411,9 +407,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return HANDLERS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, spectrum.WorkLimitError) as exc:
         print(f"kohncount: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, spectrum.WorkLimitError) else 2
     except BrokenPipeError:
         return 141  # the reader left: end quietly, as a SIGPIPE death would
     finally:

@@ -25,6 +25,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CountingConvention",
+    "WorkLimitError",
     "validate_sphere_n",
     "count_N",
     "spectrum_table",
@@ -46,6 +47,11 @@ PARALLEL_MIN_SQRT_X = 2**14
 # Indices per block of ``_block_sums``
 _TERM_BLOCK = 4096
 
+# The most index steps ``count_N`` takes. Even at n = 2, whose kernel is the
+# fastest (some 6.5e6 steps a second on one core, measured on 2 cores), 2^40
+# steps take about two days, or one day on two processes.
+MAX_INDEX_STEPS = 2**40
+
 
 class CountingConvention(enum.Enum):
     """Divisor-restriction convention for the counting functions.
@@ -57,6 +63,12 @@ class CountingConvention(enum.Enum):
 
     PAPER_RESTRICTED = "paper_restricted"
     FULL_SPECTRUM = "full_spectrum"
+
+
+class WorkLimitError(Exception):
+    """A request needs more work than a fixed cap allows: a count more
+    index steps than ``MAX_INDEX_STEPS``, or a series (as
+    ``asymptotics.PrecisionUnattainableError``) more terms than its cap."""
 
 
 def validate_sphere_n(n: int) -> int:
@@ -230,7 +242,9 @@ def count_N(
     form is no faster, each index is a Python iteration over falling
     factorials, carried from the last index when X//i moves little
     (``_falling_factorial_sums``). One exact division of that sum and one
-    closed form for the hyperbola's remainder give the count.
+    closed form for the hyperbola's remainder give the count. A count of
+    more than ``MAX_INDEX_STEPS`` = 2^40 index steps, j > 2^40 (lambda from
+    about 2.4e24 on), raises ``WorkLimitError`` before it counts.
     The index range [1, j] is cut into one chunk of equal width per
     process, and ``_fork_join`` sums them: this process sums the first, and
     a child forked for each other chunk sends back its part. The plan is
@@ -278,6 +292,10 @@ def count_N(
     s = math.isqrt(X)
     lo = max(s, n - 2)
     j = min(s, X // lo)
+    if j > MAX_INDEX_STEPS:
+        raise WorkLimitError(
+            f"count needs more than {MAX_INDEX_STEPS} index steps at this lambda"
+        )
     sums = functools.partial(_block_sums if n <= 3 else _falling_factorial_sums, n, X)
     can_fork = hasattr(os, "fork") and s >= PARALLEL_MIN_SQRT_X * (2 if n == 2 else 1)
     procs = min(workers, _usable_cpus()) if can_fork else 1

@@ -526,7 +526,8 @@ def tail_derivative_bounds(a, X):
 def tail_bracket(a, K):
     """(midpoint, half_width) of the series' midpoint-rule sandwich for the
     tail sum_{k>K} g(k), from the term-by-term sums at X = K + 1/2 and
-    X + 1, as ``asymptotics._tail_bracket`` defines it."""
+    X + 1, as ``asymptotics._tail_bracket`` defines it (which yields the
+    half-width first)."""
     X = Fraction(2 * K + 1, 2)
     integral, d1, d2 = tail_derivative_bounds(a, X)
     _, d1_next, _ = tail_derivative_bounds(a, X + 1)
@@ -541,7 +542,7 @@ def select_truncation_by_halving(c, D, target, max_terms):
     the bracket at that cap is the last one tried, and the last doubling
     step is halved until one K is left."""
     lo, hi = 1, 2
-    while _tail_bracket(c, D, hi)[1] > target:
+    while next(_tail_bracket(c, D, hi)) > target:
         if hi >= max_terms:
             raise PrecisionUnattainableError(
                 f"series needs more than {max_terms} terms for the "
@@ -550,7 +551,7 @@ def select_truncation_by_halving(c, D, target, max_terms):
         lo, hi = hi, min(2 * hi, max_terms)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if _tail_bracket(c, D, mid)[1] <= target:
+        if next(_tail_bracket(c, D, mid)) <= target:
             hi = mid
         else:
             lo = mid

@@ -263,13 +263,15 @@ def test_series_certificate_is_sound_at_large_n(n):
 
 @pytest.mark.parametrize("n", [*range(2, 13), 30, 60, 150, 300])
 def test_tail_bracket_matches_term_by_term_sums(n):
-    # the tail sums that _tail_bracket takes in one pass, in integers over
-    # one denominator, give the same bracket as the Fraction terms at both
-    # points it reads
+    # the tail sums that _tail_bracket takes in Horner passes, in integers
+    # over one denominator, give the same bracket as the Fraction terms at
+    # both points it reads: the half-width first, then the midpoint
     c, D = _inverse_power_coeffs(n)
     a = {m: Fraction(x, D) for m, x in enumerate(c, 1)}
     for K in (1, 2, 3, 10, 1000, 50126, 10**9):
-        assert _tail_bracket(c, D, K) == tail_bracket(a, K)
+        half_width, midpoint = _tail_bracket(c, D, K)
+        assert (midpoint, half_width) == tail_bracket(a, K)
+        assert next(_tail_bracket(c, D, K)) == half_width
 
 
 def test_series_reports_truncation_depth():
@@ -290,7 +292,7 @@ def test_series_tries_the_term_cap(monkeypatch):
     # K = 1001 is not
     monkeypatch.setattr(asymptotics, "DEFAULT_MAX_TERMS", 1000)
     c, D = _inverse_power_coeffs(2)
-    widths = {K: _tail_bracket(c, D, K)[1] for K in range(1, 1002)}
+    widths = {K: next(_tail_bracket(c, D, K)) for K in range(1, 1002)}
     target = widths[700]
     assert min(K for K in widths if widths[K] <= target) == 700
     assert _select_truncation(c, D, target) == 700
@@ -315,7 +317,7 @@ def test_select_truncation_matches_the_halving_search(n, cap, data):
     # the same K, or both find none within the cap
     c, D = _inverse_power_coeffs(n)
     K = data.draw(st.integers(1, cap + 1) | st.sampled_from([cap - 1, cap, cap + 1]))
-    width, width_next = (_tail_bracket(c, D, k)[1] for k in (K, K + 1))
+    width, width_next = (next(_tail_bracket(c, D, k)) for k in (K, K + 1))
     target = data.draw(st.sampled_from([width, (width + width_next) / 2]))
     try:
         expected = select_truncation_by_halving(c, D, target, cap)
@@ -355,7 +357,7 @@ def test_series_matches_the_floor_log10_precision_rule(n, eps, digits, dps):
     working_dps, rounding = series_working_precision(c, D, K, target, digits)
     assert working_dps == dps
     F = math.ceil(dps * math.log2(10)) + 8
-    tail_mid, tail_half_width = _tail_bracket(c, D, K)
+    tail_half_width, tail_mid = _tail_bracket(c, D, K)
     total = Fraction(_partial_sum_fixed(n, K, F), 2**F) + tail_mid
     bound = float((tail_half_width + rounding) / scale) * (1 + 2**-40) + 5e-324
     for conv, gap in ((FULL, 0), (PAPER, Fraction(1, (n - 1) ** n))):

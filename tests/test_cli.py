@@ -640,6 +640,29 @@ def test_coeff_series_cap_exit_code(capsys):
     assert "terms" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count --n 3 --lambda 1e300",
+        "coeff --n 3 --lambda 1e300",
+        "converge --n 2 --lambdas 4,1e300",
+    ],
+)
+def test_count_beyond_the_index_step_cap_exits_3_at_once(argv):
+    # some 10^150 index steps: count_N refuses them before it counts, and
+    # main exits 3, well within the timeout of a second
+    result = subprocess.run(
+        [sys.executable, "-m", "kohncount", *argv.split()],
+        capture_output=True,
+        timeout=1,
+    )
+    assert result.returncode == 3
+    assert result.stdout == b""
+    assert result.stderr == (
+        b"kohncount: count needs more than 1099511627776 index steps at this lambda\n"
+    )
+
+
 @pytest.mark.parametrize("method", ["series", "closed", "empirical", "all"])
 def test_coeff_rejects_low_precision(capsys, method):
     rc, out, err = run_cli(

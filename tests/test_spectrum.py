@@ -19,6 +19,7 @@ from kohncount import spectrum
 from kohncount.spectrum import (
     PARALLEL_MIN_SQRT_X,
     CountingConvention,
+    WorkLimitError,
     _TERM_BLOCK,
     _block_sums,
     _falling_factorial_sums,
@@ -673,7 +674,9 @@ def test_count_N_rejects_workers_below_one(monkeypatch, workers):
     ],
 )
 def test_count_N_floors_lambda_exactly(monkeypatch, lam, X):
-    # the kernel is handed X = floor(lam) // 2, computed without a float
+    # the kernel is handed X = floor(lam) // 2, computed without a float;
+    # the cap on index steps is lifted, as the 10^400 cases are far beyond it
+    monkeypatch.setattr(spectrum, "MAX_INDEX_STEPS", math.inf)
     seen = []
 
     def record(n, X, i_lo, i_hi):
@@ -718,6 +721,21 @@ def test_count_N_matches_sigma_closed_forms(n, conv, sigma):
     counts = [0, *itertools.accumulate(mult)]
     for X in [*range(300), *range(300, SIGMA_M, 97), SIGMA_M]:
         assert count_N(n, 2 * X, conv) == count_N(n, 2 * X + 1, conv) == counts[X]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("conv", [FULL, PAPER])
+def test_count_N_counts_up_to_the_index_step_cap(monkeypatch, n, conv, sigma):
+    # with a cap of 400 steps, X = 400^2 and 401^2 - 1 take j = isqrt(X) =
+    # 400 of them and still count; X = 401^2 takes 401 and raises before
+    # the kernel runs
+    monkeypatch.setattr(spectrum, "MAX_INDEX_STEPS", 400)
+    for X in (400**2, 401**2 - 1):
+        expected = sum(sigma_multiplicity(n, m, sigma, conv) for m in range(1, X + 1))
+        assert count_N(n, 2 * X, conv) == expected
+    monkeypatch.setattr(spectrum, "_block_sums", None)
+    with pytest.raises(WorkLimitError, match=r"^count needs more than 400 index "):
+        count_N(n, 2 * 401**2, conv, workers=2)
 
 
 @pytest.mark.parametrize("n", [2, 3])
