@@ -342,6 +342,9 @@ def remainder_profile(
     be a finite float at the largest lambda. N has no lambda^{n-1} ln(lambda)
     term, so the normalized column falls like 1/ln(lambda); it stays bounded
     only against the constant that matches the enumerated spectrum.
+    The lambdas are counted from the largest down, so one past the index-step
+    cap of ``count_N`` is refused before any count; the samples keep the
+    given order.
     """
     validate_sphere_n(n)
     if not lambdas:
@@ -365,7 +368,7 @@ def remainder_profile(
         )
     c = leading_coefficient_closed(n, conv).value
     samples = []
-    for lam in lambdas:
+    for lam in reversed(lambdas):
         count = count_N(n, lam, conv)
         remainder = count - c * Fraction(lam) ** n
         try:
@@ -375,7 +378,7 @@ def remainder_profile(
         x = float(lam)
         normalized = residual / (x ** (n - 1) * math.log(x))
         samples.append(ProfileSample(x, count, residual, normalized))
-    return RemainderProfile(n, conv, tuple(samples))
+    return RemainderProfile(n, conv, tuple(reversed(samples)))
 
 
 def weyl_ball_constant(n: int, normalization: str = "paper_text") -> PiPolynomial:

@@ -78,6 +78,16 @@ def validate_sphere_n(n: int) -> int:
     return n
 
 
+def _floor_half(value: int | float | Fraction, least: int, name: str) -> int:
+    """floor(value) // 2, for a bound ``value`` named ``name``: it must be
+    >= ``least`` and, as a float, finite, else this raises ``ValueError``."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return math.floor(value) // 2
+
+
 def _block_sums(n: int, X: int, i_lo: int, i_hi: int) -> int:
     """The sum of T(i, X//i) over i in [i_lo, i_hi], for n = 2 and 3, where
     the term is a short formula in i and Q = X//i:
@@ -262,11 +272,7 @@ def count_N(
         raise ValueError(f"workers must be an integer, not {workers!r}") from None
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    if isinstance(lam, float) and not math.isfinite(lam):
-        raise ValueError("lambda must be finite")
-    X = math.floor(lam) // 2
+    X = _floor_half(lam, 0, "lambda")
     if X < n - 1:
         return 0
     # f(p, q) = a(p) A(q) + b(p) B(q) with a(p) = C(p-1, n-2), b(p) = C(p, n-1),
@@ -324,11 +330,7 @@ def spectrum_table(
     raises ``ValueError`` before any work: no list that long can exist.
     """
     validate_sphere_n(n)
-    if lambda_max < 2:
-        raise ValueError("lambda_max must be >= 2")
-    if isinstance(lambda_max, float) and not math.isfinite(lambda_max):
-        raise ValueError("lambda_max must be finite")
-    M = math.floor(lambda_max) // 2
+    M = _floor_half(lambda_max, 2, "lambda_max")
     if M >= sys.maxsize:
         raise ValueError(f"lambda_max must be less than {2 * sys.maxsize}")
     pmin = n if conv is CountingConvention.PAPER_RESTRICTED else n - 1
@@ -386,7 +388,7 @@ def _multiplicities_by_runs(n: int, M: int, pmin: int) -> list[int]:
         return [A * x + B * y for x, y in zip(alpha, beta)]
 
     mult = list(_run(row(1), M - pmin + 1))
-    for q in range(2, min(s, M // pmin) + 1):
+    for q in range(2, s + 1):
         _add_run(mult, slice(pmin * q - pmin, None, q), row(q))
     for p in range(pmin, M // (s + 1) + 1):
         a, b = comb(p - 1, n - 2), comb(p, n - 1)

@@ -32,7 +32,7 @@ from kohncount.asymptotics import (
     weyl_ball_constant,
 )
 from kohncount.exact import PiPolynomial, pipoly_eval
-from kohncount.spectrum import CountingConvention
+from kohncount.spectrum import CountingConvention, count_N
 from tests.oracles import (
     dirichlet_weights,
     h_poly,
@@ -393,6 +393,20 @@ def test_empirical_report_fields():
     assert report.lam == 4096
     assert report.error_bound > 0
     assert float(report.value) == empirical_ratio(2, 4096, FULL)
+
+
+@pytest.mark.parametrize("conv", [PAPER, FULL])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("lam", [3, 5])
+def test_empirical_report_clamps_half_lambda_at_two(lam, n, conv):
+    # the half-lambda ratio is read at max(lambda/2, 2): at lambda = 3 the
+    # clamp sets it, at lambda = 5 it does not; both ratios from count_N
+    def ratio(x):
+        return float(Fraction(count_N(n, x, conv)) / Fraction(x) ** n)
+
+    half = max(Fraction(lam, 2), 2)
+    report = empirical_report(n, lam, conv)
+    assert report.error_bound == abs(ratio(lam) - ratio(half))
 
 
 # ---------------------------------------------------------------------------

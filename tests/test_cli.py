@@ -646,11 +646,13 @@ def test_coeff_series_cap_exit_code(capsys):
         "count --n 3 --lambda 1e300",
         "coeff --n 3 --lambda 1e300",
         "converge --n 2 --lambdas 4,1e300",
+        "converge --n 2 --lambdas 2e14,1e300",
     ],
 )
 def test_count_beyond_the_index_step_cap_exits_3_at_once(argv):
     # some 10^150 index steps: count_N refuses them before it counts, and
-    # main exits 3, well within the timeout of a second
+    # main exits 3, well within the timeout of a second. A sweep counts its
+    # largest lambda first, so 2e14, seconds of counting, is never counted
     result = subprocess.run(
         [sys.executable, "-m", "kohncount", *argv.split()],
         capture_output=True,

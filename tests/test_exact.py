@@ -147,6 +147,12 @@ def test_stirling_frozen_values():
     assert all(stirling_first_signed(m, m) == 1 for m in range(0, 11))
 
 
+@pytest.mark.parametrize("m, j", [(-1, 0), (0, -1)])
+def test_stirling_rejects_negative_arguments(m, j):
+    with pytest.raises(ValueError, match=r"^m, j must be >= 0$"):
+        stirling_first_signed(m, j)
+
+
 def test_stirling_deep_row():
     # s(m, 1) = (-1)^(m-1) (m-1)!; the row is built without recursion
     assert stirling_first_signed(1000, 1) == -math.factorial(999)
@@ -221,6 +227,11 @@ def test_bernoulli_values():
     assert bernoulli(5) == 0
 
 
+def test_bernoulli_rejects_negative_index():
+    with pytest.raises(ValueError, match=r"^l must be >= 0$"):
+        bernoulli(-1)
+
+
 def test_bernoulli_odd_vanish_even_alternate():
     assert all(bernoulli(l) == 0 for l in range(3, 30, 2))
     signs = [1 if bernoulli(l) > 0 else -1 for l in range(2, 22, 2)]
@@ -291,6 +302,12 @@ def test_pipoly_value_semantics():
 @settings(derandomize=True, max_examples=150)
 def test_pipoly_scaling_distributes(p, c):
     assert (p * c) * 2 == p * (2 * c)
+
+
+def test_pipoly_scales_by_no_other_type():
+    # __mul__ returns NotImplemented, so Python raises TypeError
+    with pytest.raises(TypeError):
+        PiPolynomial((1,)) * "x"
 
 
 @given(poly_strategy, poly_strategy)
