@@ -2,8 +2,9 @@
 
 Subcommands: ``spectrum``, ``count``, ``coeff``, ``converge``, ``weyl``.
 Exit codes: 0 success, 2 usage/validation error or failed write, 3 a
-request beyond a work cap (10^9 series terms or 2^40 count index steps),
-141 stdout closed by its reader. Identical flags produce byte-identical bytes.
+request beyond a work cap (10^9 series terms, 2^40 count index steps or
+2^24 table entries), 141 stdout closed by its reader. Identical flags
+produce byte-identical bytes.
 """
 
 from __future__ import annotations

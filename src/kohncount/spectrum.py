@@ -16,7 +16,6 @@ import itertools
 import math
 import operator
 import os
-import sys
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -52,6 +51,9 @@ _TERM_BLOCK = 4096
 # steps take about two days, or one day on two processes.
 MAX_INDEX_STEPS = 2**40
 
+# The most table entries; at the cap, some 3 GB at n <= 3 and 14 GB at n = 200
+MAX_TABLE_ENTRIES = 2**24
+
 
 class CountingConvention(enum.Enum):
     """Divisor-restriction convention for the counting functions.
@@ -67,7 +69,8 @@ class CountingConvention(enum.Enum):
 
 class WorkLimitError(Exception):
     """A request needs more work than a fixed cap allows: a count more
-    index steps than ``MAX_INDEX_STEPS``, or a series (as
+    index steps than ``MAX_INDEX_STEPS``, a spectrum table more entries
+    than ``MAX_TABLE_ENTRIES``, or a series (as
     ``asymptotics.PrecisionUnattainableError``) more terms than its cap."""
 
 
@@ -326,13 +329,14 @@ def spectrum_table(
     M = floor(lambda_max) // 2. Every m >= pmin has the divisor pair
     (m, 1), and no m < pmin has one, so the table lists exactly m in
     [pmin, M]. The pairs pq <= M are added as about 2 isqrt(M) polynomial
-    runs (``_multiplicities_by_runs``). A lambda_max with M >= sys.maxsize
-    raises ``ValueError`` before any work: no list that long can exist.
+    runs (``_multiplicities_by_runs``). A table with M > ``MAX_TABLE_ENTRIES``
+    = 2^24 (lambda_max from 2^25 + 2, about 3.4e7, on) raises
+    ``WorkLimitError`` before any list is built.
     """
     validate_sphere_n(n)
     M = _floor_half(lambda_max, 2, "lambda_max")
-    if M >= sys.maxsize:
-        raise ValueError(f"lambda_max must be less than {2 * sys.maxsize}")
+    if M > MAX_TABLE_ENTRIES:
+        raise WorkLimitError(f"spectrum needs more than {MAX_TABLE_ENTRIES} entries")
     pmin = n if conv is CountingConvention.PAPER_RESTRICTED else n - 1
     if M < pmin:
         return []

@@ -254,20 +254,20 @@ def test_spectrum_rejects_n1(capsys):
 
 
 def test_spectrum_rejects_huge_lambda_max_at_once():
-    # 1e30 would need a table of 5e29 entries; it is refused before any
-    # work, so the command ends well within the timeout
-    result = subprocess.run(
-        [sys.executable, "-m", "kohncount", "spectrum", "--n", "2"]
-        + ["--lambda-max", "1e30"],
-        capture_output=True,
-        text=True,
-        timeout=1,
-    )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr == (
-        f"kohncount: lambda_max must be less than {2 * sys.maxsize}\n"
-    )
+    # 1e12 would need a table of 5e11 entries, some 80 TB, and 1e30 one
+    # that no list can hold; both are past the 2^24 entry cap and refused
+    # before any work, so each command ends well within the timeout
+    for n, lambda_max in (("3", "1e12"), ("2", "1e30")):
+        result = subprocess.run(
+            [sys.executable, "-m", "kohncount", "spectrum", "--n", n]
+            + ["--lambda-max", lambda_max],
+            capture_output=True,
+            text=True,
+            timeout=1,
+        )
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == "kohncount: spectrum needs more than 16777216 entries\n"
 
 
 @pytest.mark.parametrize("command", list(BASE_ARGV))

@@ -851,11 +851,25 @@ def test_spectrum_table_rejects_small_lambda_max():
     ids=["2maxsize", "int-1e30", "fraction-1e400", "float-2^64"],
 )
 def test_spectrum_table_rejects_lambda_max_past_any_list(n, lambda_max):
-    # M = sys.maxsize and above: no list of M entries can exist, so the
-    # table is refused before any is built, at a low and a high n, and a
-    # Fraction beyond the float range is never converted to a float
-    with pytest.raises(ValueError, match="lambda_max must be less than"):
+    # M = sys.maxsize and above, far past the entry cap: the table is refused
+    # before any list is built, at a low and a high n, and a Fraction beyond
+    # the float range is never converted to a float
+    with pytest.raises(WorkLimitError, match=r"^spectrum needs more than 16777216 "):
         spectrum_table(n, lambda_max, FULL)
+
+
+@pytest.mark.parametrize("n", [2, 12])
+@pytest.mark.parametrize("conv", [FULL, PAPER])
+def test_spectrum_table_lists_up_to_the_entry_cap(monkeypatch, n, conv):
+    # with a cap of 400 entries, lambda_max = 801 (M = 400) builds the same
+    # table as with no cap; 802 (M = 401) raises before any run is added
+    expected = spectrum_table(n, 801, conv)
+    assert expected[-1][0] == 800
+    monkeypatch.setattr(spectrum, "MAX_TABLE_ENTRIES", 400)
+    assert spectrum_table(n, 801, conv) == expected
+    monkeypatch.setattr(spectrum, "_multiplicities_by_runs", None)
+    with pytest.raises(WorkLimitError, match=r"^spectrum needs more than 400 entr"):
+        spectrum_table(n, 802, conv)
 
 
 def test_spectrum_csv_round_trip():
