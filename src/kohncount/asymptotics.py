@@ -38,7 +38,6 @@ __all__ = [
     "CoefficientReport",
     "RemainderProfile",
     "ProfileSample",
-    "PrecisionUnattainableError",
     "closed_scale",
     "leading_coefficient_series",
     "leading_coefficient_closed",
@@ -50,10 +49,6 @@ __all__ = [
 
 DEFAULT_DIGITS = 50
 DEFAULT_MAX_TERMS = 10**9
-
-
-class PrecisionUnattainableError(WorkLimitError):
-    """Requested tolerance needs more series terms than the configured cap."""
 
 
 class CoefficientReport(
@@ -164,7 +159,7 @@ def _select_truncation(c: list[int], D: int, target: Fraction) -> int:
     lo, hi = 1, 2
     while next(_tail_bracket(c, D, hi)) > target:
         if hi >= DEFAULT_MAX_TERMS:
-            raise PrecisionUnattainableError(
+            raise WorkLimitError(
                 f"series needs more than {DEFAULT_MAX_TERMS} terms for the "
                 "requested tolerance"
             )
@@ -198,7 +193,7 @@ def leading_coefficient_series(
     All of the work but the convention's gap is kept for the last (n, eps,
     digits), so the other convention costs only the gap.
 
-    Raises :class:`PrecisionUnattainableError` when no K within
+    Raises ``spectrum.WorkLimitError`` when no K within
     ``DEFAULT_MAX_TERMS`` certifies the requested eps.
     """
     validate_sphere_n(n)

@@ -2,9 +2,10 @@
 
 Subcommands: ``spectrum``, ``count``, ``coeff``, ``converge``, ``weyl``.
 Exit codes: 0 success, 2 usage/validation error or failed write, 3 a
-request beyond a work cap (10^9 series terms, 2^40 count index steps or
-2^24 table entries), 141 stdout closed by its reader. Identical flags
-produce byte-identical bytes.
+request beyond a work cap (2^40 count index steps, 2^24 table entries,
+10^9 series terms, 10^5 ``converge`` points or 10^5 ``coeff`` digits),
+141 stdout closed by its reader. Identical flags produce byte-identical
+bytes.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def parse_lambda_spec(spec: str) -> list[int | Fraction | float]:
         v = start
         while v <= top:
             if len(values) == MAX_LAMBDAS:
-                raise ValueError(
+                raise spectrum.WorkLimitError(
                     f"lambda range {spec!r} has more than {MAX_LAMBDAS} values"
                 )
             values.append(v)
@@ -338,10 +339,12 @@ def cmd_count(args) -> int:
 
 def cmd_coeff(args) -> int:
     from . import asymptotics
-    from .exact import MIN_EVAL_DIGITS
+    from .exact import MAX_EVAL_DIGITS, MIN_EVAL_DIGITS
 
     if args.precision < MIN_EVAL_DIGITS:
         raise ValueError(f"precision must be >= {MIN_EVAL_DIGITS} digits")
+    if args.precision > MAX_EVAL_DIGITS:
+        raise spectrum.WorkLimitError(f"precision must be <= {MAX_EVAL_DIGITS} digits")
     methods = list(METHODS) if args.method == "all" else [args.method]
     all_reports: list[CoefficientReport] = []
     gaps: dict[str, float] = {}

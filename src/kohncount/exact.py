@@ -24,6 +24,10 @@ __all__ = [
 ]
 
 MIN_EVAL_DIGITS = 16
+# the most digits ``coeff --precision`` takes: there a closed form at n = 2
+# takes about 10 s, mostly pi's Machin series, whose cost grows about
+# quadratically in the digits
+MAX_EVAL_DIGITS = 10**5
 
 
 # One row: a coefficient at n reads only row n - 1, so a loop over n keeps

@@ -68,10 +68,13 @@ class CountingConvention(enum.Enum):
 
 
 class WorkLimitError(Exception):
-    """A request needs more work than a fixed cap allows: a count more
-    index steps than ``MAX_INDEX_STEPS``, a spectrum table more entries
-    than ``MAX_TABLE_ENTRIES``, or a series (as
-    ``asymptotics.PrecisionUnattainableError``) more terms than its cap."""
+    """A request needs more work than a fixed cap allows, and is refused
+    before that work: a count more index steps than ``MAX_INDEX_STEPS``
+    (2^40), a spectrum table more entries than ``MAX_TABLE_ENTRIES``
+    (2^24), a series more terms than ``asymptotics.DEFAULT_MAX_TERMS``
+    (10^9), a ``converge`` sweep more points than ``cli.MAX_LAMBDAS``
+    (10^5), or a ``coeff`` more digits than ``exact.MAX_EVAL_DIGITS``
+    (10^5). The CLI exits 3 on it."""
 
 
 def validate_sphere_n(n: int) -> int:

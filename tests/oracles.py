@@ -30,6 +30,9 @@ series, a double sum of zeta(s-j) zeta(s-k), and
 ``leading_coefficient_by_residues`` takes the leading coefficient from
 that series' residue at s = n, a fourth route that shares no algebra with
 the closed form's h(k) and Stirling row.
+``leading_coefficient_by_heat_kernel`` takes it by quadrature, as the finite
+part of the Heisenberg heat-kernel integral behind the Folland-Stein
+operators, a route that shares no code with the library.
 ``tail_derivative_bounds`` sums the series' tail bounds term by term in
 ``Fraction``, and ``tail_bracket`` builds the tail bracket from them, where
 the library sums both points in one pass in integers over one denominator.
@@ -61,9 +64,14 @@ from functools import lru_cache
 
 import mpmath
 
-from kohncount.asymptotics import PrecisionUnattainableError, _tail_bracket
+from kohncount.asymptotics import _tail_bracket
 from kohncount.exact import MIN_EVAL_DIGITS, PiPolynomial, _pi_squared, bernoulli
-from kohncount.spectrum import _TERM_BLOCK, CountingConvention, validate_sphere_n
+from kohncount.spectrum import (
+    _TERM_BLOCK,
+    CountingConvention,
+    WorkLimitError,
+    validate_sphere_n,
+)
 
 
 def to_mpf(x: Fraction) -> mpmath.mpf:
@@ -514,6 +522,47 @@ def leading_coefficient_by_residues(n, conv):
     return PiPolynomial(even), odd
 
 
+def leading_coefficient_by_heat_kernel(n, conv, digits):
+    """c as an mpf of ``digits`` digits, by quadrature of the Heisenberg
+    heat-kernel integral, with no code of the library:
+
+        c_full = 1/(2^(n-1) n! (n-1)!) * integral over R of
+                 (tau/sinh tau)^(n-1) e^((n-1)tau) - (2 tau_+)^(n-1),
+
+    where tau_+ = max(tau, 0). (tau/sinh tau)^(n-1) e^(alpha tau)
+    integrates to the Weyl constant of the Folland-Stein operator L_alpha
+    on S^(2n-1) (Folland and Stein 1974; Beals, Greiner and Stanton
+    1984), whose eigenvalue 2pq + (n-1-alpha)p + (n-1+alpha)q is the Kohn
+    Laplacian's 2q(p+n-1) at alpha = n-1. There the CR functions' eigenvalue
+    (n-1-alpha)p falls to 0 and the integral has a pole, which the
+    (2 tau_+)^(n-1) term removes: the Kohn Laplacian's c is its finite part.
+
+    Both sides are integrated over [0, 1, 10, inf) in forms that do not
+    cancel: for tau > 0 the integrand is
+    (2tau)^(n-1) ((1 - e^(-2tau))^(-(n-1)) - 1), and at t = -tau > 0 it is
+    (2t)^(n-1) e^(-2(n-1)t) / (1 - e^(-2t))^(n-1); the naive form loses
+    every digit. Expanding (1 - e^(-2tau))^(-(n-1)) term by term gives back
+    sum_k k^-n h(k), so the route is independent as code (quadrature),
+    not as algebra. The paper convention subtracts the H_{0,q} family's
+    1/((n-1)^n 2^n n!).
+    """
+    m = n - 1
+    with mpmath.workdps(digits):
+
+        def right(tau):
+            return (2 * tau) ** m * ((-mpmath.expm1(-2 * tau)) ** -m - 1)
+
+        def left(t):
+            return (2 * t) ** m * mpmath.exp(-2 * m * t) / (-mpmath.expm1(-2 * t)) ** m
+
+        nodes = [0, 1, 10, mpmath.inf]
+        integral = mpmath.quad(right, nodes) + mpmath.quad(left, nodes)
+        c = integral / (2**m * math.factorial(n) * math.factorial(m))
+        if conv is CountingConvention.PAPER_RESTRICTED:
+            c -= mpmath.mpf(1) / (m**n * 2**n * math.factorial(n))
+        return +c
+
+
 def tail_derivative_bounds(a, X):
     """(integral of g over [X, inf), |g'(X)|, g''(X)) for g(x) = sum_m a_m
     x^-2m, given as {m: a_m}, one ``Fraction`` term at a time."""
@@ -544,7 +593,7 @@ def select_truncation_by_halving(c, D, target, max_terms):
     lo, hi = 1, 2
     while next(_tail_bracket(c, D, hi)) > target:
         if hi >= max_terms:
-            raise PrecisionUnattainableError(
+            raise WorkLimitError(
                 f"series needs more than {max_terms} terms for the "
                 "requested tolerance"
             )

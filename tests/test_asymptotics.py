@@ -18,7 +18,6 @@ from hypothesis import given, settings
 
 from kohncount import asymptotics
 from kohncount.asymptotics import (
-    PrecisionUnattainableError,
     _inverse_power_coeffs,
     _partial_sum_fixed,
     _select_truncation,
@@ -32,11 +31,12 @@ from kohncount.asymptotics import (
     weyl_ball_constant,
 )
 from kohncount.exact import PiPolynomial, pipoly_eval
-from kohncount.spectrum import CountingConvention, count_N
+from kohncount.spectrum import CountingConvention, WorkLimitError, count_N
 from tests.oracles import (
     dirichlet_weights,
     h_poly,
     hpq_dim,
+    leading_coefficient_by_heat_kernel,
     leading_coefficient_by_residues,
     lemma_ratio,
     select_truncation_by_halving,
@@ -180,6 +180,18 @@ def test_residue_route_matches_closed_form(n, conv):
     assert even == leading_coefficient_closed(n, conv).exact
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("conv", [FULL, PAPER])
+def test_heat_kernel_route_matches_closed_form(n, conv):
+    # the finite part of the heat-kernel integral by quadrature at 35
+    # digits, against the closed form, to 28 digits: the quadrature's
+    # error grows with n, to about 6e-29 at n = 12
+    quadrature = leading_coefficient_by_heat_kernel(n, conv, 35)
+    with mpmath.workdps(40):
+        closed = to_mpf(leading_coefficient_closed(n, conv).value)
+        assert abs(quadrature - closed) <= mpmath.mpf("1e-28") * closed
+
+
 @pytest.mark.parametrize("n", RESIDUE_NS)
 def test_residue_route_has_no_odd_zeta(n):
     # zeta(r) at every odd r in [3, n] appears term by term, and each of
@@ -282,8 +294,10 @@ def test_series_reports_truncation_depth():
 
 
 def test_series_unattainable_precision():
-    with pytest.raises(PrecisionUnattainableError):
+    with pytest.raises(WorkLimitError) as excinfo:
         leading_coefficient_series(2, 1e-100, FULL)
+    assert excinfo.type is WorkLimitError
+    assert not hasattr(asymptotics, "PrecisionUnattainableError")
 
 
 def test_series_tries_the_term_cap(monkeypatch):
@@ -296,8 +310,9 @@ def test_series_tries_the_term_cap(monkeypatch):
     target = widths[700]
     assert min(K for K in widths if widths[K] <= target) == 700
     assert _select_truncation(c, D, target) == 700
-    with pytest.raises(PrecisionUnattainableError, match="more than 1000 terms"):
+    with pytest.raises(WorkLimitError, match="more than 1000 terms") as excinfo:
         _select_truncation(c, D, (widths[1000] + widths[1001]) / 2)
+    assert excinfo.type is WorkLimitError
     # the same through the public entry, with eps = 1% over the target
     scale = closed_scale(2)
     eps = float((widths[700] + widths[699]) / 2 / scale * Fraction(100, 99))
@@ -321,13 +336,14 @@ def test_select_truncation_matches_the_halving_search(n, cap, data):
     target = data.draw(st.sampled_from([width, (width + width_next) / 2]))
     try:
         expected = select_truncation_by_halving(c, D, target, cap)
-    except PrecisionUnattainableError:
+    except WorkLimitError:
         expected = None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(asymptotics, "DEFAULT_MAX_TERMS", cap)
         if expected is None:
-            with pytest.raises(PrecisionUnattainableError, match=f"more than {cap} "):
+            with pytest.raises(WorkLimitError, match=f"more than {cap} ") as excinfo:
                 _select_truncation(c, D, target)
+            assert excinfo.type is WorkLimitError
         else:
             assert _select_truncation(c, D, target) == expected
 

@@ -25,7 +25,7 @@ from kohncount.asymptotics import (
     remainder_profile,
     weyl_ball_constant,
 )
-from kohncount import spectrum
+from kohncount import asymptotics, exact, spectrum
 from kohncount.cli import (
     COEFF_CSV_FIELDS,
     _exact_real,
@@ -34,7 +34,7 @@ from kohncount.cli import (
     main,
     parse_lambda_spec,
 )
-from kohncount.spectrum import CountingConvention, count_N
+from kohncount.spectrum import CountingConvention, WorkLimitError, count_N
 from tests import test_golden as golden
 from tests.oracles import csv_text, parse_pi_string, to_mpf
 
@@ -343,8 +343,6 @@ def test_count_workers_agree(capsys, monkeypatch):
 def test_coeff_both_conventions_sum_the_series_once(capsys, monkeypatch):
     # the partial sum, bracket and rounding allowance do not depend on the
     # convention; only the gap is subtracted for each
-    from kohncount import asymptotics
-
     calls = []
     partial_sum = asymptotics._partial_sum_fixed
 
@@ -675,6 +673,50 @@ def test_coeff_rejects_low_precision(capsys, method):
     assert err == "kohncount: precision must be >= 16 digits\n"
 
 
+def test_coeff_caps_precision_before_any_work(capsys, monkeypatch):
+    # with the cap at 60 digits, 60 prints what it prints uncapped, and 61
+    # is refused before any route runs
+    argv = ["coeff", "--n", "2", "--precision"]
+    uncapped = run_cli(capsys, *argv, "60")
+    monkeypatch.setattr(exact, "MAX_EVAL_DIGITS", 60)
+    assert run_cli(capsys, *argv, "60") == uncapped
+    assert uncapped[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route ran past the precision cap")
+
+    for name in (
+        "leading_coefficient_series",
+        "leading_coefficient_closed",
+        "empirical_report",
+    ):
+        monkeypatch.setattr(asymptotics, name, refuse)
+    for method in ("series", "closed", "empirical", "all"):
+        for convention in ("paper", "full", "both"):
+            rc, out, err = run_cli(
+                capsys, *argv, "61", "--method", method, "--convention", convention
+            )
+            assert rc == 3
+            assert out == ""
+            assert err == "kohncount: precision must be <= 60 digits\n"
+
+
+@pytest.mark.parametrize("method", ["series", "closed", "empirical", "all"])
+def test_coeff_refuses_huge_precision_at_once(method):
+    # pi to 10^9 digits would not finish; the cap of 10^5 digits refuses it
+    # before any work, well within the timeout
+    result = subprocess.run(
+        [sys.executable, "-m", "kohncount", "coeff", "--n", "2"]
+        + ["--method", method, "--precision", "1000000000"],
+        capture_output=True,
+        text=True,
+        timeout=1,
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == "kohncount: precision must be <= 100000 digits\n"
+
+
 def test_coeff_empirical_rejects_lambda_below_two(capsys):
     rc, out, err = run_cli(
         capsys, "coeff", "--n", "2", "--method", "empirical", "--lambda", "1"
@@ -791,8 +833,9 @@ def test_parse_lambda_spec_caps_range_length():
         "4:1e12:+1",
         "1:1e100:x1.002",
     ):
-        with pytest.raises(ValueError, match="has more than 100000 values"):
+        with pytest.raises(WorkLimitError, match="has more than 100000 values") as exc:
             parse_lambda_spec(spec)
+        assert exc.type is WorkLimitError
 
 
 @pytest.mark.parametrize(
@@ -812,9 +855,26 @@ def test_converge_rejects_range_that_cannot_step(capsys, spec, point):
 
 def test_converge_rejects_long_range(capsys):
     rc, out, err = run_cli(capsys, "converge", "--n", "2", "--lambdas", "1:2e5:+1")
-    assert rc == 2
+    assert rc == 3
     assert out == ""
     assert err == "kohncount: lambda range '1:2e5:+1' has more than 100000 values\n"
+
+
+@pytest.mark.parametrize("spec", ["1:2e5:+1", "4:1e12:+1"])
+def test_converge_refuses_long_range_at_once(spec):
+    # the range stops at its 100 001st point, before any count, so even a
+    # range of 10^12 points ends well within the timeout
+    result = subprocess.run(
+        [sys.executable, "-m", "kohncount", "converge", "--n", "2", "--lambdas", spec],
+        capture_output=True,
+        text=True,
+        timeout=1,
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"kohncount: lambda range '{spec}' has more than 100000 values\n"
+    )
 
 
 @pytest.mark.parametrize(
