@@ -1,7 +1,46 @@
 """Exact spectrum and Weyl-type asymptotics of the Kohn Laplacian on S^{2n-1}.
 
-Import from the submodules: ``kohncount.exact``, ``kohncount.spectrum``,
-``kohncount.asymptotics`` and ``kohncount.cli``.
+The root defines the three names that the submodules share:
+``CountingConvention``, ``WorkLimitError`` and ``validate_sphere_n``. So a
+module that needs only these, and a command that never counts, loads no
+counting code. Everything else is imported from the submodules:
+``kohncount.exact``, ``kohncount.spectrum``, ``kohncount.asymptotics`` and
+``kohncount.cli``.
 """
 
+import enum
+
 __version__ = "0.1.0"
+
+__all__ = ["CountingConvention", "WorkLimitError", "validate_sphere_n"]
+
+
+class CountingConvention(enum.Enum):
+    """Divisor-restriction convention for the counting functions.
+
+    ``PAPER_RESTRICTED`` sums f(p, q) over divisors p >= n, which drops the
+    H_{0,q} eigenspaces; ``FULL_SPECTRUM`` keeps every eigenspace with q >= 1
+    (divisors p >= n-1).
+    """
+
+    PAPER_RESTRICTED = "paper_restricted"
+    FULL_SPECTRUM = "full_spectrum"
+
+
+class WorkLimitError(Exception):
+    """A request needs more work than a fixed cap allows, and is refused
+    before that work: a count more index steps than
+    ``spectrum.MAX_INDEX_STEPS`` (2^40), a spectrum table more entries than
+    ``spectrum.MAX_TABLE_ENTRIES`` (2^24), a series more terms than
+    ``asymptotics.DEFAULT_MAX_TERMS`` (10^9), a ``converge`` sweep more
+    points than ``cli.MAX_LAMBDAS`` (10^5), an evaluation or a printed value
+    more digits than ``exact.MAX_EVAL_DIGITS`` (10^5), a ``coeff`` an n
+    above ``cli.MAX_COEFF_N`` or a ``weyl`` an n above ``cli.MAX_WEYL_N``.
+    The CLI exits 3 on it."""
+
+
+def validate_sphere_n(n: int) -> int:
+    """Sphere parameter n for S^{2n-1} in C^n; the formulas need n >= 2."""
+    if not isinstance(n, int) or n < 2:
+        raise ValueError("sphere parameter n must be an integer >= 2")
+    return n

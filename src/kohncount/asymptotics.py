@@ -22,13 +22,14 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
+from . import CountingConvention, WorkLimitError, validate_sphere_n
 from .exact import (
+    MAX_EVAL_DIGITS,
     PiPolynomial,
     bernoulli,
     pipoly_eval,
     stirling_first_signed,
 )
-from .spectrum import CountingConvention, WorkLimitError, count_N, validate_sphere_n
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -193,14 +194,17 @@ def leading_coefficient_series(
     All of the work but the convention's gap is kept for the last (n, eps,
     digits), so the other convention costs only the gap.
 
-    Raises ``spectrum.WorkLimitError`` when no K within
-    ``DEFAULT_MAX_TERMS`` certifies the requested eps.
+    Raises ``WorkLimitError`` when no K within ``DEFAULT_MAX_TERMS``
+    certifies the requested eps, or, before any work, when ``digits`` is
+    above ``exact.MAX_EVAL_DIGITS``.
     """
     validate_sphere_n(n)
     if eps <= 0:
         raise ValueError("eps must be > 0")
     if not math.isfinite(eps):
         raise ValueError("eps must be finite")
+    if digits > MAX_EVAL_DIGITS:
+        raise WorkLimitError(f"precision must be <= {MAX_EVAL_DIGITS} digits")
     K, total, error_bound = _series_sum(n, eps, digits)
     value = (total - _convention_gap(n, conv)) / closed_scale(n)
     return CoefficientReport(
@@ -301,6 +305,8 @@ def empirical_ratio(n: int, lam: Fraction | float, conv: CountingConvention) -> 
     The quotient is taken in exact rationals, since lambda^n overflows a
     float for large n.
     """
+    from .spectrum import count_N
+
     validate_sphere_n(n)
     if lam < 2:
         raise ValueError("lambda must be >= 2")
@@ -341,6 +347,8 @@ def remainder_profile(
     cap of ``count_N`` is refused before any count; the samples keep the
     given order.
     """
+    from .spectrum import count_N
+
     validate_sphere_n(n)
     if not lambdas:
         raise ValueError("at least one lambda required")

@@ -3,9 +3,9 @@
 Subcommands: ``spectrum``, ``count``, ``coeff``, ``converge``, ``weyl``.
 Exit codes: 0 success, 2 usage/validation error or failed write, 3 a
 request beyond a work cap (2^40 count index steps, 2^24 table entries,
-10^9 series terms, 10^5 ``converge`` points or 10^5 ``coeff`` digits),
-141 stdout closed by its reader. Identical flags produce byte-identical
-bytes.
+10^9 series terms, 10^5 ``converge`` points, 10^5 ``coeff`` digits, a
+``coeff`` n above 2000 or a ``weyl`` n above 5000), 141 stdout closed by
+its reader. Identical flags produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import math
 import os
 import sys
 
-from . import spectrum
-from .spectrum import CountingConvention
+from . import CountingConvention, WorkLimitError
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -26,9 +25,10 @@ if TYPE_CHECKING:
 
     from .asymptotics import CoefficientReport
 
-# ``asymptotics``, ``exact`` and ``json`` are imported by the commands that
-# use them: ``count`` and ``spectrum`` start without them, and with an
-# integer lambda without ``fractions``.
+# ``spectrum``, ``asymptotics``, ``exact`` and ``json`` are imported by the
+# commands that use them: ``count`` and ``spectrum`` start without
+# ``asymptotics``, and with an integer lambda without ``fractions``; ``weyl``
+# and ``coeff`` by the series or the closed form load no ``spectrum``.
 
 CONVENTIONS = {
     "paper": CountingConvention.PAPER_RESTRICTED,
@@ -49,6 +49,15 @@ METHODS = {
 
 # the longest ``converge --lambdas`` range
 MAX_LAMBDAS = 100_000
+
+# the largest ``coeff --n``, one cap for every method: there ``--method all
+# --convention both`` takes about 20 s and prints 60 MB, and the closed form
+# and the series grow at least as n^2
+MAX_COEFF_N = 2000
+
+# the largest ``weyl --n``: there ``--format json`` takes about 6 s, as its
+# value is a Horner pass over 2n + 1 coefficients, and it grows about as n^3
+MAX_WEYL_N = 5000
 
 COEFF_CSV_FIELDS = [
     "n",
@@ -207,7 +216,7 @@ def parse_lambda_spec(spec: str) -> list[int | Fraction | float]:
         v = start
         while v <= top:
             if len(values) == MAX_LAMBDAS:
-                raise spectrum.WorkLimitError(
+                raise WorkLimitError(
                     f"lambda range {spec!r} has more than {MAX_LAMBDAS} values"
                 )
             values.append(v)
@@ -312,6 +321,8 @@ def _report_text(report: CoefficientReport, record: dict) -> str:
 
 
 def cmd_spectrum(args) -> int:
+    from . import spectrum
+
     conv = CONVENTIONS[args.convention]
     entries = spectrum.spectrum_table(args.n, args.lambda_max, conv)
     with _output(args.out) as stream:
@@ -330,6 +341,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from . import spectrum
+
     conv = CONVENTIONS[args.convention]
     count = spectrum.count_N(args.n, args.lam, conv, workers=args.workers)
     lam = float(args.lam)
@@ -344,7 +357,9 @@ def cmd_coeff(args) -> int:
     if args.precision < MIN_EVAL_DIGITS:
         raise ValueError(f"precision must be >= {MIN_EVAL_DIGITS} digits")
     if args.precision > MAX_EVAL_DIGITS:
-        raise spectrum.WorkLimitError(f"precision must be <= {MAX_EVAL_DIGITS} digits")
+        raise WorkLimitError(f"precision must be <= {MAX_EVAL_DIGITS} digits")
+    if args.n > MAX_COEFF_N:
+        raise WorkLimitError(f"n must be <= {MAX_COEFF_N}")
     methods = list(METHODS) if args.method == "all" else [args.method]
     all_reports: list[CoefficientReport] = []
     gaps: dict[str, float] = {}
@@ -382,6 +397,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_weyl(args) -> int:
+    if args.n > MAX_WEYL_N:
+        raise WorkLimitError(f"n must be <= {MAX_WEYL_N}")
     from . import asymptotics
     from .exact import format_significant
 
@@ -411,9 +428,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return HANDLERS[args.command](args)
-    except (ValueError, spectrum.WorkLimitError) as exc:
+    except (ValueError, WorkLimitError) as exc:
         print(f"kohncount: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, spectrum.WorkLimitError) else 2
+        return 3 if isinstance(exc, WorkLimitError) else 2
     except BrokenPipeError:
         return 141  # the reader left: end quietly, as a SIGPIPE death would
     finally:

@@ -15,6 +15,8 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context
 from fractions import Fraction
 from functools import lru_cache
 
+from . import WorkLimitError
+
 __all__ = [
     "PiPolynomial",
     "stirling_first_signed",
@@ -24,9 +26,10 @@ __all__ = [
 ]
 
 MIN_EVAL_DIGITS = 16
-# the most digits ``coeff --precision`` takes: there a closed form at n = 2
-# takes about 10 s, mostly pi's Machin series, whose cost grows about
-# quadratically in the digits
+# the most digits ``pipoly_eval``, ``format_significant``, the series and
+# ``coeff --precision`` take: there a closed form at n = 2 takes about 10 s,
+# mostly pi's Machin series, whose cost grows about quadratically in the
+# digits
 MAX_EVAL_DIGITS = 10**5
 
 
@@ -207,10 +210,13 @@ def pipoly_eval(poly: PiPolynomial, digits: int = 50) -> Fraction:
     carries an error e to at most (e (P + 2) + 2|sum|) / 2^B + 1, and adding
     the floored C_j adds 1 more. S is set so that the sum is about 2^B, and
     B grows until the bound is relative 10^-(digits+20). The bound is
-    relative, as the coefficient at n = 600 is about 10^-1590.
+    relative, as the coefficient at n = 600 is about 10^-1590. More than
+    ``MAX_EVAL_DIGITS`` digits raise ``WorkLimitError`` before any work.
     """
     if digits < MIN_EVAL_DIGITS:
         raise ValueError(f"precision must be >= {MIN_EVAL_DIGITS} digits")
+    if digits > MAX_EVAL_DIGITS:
+        raise WorkLimitError(f"precision must be <= {MAX_EVAL_DIGITS} digits")
     coeffs = poly.coeffs
     if not coeffs:
         return Fraction(0)
@@ -252,10 +258,13 @@ def format_significant(x: Fraction, digits: int) -> str:
     ``D.DDDe-E``. At e = digits - 1 the fixed form ends in ``.``; zero is
     ``0.0``. These are the spellings of mpmath's ``nstr(x, digits,
     strip_zeros=False)``, in which the outputs were first pinned. Raises
-    ``ValueError`` when ``digits`` < 1.
+    ``ValueError`` when ``digits`` < 1, and ``WorkLimitError`` when it is
+    above ``MAX_EVAL_DIGITS``.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
+    if digits > MAX_EVAL_DIGITS:
+        raise WorkLimitError(f"precision must be <= {MAX_EVAL_DIGITS} digits")
     if x == 0:
         return "0.0"
     sign = "-" if x < 0 else ""

@@ -10,12 +10,13 @@ differ in whether the boundary eigenspaces H_{0,q} are included
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 import math
 import operator
 import os
+
+from . import CountingConvention, WorkLimitError, validate_sphere_n
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -23,9 +24,6 @@ if TYPE_CHECKING:
     from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence, TextIO
 
 __all__ = [
-    "CountingConvention",
-    "WorkLimitError",
-    "validate_sphere_n",
     "count_N",
     "spectrum_table",
     "write_spectrum_csv",
@@ -53,35 +51,6 @@ MAX_INDEX_STEPS = 2**40
 
 # The most table entries; at the cap, some 3 GB at n <= 3 and 14 GB at n = 200
 MAX_TABLE_ENTRIES = 2**24
-
-
-class CountingConvention(enum.Enum):
-    """Divisor-restriction convention for the counting functions.
-
-    ``PAPER_RESTRICTED`` sums f(p, q) over divisors p >= n, which drops the
-    H_{0,q} eigenspaces; ``FULL_SPECTRUM`` keeps every eigenspace with q >= 1
-    (divisors p >= n-1).
-    """
-
-    PAPER_RESTRICTED = "paper_restricted"
-    FULL_SPECTRUM = "full_spectrum"
-
-
-class WorkLimitError(Exception):
-    """A request needs more work than a fixed cap allows, and is refused
-    before that work: a count more index steps than ``MAX_INDEX_STEPS``
-    (2^40), a spectrum table more entries than ``MAX_TABLE_ENTRIES``
-    (2^24), a series more terms than ``asymptotics.DEFAULT_MAX_TERMS``
-    (10^9), a ``converge`` sweep more points than ``cli.MAX_LAMBDAS``
-    (10^5), or a ``coeff`` more digits than ``exact.MAX_EVAL_DIGITS``
-    (10^5). The CLI exits 3 on it."""
-
-
-def validate_sphere_n(n: int) -> int:
-    """Sphere parameter n for S^{2n-1} in C^n; the formulas need n >= 2."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("sphere parameter n must be an integer >= 2")
-    return n
 
 
 def _floor_half(value: int | float | Fraction, least: int, name: str) -> int:

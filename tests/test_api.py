@@ -1,13 +1,15 @@
-"""Public surface: each library module's ``__all__`` names exactly the
-functions and classes it defines without a leading underscore."""
+"""Public surface: the package root and each library module's ``__all__``
+name exactly the functions and classes it defines without a leading
+underscore, and the submodules share the root's names."""
 
 import pytest
 
+import kohncount
 from kohncount import asymptotics, exact, spectrum
 
 
 @pytest.mark.parametrize(
-    "module", [exact, spectrum, asymptotics], ids=lambda m: m.__name__
+    "module", [kohncount, exact, spectrum, asymptotics], ids=lambda m: m.__name__
 )
 def test_all_lists_public_functions_and_classes(module):
     public = [
@@ -18,3 +20,11 @@ def test_all_lists_public_functions_and_classes(module):
         and getattr(value, "__module__", None) == module.__name__
     ]
     assert sorted(module.__all__) == sorted(public)
+
+
+@pytest.mark.parametrize("name", kohncount.__all__)
+def test_submodules_bind_the_roots_shared_names(name):
+    # defined once, in the root: spectrum re-binds them but does not list
+    # them, and the CLI maps the root's error to exit 3
+    assert getattr(spectrum, name) is getattr(kohncount, name)
+    assert name not in spectrum.__all__

@@ -16,7 +16,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 
-from kohncount import asymptotics
+from kohncount import asymptotics, spectrum
 from kohncount.asymptotics import (
     _inverse_power_coeffs,
     _partial_sum_fixed,
@@ -482,7 +482,7 @@ def test_remainder_profile_validation():
 )
 def test_remainder_profile_rejects_envelope_beyond_floats(monkeypatch, n, lambdas):
     # checked at the largest lambda, before anything is counted
-    monkeypatch.setattr(asymptotics, "count_N", None)
+    monkeypatch.setattr(spectrum, "count_N", None)
     with pytest.raises(ValueError, match=r"ln\(lambda\) is not a finite float"):
         remainder_profile(n, lambdas, FULL)
 
@@ -495,7 +495,7 @@ def test_remainder_profile_rejects_envelope_beyond_floats(monkeypatch, n, lambda
 def test_remainder_profile_rejects_non_finite_lambda(monkeypatch, lambdas):
     # with the message of count_N, wherever the lambda sits: before the
     # order and envelope checks and before any count
-    monkeypatch.setattr(asymptotics, "count_N", None)
+    monkeypatch.setattr(spectrum, "count_N", None)
     with pytest.raises(ValueError, match=r"^lambda must be finite$"):
         remainder_profile(2, lambdas, FULL)
 

@@ -25,7 +25,7 @@ from kohncount.asymptotics import (
     remainder_profile,
     weyl_ball_constant,
 )
-from kohncount import asymptotics, exact, spectrum
+from kohncount import asymptotics, cli, exact, spectrum
 from kohncount.cli import (
     COEFF_CSV_FIELDS,
     _exact_real,
@@ -717,6 +717,77 @@ def test_coeff_refuses_huge_precision_at_once(method):
     assert result.stderr == "kohncount: precision must be <= 100000 digits\n"
 
 
+def test_coeff_caps_n_before_any_work(capsys, monkeypatch):
+    # with the cap at n = 5, 5 prints what it prints uncapped, and 6 is
+    # refused before any route runs, for every method and convention
+    uncapped = run_cli(capsys, "coeff", "--n", "5")
+    monkeypatch.setattr(cli, "MAX_COEFF_N", 5)
+    assert run_cli(capsys, "coeff", "--n", "5") == uncapped
+    assert uncapped[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route ran past the n cap")
+
+    for name in (
+        "leading_coefficient_series",
+        "leading_coefficient_closed",
+        "empirical_report",
+    ):
+        monkeypatch.setattr(asymptotics, name, refuse)
+    for method in ("series", "closed", "empirical", "all"):
+        for convention in ("paper", "full", "both"):
+            argv = ["--method", method, "--convention", convention]
+            refused = run_cli(capsys, "coeff", "--n", "6", *argv)
+            assert refused == (3, "", "kohncount: n must be <= 5\n")
+
+
+def test_weyl_caps_n_before_any_work(capsys, monkeypatch):
+    # with the cap at n = 8, 8 prints what it prints uncapped, and 9 is
+    # refused before the constant is built, in every format and normalization
+    argv = ["weyl", "--format", "json", "--n"]
+    uncapped = run_cli(capsys, *argv, "8")
+    monkeypatch.setattr(cli, "MAX_WEYL_N", 8)
+    assert run_cli(capsys, *argv, "8") == uncapped
+    assert uncapped[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("weyl ran past the n cap")
+
+    monkeypatch.setattr(asymptotics, "weyl_ball_constant", refuse)
+    for fmt in ("csv", "json", "text"):
+        for normalization in ("paper-text", "conventional"):
+            argv = ["--format", fmt, "--normalization", normalization]
+            refused = run_cli(capsys, "weyl", "--n", "9", *argv)
+            assert refused == (3, "", "kohncount: n must be <= 8\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *(
+            (["coeff", "--n", "100000", "--method", method], "n must be <= 2000")
+            for method in ("series", "closed", "empirical", "all")
+        ),
+        *(
+            (["weyl", "--n", "10000000", "--format", fmt], "n must be <= 5000")
+            for fmt in ("csv", "json", "text")
+        ),
+    ],
+)
+def test_n_caps_refuse_at_once(argv, message):
+    # each would run for minutes to hours; the caps refuse them before any
+    # work, well within the timeout
+    result = subprocess.run(
+        [sys.executable, "-m", "kohncount", *argv],
+        capture_output=True,
+        text=True,
+        timeout=1,
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == f"kohncount: {message}\n"
+
+
 def test_coeff_empirical_rejects_lambda_below_two(capsys):
     rc, out, err = run_cli(
         capsys, "coeff", "--n", "2", "--method", "empirical", "--lambda", "1"
@@ -1135,6 +1206,7 @@ def test_coeff_of_an_integer_lambda_beyond_floats_ends_at_once():
 
 # the modules that only some commands need
 LAZY = (
+    "kohncount.spectrum",
     "kohncount.asymptotics",
     "kohncount.exact",
     "json",
@@ -1143,25 +1215,29 @@ LAZY = (
     "concurrent.futures.process",
     "multiprocessing",
 )
+SPEC = "kohncount.spectrum"
 ASY = "kohncount.asymptotics kohncount.exact"
-# what each command loads of LAZY beyond the bare interpreter's modules
+# what each command loads of LAZY beyond the bare interpreter's modules; only
+# the commands that count or tabulate load ``spectrum``
 LAZY_LOADS = {
     "": "",
-    "count --n 3 --lambda 1e4 --format json": "json",
-    "spectrum --n 3 --lambda-max 100 --format csv": "",
-    "count --n 3 --workers 2 --lambda 1e4": "",
-    "count --n 3 --lambda 1e4": "",
-    "count --n 3 --lambda 1e4 --format csv": "",
-    "spectrum --n 3 --lambda-max 100": "",
-    "spectrum --n 3 --lambda-max 9 --format json": "json",
+    "count --n 3 --lambda 1e4 --format json": f"{SPEC} json",
+    "spectrum --n 3 --lambda-max 100 --format csv": SPEC,
+    "count --n 3 --workers 2 --lambda 1e4": SPEC,
+    "count --n 3 --lambda 1e4": SPEC,
+    "count --n 3 --lambda 1e4 --format csv": SPEC,
+    "spectrum --n 3 --lambda-max 100": SPEC,
+    "spectrum --n 3 --lambda-max 9 --format json": f"{SPEC} json",
     "weyl --n 2": ASY,
     "weyl --n 2 --format csv": ASY,
     "weyl --n 2 --format json": f"{ASY} json",
     "coeff --n 2 --method closed": ASY,
-    "coeff --n 2 --eps 1e-6 --lambda 64 --format json": f"{ASY} json",
-    "converge --n 2 --lambdas 64:256:x2": ASY,
+    "coeff --n 2 --method series --convention paper --format csv": ASY,
+    "coeff --n 2 --method empirical --lambda 64": f"{SPEC} {ASY}",
+    "coeff --n 2 --eps 1e-6 --lambda 64 --format json": f"{SPEC} {ASY} json",
+    "converge --n 2 --lambdas 64:256:x2": f"{SPEC} {ASY}",
     # above the parallel cut-off: a plain fork, with no process-pool module
-    "count --n 3 --workers 2 --lambda 1e9": "",
+    "count --n 3 --workers 2 --lambda 1e9": SPEC,
 }
 
 

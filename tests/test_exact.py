@@ -8,6 +8,8 @@ Expected values are frozen from independent oracles defined in this file
 import copy
 import math
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -15,7 +17,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 
-from kohncount import asymptotics, exact
+from kohncount import WorkLimitError, asymptotics, exact
 from kohncount.asymptotics import (
     leading_coefficient_closed,
     leading_coefficient_series,
@@ -467,6 +469,66 @@ def test_format_significant_rejects_digits_below_one(x, digits):
     # these gave '0.0' and '0.e+4'
     with pytest.raises(ValueError, match="digits must be >= 1"):
         format_significant(x, digits)
+
+
+# each library entry that takes a digit count: a call at d digits, and the
+# module and name of the first work it does past its checks
+DIGIT_CAPPED = {
+    "pipoly_eval": (
+        lambda d: pipoly_eval(PiPolynomial((0, 1)), d), exact, "_pi_squared"
+    ),
+    "format_significant": (
+        lambda d: format_significant(Fraction(1, 3), d), exact, "Context"
+    ),
+    "leading_coefficient_series": (
+        lambda d: leading_coefficient_series(2, digits=d), asymptotics, "_series_sum"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DIGIT_CAPPED)
+def test_digit_cap_refuses_before_any_work(monkeypatch, name):
+    # with the cap at 20 digits, 20 gives what it gives uncapped, and 21 is
+    # refused before any work
+    call, module, work = DIGIT_CAPPED[name]
+    uncapped = call(20)
+    monkeypatch.setattr(exact, "MAX_EVAL_DIGITS", 20)
+    monkeypatch.setattr(asymptotics, "MAX_EVAL_DIGITS", 20)
+    assert call(20) == uncapped
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} worked past the digit cap")
+
+    monkeypatch.setattr(module, work, refuse)
+    with pytest.raises(WorkLimitError, match=r"^precision must be <= 20 digits$") as e:
+        call(21)
+    assert e.type is WorkLimitError
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "exact.pipoly_eval(exact.PiPolynomial((0, 1)), 10**6)",
+        "exact.format_significant(Fraction(1, 3), 10**8)",
+        "asymptotics.leading_coefficient_series(2, digits=10**7)",
+    ],
+)
+def test_digit_cap_refuses_huge_precision_at_once(call):
+    # each ran past 10 s uncapped; the cap of 10^5 digits refuses it before
+    # any work, well within the timeout
+    code = (
+        "from fractions import Fraction\n"
+        "from kohncount import WorkLimitError, asymptotics, exact\n"
+        "try:\n"
+        f"    {call}\n"
+        "except WorkLimitError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=1
+    )
+    assert result.stdout == "WorkLimitError precision must be <= 100000 digits\n"
+    assert result.stderr == ""
 
 
 def test_format_significant_rounds_exact_ties_up():
