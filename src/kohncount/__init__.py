@@ -34,9 +34,11 @@ class WorkLimitError(Exception):
     ``spectrum.MAX_TABLE_ENTRIES`` (2^24), a series more terms than
     ``asymptotics.DEFAULT_MAX_TERMS`` (10^9), a ``converge`` sweep more
     points than ``cli.MAX_LAMBDAS`` (10^5), an evaluation or a printed value
-    more digits than ``exact.MAX_EVAL_DIGITS`` (10^5), a ``coeff`` an n
-    above ``cli.MAX_COEFF_N`` or a ``weyl`` an n above ``cli.MAX_WEYL_N``.
-    The CLI exits 3 on it."""
+    more digits than ``exact.MAX_EVAL_DIGITS`` (10^5), a coefficient route
+    (``asymptotics.leading_coefficient_series``, ``leading_coefficient_closed``
+    or ``empirical_report``) an n above ``asymptotics.MAX_COEFF_N`` (2000),
+    or ``asymptotics.weyl_ball_constant`` an n above
+    ``asymptotics.MAX_WEYL_N`` (5000). The CLI exits 3 on it."""
 
 
 def validate_sphere_n(n: int) -> int:

@@ -25,6 +25,7 @@ from functools import lru_cache
 from . import CountingConvention, WorkLimitError, validate_sphere_n
 from .exact import (
     MAX_EVAL_DIGITS,
+    MIN_EVAL_DIGITS,
     PiPolynomial,
     bernoulli,
     pipoly_eval,
@@ -50,6 +51,15 @@ __all__ = [
 
 DEFAULT_DIGITS = 50
 DEFAULT_MAX_TERMS = 10**9
+
+# the largest ``coeff --n``, one cap for every method: there ``--method all
+# --convention both`` takes about 20 s and prints 60 MB, and the closed form
+# and the series grow at least as n^2
+MAX_COEFF_N = 2000
+
+# the largest ``weyl --n``: there ``--format json`` takes about 6 s, as its
+# value is a Horner pass over 2n + 1 coefficients, and it grows about as n^3
+MAX_WEYL_N = 5000
 
 
 class CoefficientReport(
@@ -86,6 +96,13 @@ class RemainderProfile(namedtuple("RemainderProfile", "n convention samples")):
     sample per (ascending) lambda; N has no lambda^{n-1} ln(lambda) term."""
 
     __slots__ = ()
+
+
+def _validate_coeff_n(n: int) -> None:
+    """A sphere parameter n for a coefficient route: ``validate_sphere_n``,
+    then ``WorkLimitError`` above ``MAX_COEFF_N``, before any other check."""
+    if validate_sphere_n(n) > MAX_COEFF_N:
+        raise WorkLimitError(f"n must be <= {MAX_COEFF_N}")
 
 
 def closed_scale(n: int) -> int:
@@ -195,10 +212,10 @@ def leading_coefficient_series(
     digits), so the other convention costs only the gap.
 
     Raises ``WorkLimitError`` when no K within ``DEFAULT_MAX_TERMS``
-    certifies the requested eps, or, before any work, when ``digits`` is
-    above ``exact.MAX_EVAL_DIGITS``.
+    certifies the requested eps, or, before any work, when n is above
+    ``MAX_COEFF_N`` or ``digits`` above ``exact.MAX_EVAL_DIGITS``.
     """
-    validate_sphere_n(n)
+    _validate_coeff_n(n)
     if eps <= 0:
         raise ValueError("eps must be > 0")
     if not math.isfinite(eps):
@@ -272,8 +289,16 @@ def leading_coefficient_closed(
     over the a_m of ``_inverse_power_coeffs``. As zeta(2m) = |B_2m| 2^(2m-1)
     / (2m)! (pi^2)^m, a_m zeta(2m) / (2^n n!) is the whole coefficient of
     (pi^2)^m, and it is made as one ``Fraction``.
+
+    An n above ``MAX_COEFF_N`` or ``digits`` above ``exact.MAX_EVAL_DIGITS``
+    raises ``WorkLimitError``, and ``digits`` below ``exact.MIN_EVAL_DIGITS``
+    ``ValueError``, before the polynomial is built.
     """
-    validate_sphere_n(n)
+    _validate_coeff_n(n)
+    if digits < MIN_EVAL_DIGITS:
+        raise ValueError(f"precision must be >= {MIN_EVAL_DIGITS} digits")
+    if digits > MAX_EVAL_DIGITS:
+        raise WorkLimitError(f"precision must be <= {MAX_EVAL_DIGITS} digits")
     scale = closed_scale(n)
     coeffs = [-_convention_gap(n, conv) / scale]
     c, D = _inverse_power_coeffs(n)
@@ -317,7 +342,9 @@ def empirical_ratio(n: int, lam: Fraction | float, conv: CountingConvention) -> 
 def empirical_report(
     n: int, lam: Fraction | float, conv: CountingConvention
 ) -> CoefficientReport:
-    """Empirical coefficient with a half-lambda self-consistency heuristic."""
+    """Empirical coefficient with a half-lambda self-consistency heuristic.
+    An n above ``MAX_COEFF_N`` raises ``WorkLimitError`` before any count."""
+    _validate_coeff_n(n)
     ratio = empirical_ratio(n, lam, conv)
     ratio_half = empirical_ratio(n, max(Fraction(lam) / 2, 2), conv)
     return CoefficientReport(
@@ -390,9 +417,13 @@ def weyl_ball_constant(n: int, normalization: str = "paper_text") -> PiPolynomia
     ``paper_text`` multiplies by the (2 pi)^{2n} factor, giving
     (2 pi)^{2n} * omega_{2n}^2; ``conventional`` divides by it, the textbook
     placement. Both are exposed side by side and never silently swapped.
+    An n above ``MAX_WEYL_N`` raises ``WorkLimitError`` before the constant
+    is built.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be an integer >= 1")
+    if n > MAX_WEYL_N:
+        raise WorkLimitError(f"n must be <= {MAX_WEYL_N}")
     omega_sq = Fraction(1, math.factorial(n) ** 2)  # omega_{2n}^2 = pi^2n/(n!)^2
     if normalization == "paper_text":
         return PiPolynomial((0,) * (2 * n) + (4**n * omega_sq,))

@@ -6,6 +6,10 @@ request beyond a work cap (2^40 count index steps, 2^24 table entries,
 10^9 series terms, 10^5 ``converge`` points, 10^5 ``coeff`` digits, a
 ``coeff`` n above 2000 or a ``weyl`` n above 5000), 141 stdout closed by
 its reader. Identical flags produce byte-identical bytes.
+
+The caps are the library's, checked where the work is done; the CLI checks
+only its own input: ``--precision``, which it renders to, and the length of
+a ``--lambdas`` range.
 """
 
 from __future__ import annotations
@@ -49,15 +53,6 @@ METHODS = {
 
 # the longest ``converge --lambdas`` range
 MAX_LAMBDAS = 100_000
-
-# the largest ``coeff --n``, one cap for every method: there ``--method all
-# --convention both`` takes about 20 s and prints 60 MB, and the closed form
-# and the series grow at least as n^2
-MAX_COEFF_N = 2000
-
-# the largest ``weyl --n``: there ``--format json`` takes about 6 s, as its
-# value is a Horner pass over 2n + 1 coefficients, and it grows about as n^3
-MAX_WEYL_N = 5000
 
 COEFF_CSV_FIELDS = [
     "n",
@@ -358,8 +353,6 @@ def cmd_coeff(args) -> int:
         raise ValueError(f"precision must be >= {MIN_EVAL_DIGITS} digits")
     if args.precision > MAX_EVAL_DIGITS:
         raise WorkLimitError(f"precision must be <= {MAX_EVAL_DIGITS} digits")
-    if args.n > MAX_COEFF_N:
-        raise WorkLimitError(f"n must be <= {MAX_COEFF_N}")
     methods = list(METHODS) if args.method == "all" else [args.method]
     all_reports: list[CoefficientReport] = []
     gaps: dict[str, float] = {}
@@ -397,8 +390,6 @@ def cmd_converge(args) -> int:
 
 
 def cmd_weyl(args) -> int:
-    if args.n > MAX_WEYL_N:
-        raise WorkLimitError(f"n must be <= {MAX_WEYL_N}")
     from . import asymptotics
     from .exact import format_significant
 

@@ -8,6 +8,8 @@ numeric values against direct summation.
 
 import functools
 import math
+import subprocess
+import sys
 import types
 from fractions import Fraction
 
@@ -386,6 +388,91 @@ def test_series_matches_the_floor_log10_precision_rule(n, eps, digits, dps):
 def test_series_rejects_bad_eps():
     with pytest.raises(ValueError):
         leading_coefficient_series(2, 0.0, FULL)
+
+
+def test_closed_form_checks_low_precision_before_building(monkeypatch):
+    # pipoly_eval's bound and message, before the polynomial is built; the
+    # upper bound is a case of test_exact's digit-cap test
+    def refuse(*args):
+        raise AssertionError("the closed form was built below the precision bound")
+
+    monkeypatch.setattr(asymptotics, "_inverse_power_coeffs", refuse)
+    with pytest.raises(ValueError, match=r"^precision must be >= 16 digits$"):
+        leading_coefficient_closed(50, digits=15)
+
+
+# each route that caps its n: a call at n, the name of its cap, and the
+# module and name of the first work it does past its checks
+N_CAPPED = {
+    "leading_coefficient_series": (
+        leading_coefficient_series, "MAX_COEFF_N", asymptotics, "_series_sum"
+    ),
+    "leading_coefficient_closed": (
+        leading_coefficient_closed,
+        "MAX_COEFF_N",
+        asymptotics,
+        "_inverse_power_coeffs",
+    ),
+    "empirical_report": (
+        lambda n: empirical_report(n, 200000, PAPER),
+        "MAX_COEFF_N",
+        spectrum,
+        "count_N",
+    ),
+    "weyl_ball_constant": (
+        weyl_ball_constant,
+        "MAX_WEYL_N",
+        asymptotics,
+        "PiPolynomial",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", N_CAPPED)
+def test_n_cap_refuses_before_any_work(monkeypatch, name):
+    # with the cap at n = 5, 5 gives what it gives uncapped, and 6 is
+    # refused before any work
+    call, cap, module, work = N_CAPPED[name]
+    uncapped = call(5)
+    monkeypatch.setattr(asymptotics, cap, 5)
+    assert call(5) == uncapped
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} worked past the n cap")
+
+    monkeypatch.setattr(module, work, refuse)
+    with pytest.raises(WorkLimitError, match=r"^n must be <= 5$") as e:
+        call(6)
+    assert e.type is WorkLimitError
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        ("leading_coefficient_series(10**5)", "n must be <= 2000"),
+        ("leading_coefficient_closed(10**5)", "n must be <= 2000"),
+        (
+            "empirical_report(10**5, 200000, CountingConvention.FULL_SPECTRUM)",
+            "n must be <= 2000",
+        ),
+        ("weyl_ball_constant(10**7)", "n must be <= 5000"),
+    ],
+)
+def test_n_cap_refuses_huge_n_at_once(call, message):
+    # each would run for minutes or more uncapped; the cap refuses it before
+    # any work, well within the timeout
+    code = (
+        "from kohncount import CountingConvention, WorkLimitError, asymptotics\n"
+        "try:\n"
+        f"    asymptotics.{call}\n"
+        "except WorkLimitError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=1
+    )
+    assert result.stdout == f"WorkLimitError {message}\n"
+    assert result.stderr == ""
 
 
 # ---------------------------------------------------------------------------

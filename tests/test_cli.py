@@ -25,7 +25,7 @@ from kohncount.asymptotics import (
     remainder_profile,
     weyl_ball_constant,
 )
-from kohncount import asymptotics, cli, exact, spectrum
+from kohncount import asymptotics, exact, spectrum
 from kohncount.cli import (
     COEFF_CSV_FIELDS,
     _exact_real,
@@ -718,22 +718,19 @@ def test_coeff_refuses_huge_precision_at_once(method):
 
 
 def test_coeff_caps_n_before_any_work(capsys, monkeypatch):
-    # with the cap at n = 5, 5 prints what it prints uncapped, and 6 is
-    # refused before any route runs, for every method and convention
+    # with the library's cap at n = 5, 5 prints what it prints uncapped, and
+    # 6 is refused before any route works, for every method and convention
     uncapped = run_cli(capsys, "coeff", "--n", "5")
-    monkeypatch.setattr(cli, "MAX_COEFF_N", 5)
+    monkeypatch.setattr(asymptotics, "MAX_COEFF_N", 5)
     assert run_cli(capsys, "coeff", "--n", "5") == uncapped
     assert uncapped[0] == 0
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a route ran past the n cap")
+        raise AssertionError("a route worked past the n cap")
 
-    for name in (
-        "leading_coefficient_series",
-        "leading_coefficient_closed",
-        "empirical_report",
-    ):
-        monkeypatch.setattr(asymptotics, name, refuse)
+    monkeypatch.setattr(asymptotics, "_series_sum", refuse)
+    monkeypatch.setattr(asymptotics, "_inverse_power_coeffs", refuse)
+    monkeypatch.setattr(spectrum, "count_N", refuse)
     for method in ("series", "closed", "empirical", "all"):
         for convention in ("paper", "full", "both"):
             argv = ["--method", method, "--convention", convention]
@@ -742,18 +739,19 @@ def test_coeff_caps_n_before_any_work(capsys, monkeypatch):
 
 
 def test_weyl_caps_n_before_any_work(capsys, monkeypatch):
-    # with the cap at n = 8, 8 prints what it prints uncapped, and 9 is
-    # refused before the constant is built, in every format and normalization
+    # with the library's cap at n = 8, 8 prints what it prints uncapped, and
+    # 9 is refused before the constant is built, in every format and
+    # normalization
     argv = ["weyl", "--format", "json", "--n"]
     uncapped = run_cli(capsys, *argv, "8")
-    monkeypatch.setattr(cli, "MAX_WEYL_N", 8)
+    monkeypatch.setattr(asymptotics, "MAX_WEYL_N", 8)
     assert run_cli(capsys, *argv, "8") == uncapped
     assert uncapped[0] == 0
 
     def refuse(*args, **kwargs):
-        raise AssertionError("weyl ran past the n cap")
+        raise AssertionError("weyl worked past the n cap")
 
-    monkeypatch.setattr(asymptotics, "weyl_ball_constant", refuse)
+    monkeypatch.setattr(asymptotics, "PiPolynomial", refuse)
     for fmt in ("csv", "json", "text"):
         for normalization in ("paper-text", "conventional"):
             argv = ["--format", fmt, "--normalization", normalization]

@@ -483,6 +483,11 @@ DIGIT_CAPPED = {
     "leading_coefficient_series": (
         lambda d: leading_coefficient_series(2, digits=d), asymptotics, "_series_sum"
     ),
+    "leading_coefficient_closed": (
+        lambda d: leading_coefficient_closed(2, digits=d),
+        asymptotics,
+        "_inverse_power_coeffs",
+    ),
 }
 
 

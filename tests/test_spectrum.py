@@ -449,6 +449,27 @@ def test_falling_factorial_sums_match_oracles_at_carry_edges(n, X):
         assert count_from_index_terms(n, X, sum(parts)) == whole
 
 
+def test_falling_factorial_sums_carry_where_q_moves_little(monkeypatch):
+    # F and R are recomputed, by two perm(., n-1) calls, at the first index
+    # and where d = X//(i-1) - X//i > (n-1)//4, and carried by three shorter
+    # perm calls at every other index; recomputing everywhere gives the same
+    # sums at a higher cost
+    n, X = 100, 10**7
+    cut, s = (n - 1) // 4, math.isqrt(X)
+    recomputes = 1 + sum(X // (i - 1) - X // i > cut for i in range(2, s + 1))
+    lengths = []
+    perm = math.perm
+
+    def counted(x, k):
+        lengths.append(k)
+        return perm(x, k)
+
+    monkeypatch.setattr(math, "perm", counted)
+    _falling_factorial_sums(n, X, 1, s)
+    assert lengths.count(n - 1) == 2 * recomputes
+    assert len(lengths) == 2 * recomputes + 3 * (s - recomputes)
+
+
 def test_count_N_convention_gap():
     # full - paper = sum_{q <= x/(n-1)} dim H_{0,q}
     for n in (2, 3, 5):
@@ -842,6 +863,28 @@ def test_multiplicity_runs_match_divisor_loop(n_M, conv):
 def test_spectrum_table_rejects_small_lambda_max():
     with pytest.raises(ValueError):
         spectrum_table(2, 1.5, FULL)
+
+
+@pytest.mark.parametrize("conv", [FULL, PAPER], ids=["full", "paper"])
+@pytest.mark.parametrize(
+    "function, bound, message",
+    [
+        (count_N, -1, "lambda must be >= 0"),
+        (count_N, -math.inf, "lambda must be >= 0"),
+        (count_N, math.inf, "lambda must be finite"),
+        (count_N, math.nan, "lambda must be finite"),
+        (spectrum_table, 1, "lambda_max must be >= 2"),
+        (spectrum_table, -math.inf, "lambda_max must be >= 2"),
+        (spectrum_table, math.inf, "lambda_max must be finite"),
+        (spectrum_table, math.nan, "lambda_max must be finite"),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_bounds_outside_their_range_are_refused(conv, function, bound, message):
+    # the least bound first, so -inf reads as too small; then, for a float,
+    # finiteness
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        function(2, bound, conv)
 
 
 @pytest.mark.parametrize("n", [2, 12])
