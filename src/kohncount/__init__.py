@@ -33,12 +33,13 @@ class WorkLimitError(Exception):
     ``spectrum.MAX_INDEX_STEPS`` (2^40), a spectrum table more entries than
     ``spectrum.MAX_TABLE_ENTRIES`` (2^24), a series more terms than
     ``asymptotics.DEFAULT_MAX_TERMS`` (10^9), a ``converge`` sweep more
-    points than ``cli.MAX_LAMBDAS`` (10^5), an evaluation or a printed value
-    more digits than ``exact.MAX_EVAL_DIGITS`` (10^5), a coefficient route
-    (``asymptotics.leading_coefficient_series``, ``leading_coefficient_closed``
-    or ``empirical_report``) an n above ``asymptotics.MAX_COEFF_N`` (2000),
-    or ``asymptotics.weyl_ball_constant`` an n above
-    ``asymptotics.MAX_WEYL_N`` (5000). The CLI exits 3 on it."""
+    points than ``cli.MAX_LAMBDAS`` (10^5), an evaluation more digits than
+    ``exact.validate_digits`` allows (10^5) or a printed value as many, a
+    coefficient route (``asymptotics.leading_coefficient_series``,
+    ``leading_coefficient_closed``, ``empirical_ratio`` or
+    ``empirical_report``) an n above
+    ``asymptotics.MAX_COEFF_N`` (2000), or ``asymptotics.weyl_ball_constant``
+    an n above ``asymptotics.MAX_WEYL_N`` (5000). The CLI exits 3 on it."""
 
 
 def validate_sphere_n(n: int) -> int:

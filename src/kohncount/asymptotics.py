@@ -24,12 +24,12 @@ from functools import lru_cache
 
 from . import CountingConvention, WorkLimitError, validate_sphere_n
 from .exact import (
-    MAX_EVAL_DIGITS,
-    MIN_EVAL_DIGITS,
+    DEFAULT_DIGITS,
     PiPolynomial,
     bernoulli,
     pipoly_eval,
     stirling_first_signed,
+    validate_digits,
 )
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
@@ -49,7 +49,6 @@ __all__ = [
     "weyl_ball_constant",
 ]
 
-DEFAULT_DIGITS = 50
 DEFAULT_MAX_TERMS = 10**9
 
 # the largest ``coeff --n``, one cap for every method: there ``--method all
@@ -213,15 +212,15 @@ def leading_coefficient_series(
 
     Raises ``WorkLimitError`` when no K within ``DEFAULT_MAX_TERMS``
     certifies the requested eps, or, before any work, when n is above
-    ``MAX_COEFF_N`` or ``digits`` above ``exact.MAX_EVAL_DIGITS``.
+    ``MAX_COEFF_N``; ``digits`` is checked by ``exact.validate_digits``
+    after n and eps.
     """
     _validate_coeff_n(n)
     if eps <= 0:
         raise ValueError("eps must be > 0")
     if not math.isfinite(eps):
         raise ValueError("eps must be finite")
-    if digits > MAX_EVAL_DIGITS:
-        raise WorkLimitError(f"precision must be <= {MAX_EVAL_DIGITS} digits")
+    validate_digits(digits)
     K, total, error_bound = _series_sum(n, eps, digits)
     value = (total - _convention_gap(n, conv)) / closed_scale(n)
     return CoefficientReport(
@@ -290,15 +289,12 @@ def leading_coefficient_closed(
     / (2m)! (pi^2)^m, a_m zeta(2m) / (2^n n!) is the whole coefficient of
     (pi^2)^m, and it is made as one ``Fraction``.
 
-    An n above ``MAX_COEFF_N`` or ``digits`` above ``exact.MAX_EVAL_DIGITS``
-    raises ``WorkLimitError``, and ``digits`` below ``exact.MIN_EVAL_DIGITS``
-    ``ValueError``, before the polynomial is built.
+    An n above ``MAX_COEFF_N`` raises ``WorkLimitError``, and then
+    ``exact.validate_digits`` checks ``digits``, before the polynomial is
+    built.
     """
     _validate_coeff_n(n)
-    if digits < MIN_EVAL_DIGITS:
-        raise ValueError(f"precision must be >= {MIN_EVAL_DIGITS} digits")
-    if digits > MAX_EVAL_DIGITS:
-        raise WorkLimitError(f"precision must be <= {MAX_EVAL_DIGITS} digits")
+    validate_digits(digits)
     scale = closed_scale(n)
     coeffs = [-_convention_gap(n, conv) / scale]
     c, D = _inverse_power_coeffs(n)
@@ -328,11 +324,12 @@ def empirical_ratio(n: int, lam: Fraction | float, conv: CountingConvention) -> 
     """Finite-lambda ratio N(lambda)/lambda^n, correctly rounded.
 
     The quotient is taken in exact rationals, since lambda^n overflows a
-    float for large n.
+    float for large n. An n above ``MAX_COEFF_N`` raises ``WorkLimitError``
+    before any count.
     """
     from .spectrum import count_N
 
-    validate_sphere_n(n)
+    _validate_coeff_n(n)
     if lam < 2:
         raise ValueError("lambda must be >= 2")
     count = count_N(n, lam, conv)
@@ -344,7 +341,6 @@ def empirical_report(
 ) -> CoefficientReport:
     """Empirical coefficient with a half-lambda self-consistency heuristic.
     An n above ``MAX_COEFF_N`` raises ``WorkLimitError`` before any count."""
-    _validate_coeff_n(n)
     ratio = empirical_ratio(n, lam, conv)
     ratio_half = empirical_ratio(n, max(Fraction(lam) / 2, 2), conv)
     return CoefficientReport(

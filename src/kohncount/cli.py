@@ -8,8 +8,9 @@ request beyond a work cap (2^40 count index steps, 2^24 table entries,
 its reader. Identical flags produce byte-identical bytes.
 
 The caps are the library's, checked where the work is done; the CLI checks
-only its own input: ``--precision``, which it renders to, and the length of
-a ``--lambdas`` range.
+only its own input: ``--precision``, which it renders to, by the library's
+one digit check ``exact.validate_digits``, and the length of a
+``--lambdas`` range.
 """
 
 from __future__ import annotations
@@ -109,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, (*CONVENTIONS, "both"), "both")
     p.add_argument("--method", choices=[*METHODS, "all"], default="all")
     p.add_argument("--eps", type=float, default=1e-12, help="series tolerance")
+    # ``exact.DEFAULT_DIGITS``, written out so that parsing loads no ``exact``
     p.add_argument(
         "--precision", type=int, default=50, help="evaluation precision in digits"
     )
@@ -347,12 +349,9 @@ def cmd_count(args) -> int:
 
 def cmd_coeff(args) -> int:
     from . import asymptotics
-    from .exact import MAX_EVAL_DIGITS, MIN_EVAL_DIGITS
+    from .exact import validate_digits
 
-    if args.precision < MIN_EVAL_DIGITS:
-        raise ValueError(f"precision must be >= {MIN_EVAL_DIGITS} digits")
-    if args.precision > MAX_EVAL_DIGITS:
-        raise WorkLimitError(f"precision must be <= {MAX_EVAL_DIGITS} digits")
+    validate_digits(args.precision)
     methods = list(METHODS) if args.method == "all" else [args.method]
     all_reports: list[CoefficientReport] = []
     gaps: dict[str, float] = {}
@@ -391,13 +390,13 @@ def cmd_converge(args) -> int:
 
 def cmd_weyl(args) -> int:
     from . import asymptotics
-    from .exact import format_significant
+    from .exact import DEFAULT_DIGITS, format_significant, pipoly_eval
 
     normalization = args.normalization.replace("-", "_")
     poly = asymptotics.weyl_ball_constant(args.n, normalization)
     record = {"n": args.n, "normalization": normalization, "exact": poly.to_string()}
     if args.format == "json":
-        record["value"] = format_significant(asymptotics.pipoly_eval(poly), 50)
+        record["value"] = format_significant(pipoly_eval(poly), DEFAULT_DIGITS)
     return _flat_record(record, record["exact"], args)
 
 

@@ -23,14 +23,30 @@ __all__ = [
     "bernoulli",
     "pipoly_eval",
     "format_significant",
+    "validate_digits",
 ]
 
+# the digits of an evaluation that asks for none, and of ``weyl``'s value
+DEFAULT_DIGITS = 50
 MIN_EVAL_DIGITS = 16
-# the most digits ``pipoly_eval``, ``format_significant``, the series and
-# ``coeff --precision`` take: there a closed form at n = 2 takes about 10 s,
-# mostly pi's Machin series, whose cost grows about quadratically in the
-# digits
+# the most digits ``validate_digits`` and ``format_significant`` take: there
+# a closed form at n = 2 takes about 10 s, mostly pi's Machin series, whose
+# cost grows about quadratically in the digits
 MAX_EVAL_DIGITS = 10**5
+
+
+def validate_digits(digits: int) -> int:
+    """An evaluation precision in digits: the one check of ``pipoly_eval``,
+    the series, the closed form and ``coeff --precision``. A non-``int`` or
+    fewer than ``MIN_EVAL_DIGITS`` raise ``ValueError``, and more than
+    ``MAX_EVAL_DIGITS`` ``WorkLimitError``."""
+    if not isinstance(digits, int):
+        raise ValueError("precision must be an integer")
+    if digits < MIN_EVAL_DIGITS:
+        raise ValueError(f"precision must be >= {MIN_EVAL_DIGITS} digits")
+    if digits > MAX_EVAL_DIGITS:
+        raise WorkLimitError(f"precision must be <= {MAX_EVAL_DIGITS} digits")
+    return digits
 
 
 # One row: a coefficient at n reads only row n - 1, so a loop over n keeps
@@ -201,7 +217,7 @@ def _pi_squared(bits: int) -> int:
     return (pi * pi) >> (bits + 8)
 
 
-def pipoly_eval(poly: PiPolynomial, digits: int = 50) -> Fraction:
+def pipoly_eval(poly: PiPolynomial, digits: int = DEFAULT_DIGITS) -> Fraction:
     """``poly`` at pi, as a ``Fraction`` within relative 10^-(digits+20).
 
     Horner's rule runs in integers on C_j = floor(c_j 2^S) with P = pi^2 2^B
@@ -210,13 +226,10 @@ def pipoly_eval(poly: PiPolynomial, digits: int = 50) -> Fraction:
     carries an error e to at most (e (P + 2) + 2|sum|) / 2^B + 1, and adding
     the floored C_j adds 1 more. S is set so that the sum is about 2^B, and
     B grows until the bound is relative 10^-(digits+20). The bound is
-    relative, as the coefficient at n = 600 is about 10^-1590. More than
-    ``MAX_EVAL_DIGITS`` digits raise ``WorkLimitError`` before any work.
+    relative, as the coefficient at n = 600 is about 10^-1590. ``digits``
+    is checked by ``validate_digits`` before any work.
     """
-    if digits < MIN_EVAL_DIGITS:
-        raise ValueError(f"precision must be >= {MIN_EVAL_DIGITS} digits")
-    if digits > MAX_EVAL_DIGITS:
-        raise WorkLimitError(f"precision must be <= {MAX_EVAL_DIGITS} digits")
+    validate_digits(digits)
     coeffs = poly.coeffs
     if not coeffs:
         return Fraction(0)

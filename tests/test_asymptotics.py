@@ -413,6 +413,12 @@ N_CAPPED = {
         asymptotics,
         "_inverse_power_coeffs",
     ),
+    "empirical_ratio": (
+        lambda n: empirical_ratio(n, 200000, PAPER),
+        "MAX_COEFF_N",
+        spectrum,
+        "count_N",
+    ),
     "empirical_report": (
         lambda n: empirical_report(n, 200000, PAPER),
         "MAX_COEFF_N",
@@ -451,6 +457,10 @@ def test_n_cap_refuses_before_any_work(monkeypatch, name):
     [
         ("leading_coefficient_series(10**5)", "n must be <= 2000"),
         ("leading_coefficient_closed(10**5)", "n must be <= 2000"),
+        (
+            "empirical_ratio(10**5, 200000, CountingConvention.FULL_SPECTRUM)",
+            "n must be <= 2000",
+        ),
         (
             "empirical_report(10**5, 200000, CountingConvention.FULL_SPECTRUM)",
             "n must be <= 2000",

@@ -673,6 +673,12 @@ def test_coeff_rejects_low_precision(capsys, method):
     assert err == "kohncount: precision must be >= 16 digits\n"
 
 
+def test_precision_default_is_the_library_default():
+    # the parser writes 50 out, so that parsing loads no exact
+    args = build_parser().parse_args(["coeff", "--n", "2"])
+    assert args.precision == exact.DEFAULT_DIGITS
+
+
 def test_coeff_caps_precision_before_any_work(capsys, monkeypatch):
     # with the cap at 60 digits, 60 prints what it prints uncapped, and 61
     # is refused before any route runs

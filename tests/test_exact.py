@@ -30,6 +30,7 @@ from kohncount.exact import (
     format_significant,
     pipoly_eval,
     stirling_first_signed,
+    validate_digits,
 )
 from kohncount.spectrum import CountingConvention
 from tests.oracles import (
@@ -498,7 +499,6 @@ def test_digit_cap_refuses_before_any_work(monkeypatch, name):
     call, module, work = DIGIT_CAPPED[name]
     uncapped = call(20)
     monkeypatch.setattr(exact, "MAX_EVAL_DIGITS", 20)
-    monkeypatch.setattr(asymptotics, "MAX_EVAL_DIGITS", 20)
     assert call(20) == uncapped
 
     def refuse(*args, **kwargs):
@@ -508,6 +508,39 @@ def test_digit_cap_refuses_before_any_work(monkeypatch, name):
     with pytest.raises(WorkLimitError, match=r"^precision must be <= 20 digits$") as e:
         call(21)
     assert e.type is WorkLimitError
+
+
+# the entries that evaluate, and so take exact.validate_digits: all but
+# format_significant, which prints from 1 digit on
+EVALUATING = [name for name in DIGIT_CAPPED if name != "format_significant"]
+
+
+@pytest.mark.parametrize("name", EVALUATING)
+@pytest.mark.parametrize(
+    "digits, message",
+    [
+        # the series took 15 before its floor was validate_digits'
+        (15, r"^precision must be >= 16 digits$"),
+        # 50.0 failed with an AttributeError from int.bit_length in the work
+        (50.0, r"^precision must be an integer$"),
+    ],
+)
+def test_digit_floor_refuses_before_any_work(monkeypatch, name, digits, message):
+    # 16 digits are taken, and 15 or a float refused before any work
+    call, module, work = DIGIT_CAPPED[name]
+    call(16)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} worked past the digit check")
+
+    monkeypatch.setattr(module, work, refuse)
+    with pytest.raises(ValueError, match=message):
+        call(digits)
+
+
+def test_validate_digits_returns_the_bounds():
+    assert validate_digits(exact.MIN_EVAL_DIGITS) == 16
+    assert validate_digits(exact.MAX_EVAL_DIGITS) == 10**5
 
 
 @pytest.mark.parametrize(
