@@ -20,7 +20,9 @@ class CountingConvention(enum.Enum):
 
     ``PAPER_RESTRICTED`` sums f(p, q) over divisors p >= n, which drops the
     H_{0,q} eigenspaces; ``FULL_SPECTRUM`` keeps every eigenspace with q >= 1
-    (divisors p >= n-1).
+    (divisors p >= n-1). Every entry that takes a convention reads it as
+    ``CountingConvention(conv)``, so a member or its value passes, and
+    anything else raises ``ValueError`` before any work.
     """
 
     PAPER_RESTRICTED = "paper_restricted"
@@ -36,8 +38,7 @@ class WorkLimitError(Exception):
     points than ``cli.MAX_LAMBDAS`` (10^5), an evaluation more digits than
     ``exact.validate_digits`` allows (10^5) or a printed value as many, a
     coefficient route (``asymptotics.leading_coefficient_series``,
-    ``leading_coefficient_closed``, ``empirical_ratio`` or
-    ``empirical_report``) an n above
+    ``leading_coefficient_closed`` or ``empirical_report``) an n above
     ``asymptotics.MAX_COEFF_N`` (2000), or ``asymptotics.weyl_ball_constant``
     an n above ``asymptotics.MAX_WEYL_N`` (5000). The CLI exits 3 on it."""
 

@@ -43,7 +43,6 @@ __all__ = [
     "closed_scale",
     "leading_coefficient_series",
     "leading_coefficient_closed",
-    "empirical_ratio",
     "empirical_report",
     "remainder_profile",
     "weyl_ball_constant",
@@ -97,11 +96,13 @@ class RemainderProfile(namedtuple("RemainderProfile", "n convention samples")):
     __slots__ = ()
 
 
-def _validate_coeff_n(n: int) -> None:
+def _validate_coeff_n(n: int, conv: CountingConvention) -> CountingConvention:
     """A sphere parameter n for a coefficient route: ``validate_sphere_n``,
-    then ``WorkLimitError`` above ``MAX_COEFF_N``, before any other check."""
+    then ``WorkLimitError`` above ``MAX_COEFF_N``, before any other check;
+    then the convention, read as ``CountingConvention(conv)`` and returned."""
     if validate_sphere_n(n) > MAX_COEFF_N:
         raise WorkLimitError(f"n must be <= {MAX_COEFF_N}")
+    return CountingConvention(conv)
 
 
 def closed_scale(n: int) -> int:
@@ -215,7 +216,7 @@ def leading_coefficient_series(
     ``MAX_COEFF_N``; ``digits`` is checked by ``exact.validate_digits``
     after n and eps.
     """
-    _validate_coeff_n(n)
+    conv = _validate_coeff_n(n, conv)
     if eps <= 0:
         raise ValueError("eps must be > 0")
     if not math.isfinite(eps):
@@ -293,7 +294,7 @@ def leading_coefficient_closed(
     ``exact.validate_digits`` checks ``digits``, before the polynomial is
     built.
     """
-    _validate_coeff_n(n)
+    conv = _validate_coeff_n(n, conv)
     validate_digits(digits)
     scale = closed_scale(n)
     coeffs = [-_convention_gap(n, conv) / scale]
@@ -320,29 +321,26 @@ def leading_coefficient_closed(
     )
 
 
-def empirical_ratio(n: int, lam: Fraction | float, conv: CountingConvention) -> float:
-    """Finite-lambda ratio N(lambda)/lambda^n, correctly rounded.
-
-    The quotient is taken in exact rationals, since lambda^n overflows a
-    float for large n. An n above ``MAX_COEFF_N`` raises ``WorkLimitError``
-    before any count.
-    """
-    from .spectrum import count_N
-
-    _validate_coeff_n(n)
-    if lam < 2:
-        raise ValueError("lambda must be >= 2")
-    count = count_N(n, lam, conv)
-    return float(Fraction(count) / Fraction(lam) ** n)
-
-
 def empirical_report(
     n: int, lam: Fraction | float, conv: CountingConvention
 ) -> CoefficientReport:
-    """Empirical coefficient with a half-lambda self-consistency heuristic.
-    An n above ``MAX_COEFF_N`` raises ``WorkLimitError`` before any count."""
-    ratio = empirical_ratio(n, lam, conv)
-    ratio_half = empirical_ratio(n, max(Fraction(lam) / 2, 2), conv)
+    """Empirical coefficient N(lambda)/lambda^n with a half-lambda
+    self-consistency heuristic.
+
+    Each ratio is correctly rounded: the quotient is taken in exact
+    rationals, since lambda^n overflows a float for large n. The bound is
+    the change of the ratio between max(lambda/2, 2) and lambda. An n above
+    ``MAX_COEFF_N`` raises ``WorkLimitError`` before any count.
+    """
+    from .spectrum import count_N
+
+    conv = _validate_coeff_n(n, conv)
+    if lam < 2:
+        raise ValueError("lambda must be >= 2")
+    ratio = float(Fraction(count_N(n, lam, conv)) / Fraction(lam) ** n)
+    # built after the first count, which refuses an infinite or nan lambda
+    half = max(Fraction(lam) / 2, 2)
+    ratio_half = float(Fraction(count_N(n, half, conv)) / Fraction(half) ** n)
     return CoefficientReport(
         n=n,
         convention=conv,
@@ -373,6 +371,7 @@ def remainder_profile(
     from .spectrum import count_N
 
     validate_sphere_n(n)
+    conv = CountingConvention(conv)
     if not lambdas:
         raise ValueError("at least one lambda required")
     if any(isinstance(lam, float) and not math.isfinite(lam) for lam in lambdas):

@@ -202,7 +202,7 @@ def _arccot(x: int, one: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _pi_squared(bits: int) -> int:
     """pi^2 2^bits, within 2 of the true value.
 

@@ -241,6 +241,7 @@ def count_N(
     in a process that runs threads, so call it there with ``workers`` = 1.
     """
     validate_sphere_n(n)
+    conv = CountingConvention(conv)
     try:
         workers = operator.index(workers)
     except TypeError:
@@ -306,6 +307,7 @@ def spectrum_table(
     ``WorkLimitError`` before any list is built.
     """
     validate_sphere_n(n)
+    conv = CountingConvention(conv)
     M = _floor_half(lambda_max, 2, "lambda_max")
     if M > MAX_TABLE_ENTRIES:
         raise WorkLimitError(f"spectrum needs more than {MAX_TABLE_ENTRIES} entries")

@@ -17,7 +17,6 @@ import mpmath
 
 from kohncount.asymptotics import (
     closed_scale,
-    empirical_ratio,
     leading_coefficient_closed,
     leading_coefficient_series,
     remainder_profile,

@@ -25,7 +25,6 @@ from kohncount.asymptotics import (
     _select_truncation,
     _tail_bracket,
     closed_scale,
-    empirical_ratio,
     empirical_report,
     leading_coefficient_closed,
     leading_coefficient_series,
@@ -413,12 +412,6 @@ N_CAPPED = {
         asymptotics,
         "_inverse_power_coeffs",
     ),
-    "empirical_ratio": (
-        lambda n: empirical_ratio(n, 200000, PAPER),
-        "MAX_COEFF_N",
-        spectrum,
-        "count_N",
-    ),
     "empirical_report": (
         lambda n: empirical_report(n, 200000, PAPER),
         "MAX_COEFF_N",
@@ -458,10 +451,6 @@ def test_n_cap_refuses_before_any_work(monkeypatch, name):
         ("leading_coefficient_series(10**5)", "n must be <= 2000"),
         ("leading_coefficient_closed(10**5)", "n must be <= 2000"),
         (
-            "empirical_ratio(10**5, 200000, CountingConvention.FULL_SPECTRUM)",
-            "n must be <= 2000",
-        ),
-        (
             "empirical_report(10**5, 200000, CountingConvention.FULL_SPECTRUM)",
             "n must be <= 2000",
         ),
@@ -490,13 +479,13 @@ def test_n_cap_refuses_huge_n_at_once(call, message):
 
 
 def test_empirical_ratio_small_values():
-    assert empirical_ratio(2, 2, FULL) == 0.5
-    assert empirical_ratio(2, 2, PAPER) == 0.0
+    assert empirical_report(2, 2, FULL).value == Fraction(1, 2)
+    assert empirical_report(2, 2, PAPER).value == 0
 
 
 def test_empirical_ratio_converges():
     closed = float(leading_coefficient_closed(2, FULL).value)
-    ratio = empirical_ratio(2, 2e5, FULL)
+    ratio = float(empirical_report(2, 2e5, FULL).value)
     assert abs(ratio - closed) / closed < 0.01
 
 
@@ -505,7 +494,7 @@ def test_empirical_report_fields():
     assert report.method == "empirical"
     assert report.lam == 4096
     assert report.error_bound > 0
-    assert float(report.value) == empirical_ratio(2, 4096, FULL)
+    assert float(report.value) == float(Fraction(count_N(2, 4096, FULL), 4096**2))
 
 
 @pytest.mark.parametrize("conv", [PAPER, FULL])

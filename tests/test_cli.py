@@ -364,6 +364,15 @@ def test_coeff_both_conventions_sum_the_series_once(capsys, monkeypatch):
     assert paper["K"] == full["K"] and paper["error_bound"] == full["error_bound"]
 
 
+def test_coeff_both_conventions_compute_pi_squared_once(capsys):
+    # both conventions evaluate their closed forms at one precision
+    exact._pi_squared.cache_clear()
+    rc, _, _ = run_cli(capsys, "coeff", "--n", "5", "--method", "closed")
+    assert rc == 0
+    info = exact._pi_squared.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_lambda_parses_exactly(capsys, monkeypatch):
     # 2^53 + 1 is the first integer a float cannot hold
     parser = build_parser()

@@ -364,6 +364,14 @@ def test_pi_squared_within_two_units(bits):
         assert abs(_pi_squared(bits) - mpmath.pi**2 * 2**bits) < 2
 
 
+def test_pi_squared_keeps_the_last_precision_only():
+    # a sweep over precisions holds one pi^2, not one per precision
+    _pi_squared.cache_clear()
+    for digits in (16, 200):
+        pipoly_eval(PiPolynomial((0, 1)), digits)
+    assert _pi_squared.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("n", [2, 5, 60, 600])
 @pytest.mark.parametrize("conv", list(CountingConvention), ids=lambda c: c.value)
 @pytest.mark.parametrize("digits", [16, 50])
