@@ -330,15 +330,16 @@ def empirical_report(
     Each ratio is correctly rounded: the quotient is taken in exact
     rationals, since lambda^n overflows a float for large n. The bound is
     the change of the ratio between max(lambda/2, 2) and lambda. An n above
-    ``MAX_COEFF_N`` raises ``WorkLimitError`` before any count.
+    ``MAX_COEFF_N`` raises ``WorkLimitError`` before any count; then lambda
+    is checked, before any count too, by the bound reader that ``count_N``
+    uses: below 2 (-inf too) raises ``ValueError("lambda must be >= 2")``,
+    and an infinite or nan float ``ValueError("lambda must be finite")``.
     """
-    from .spectrum import count_N
+    from .spectrum import _floor_half, count_N
 
     conv = _validate_coeff_n(n, conv)
-    if lam < 2:
-        raise ValueError("lambda must be >= 2")
+    _floor_half(lam, 2, "lambda")
     ratio = float(Fraction(count_N(n, lam, conv)) / Fraction(lam) ** n)
-    # built after the first count, which refuses an infinite or nan lambda
     half = max(Fraction(lam) / 2, 2)
     ratio_half = float(Fraction(count_N(n, half, conv)) / Fraction(half) ** n)
     return CoefficientReport(

@@ -1,11 +1,12 @@
 """Command-line front end: spectrum tables, counting, coefficients, profiles.
 
 Subcommands: ``spectrum``, ``count``, ``coeff``, ``converge``, ``weyl``.
-Exit codes: 0 success, 2 usage/validation error or failed write, 3 a
-request beyond a work cap (2^40 count index steps, 2^24 table entries,
-10^9 series terms, 10^5 ``converge`` points, 10^5 ``coeff`` digits, a
-``coeff`` n above 2000 or a ``weyl`` n above 5000), 141 stdout closed by
-its reader. Identical flags produce byte-identical bytes.
+Exit codes: 0 success, 2 usage/validation error, failed write or failed
+counting process, 3 a request beyond a work cap (2^40 count index steps,
+2^24 table entries, 10^9 series terms, 10^5 ``converge`` points, 10^5
+``coeff`` digits, a ``coeff`` n above 2000 or a ``weyl`` n above 5000),
+141 stdout closed by its reader. Identical flags produce byte-identical
+bytes.
 
 The caps are the library's, checked where the work is done; the CLI checks
 only its own input: ``--precision``, which it renders to, by the library's
@@ -291,9 +292,9 @@ def _report_record(report: CoefficientReport, digits: int) -> dict:
         "error_bound": repr(report.error_bound),
         "digits": digits,
     }
-    if report.method == "series":
+    if report.truncation_K is not None:
         record["K"] = report.truncation_K
-    if report.method == "empirical":
+    if report.lam is not None:
         record["lambda"] = float(report.lam)
     return record
 
@@ -418,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return HANDLERS[args.command](args)
-    except (ValueError, WorkLimitError) as exc:
+    except (ValueError, WorkLimitError, ChildProcessError) as exc:
         print(f"kohncount: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, WorkLimitError) else 2
     except BrokenPipeError:

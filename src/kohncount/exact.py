@@ -171,22 +171,24 @@ class PiPolynomial:
         return NotImplemented
 
     def to_string(self) -> str:
-        """Render as e.g. ``-1/1024 + 1/18*pi^2 + 11/270*pi^4`` (ascending)."""
-        terms = [(c, 2 * j) for j, c in enumerate(self.coeffs) if c != 0]
-        if not terms:
-            return "0"
-        parts: list[str] = []
-        for i, (c, e) in enumerate(terms):
-            mag = -c if c < 0 else c
-            if e == 0:
-                body = str(mag)
-            else:
-                body = f"pi^{e}" if mag == 1 else f"{mag}*pi^{e}"
-            if i == 0:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f"- {body}" if c < 0 else f"+ {body}")
-        return " ".join(parts)
+        """Render as e.g. ``-1/1024 + 1/18*pi^2 + 11/270*pi^4`` (ascending).
+
+        Each nonzero term is spelled with its own sign: ``c`` for the
+        constant, and ``pi^e``, ``-pi^e`` or ``c*pi^e`` for the others. The
+        terms are joined by ``" + "``, and ``" + -"`` then reads ``" - "``;
+        no terms give ``0``. A numerator or denominator of more than 4300
+        digits, as in ``weyl_ball_constant(1000)``, raises Python's
+        ``ValueError`` for int-to-str conversions unless the caller lifts
+        that process-wide cap with ``sys.set_int_max_str_digits``, as
+        ``cli.main`` does for each command.
+        """
+        units = {1: "", -1: "-"}
+        terms = [
+            str(c) if j == 0 else f"{units.get(c, f'{c}*')}pi^{2 * j}"
+            for j, c in enumerate(self.coeffs)
+            if c
+        ]
+        return " + ".join(terms).replace(" + -", " - ") or "0"
 
 
 def _arccot(x: int, one: int) -> int:
@@ -224,10 +226,12 @@ def pipoly_eval(poly: PiPolynomial, digits: int = DEFAULT_DIGITS) -> Fraction:
     to within 2 units, so the sum stands for the value times 2^S. Beside it
     runs a bound on the sum's error: a step that multiplies by P and floors
     carries an error e to at most (e (P + 2) + 2|sum|) / 2^B + 1, and adding
-    the floored C_j adds 1 more. S is set so that the sum is about 2^B, and
-    B grows until the bound is relative 10^-(digits+20). The bound is
-    relative, as the coefficient at n = 600 is about 10^-1590. ``digits``
-    is checked by ``validate_digits`` before any work.
+    the floored C_j adds 1 more. That bound is in units of the sum, so it
+    holds at any S >= 0: S = max(B - top, 0), with 2^top about the largest
+    term, so that the sum is about 2^B, or the terms unscaled when they are
+    larger. B grows until the bound is 10^-(digits+20) of the sum: a
+    relative bound, as the coefficient at n = 600 is about 10^-1590.
+    ``digits`` is checked by ``validate_digits`` before any work.
     """
     validate_digits(digits)
     coeffs = poly.coeffs
@@ -242,14 +246,9 @@ def pipoly_eval(poly: PiPolynomial, digits: int = DEFAULT_DIGITS) -> Fraction:
         if c
     )
     while True:
-        shift = bits - top
+        shift = max(bits - top, 0)
         pi2 = _pi_squared(bits)
-        scaled = [
-            (c.numerator << shift) // c.denominator
-            if shift >= 0
-            else c.numerator // (c.denominator << -shift)
-            for c in coeffs
-        ]
+        scaled = [(c.numerator << shift) // c.denominator for c in coeffs]
         pi2_up = pi2 + 2
         acc = scaled[-1]
         err = 1
@@ -259,7 +258,7 @@ def pipoly_eval(poly: PiPolynomial, digits: int = DEFAULT_DIGITS) -> Fraction:
         # this makes err <= 10^-(digits+20) (|acc| - err)
         need = err * (10 ** (digits + 20) + 1)
         if abs(acc) >= need:
-            return Fraction(acc, 1 << shift) if shift >= 0 else Fraction(acc << -shift)
+            return Fraction(acc, 1 << shift)
         bits += max(need.bit_length() - abs(acc).bit_length() + 1, 16)
 
 

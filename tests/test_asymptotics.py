@@ -511,6 +511,27 @@ def test_empirical_report_clamps_half_lambda_at_two(lam, n, conv):
     assert report.error_bound == abs(ratio(lam) - ratio(half))
 
 
+@pytest.mark.parametrize("conv", [PAPER, FULL])
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        (math.inf, "lambda must be finite"),
+        (math.nan, "lambda must be finite"),
+        (-math.inf, "lambda must be >= 2"),
+        (1.5, "lambda must be >= 2"),
+    ],
+)
+def test_empirical_report_checks_lambda_before_any_count(
+    monkeypatch, lam, message, conv
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted before lambda was checked")
+
+    monkeypatch.setattr(spectrum, "count_N", refuse)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        empirical_report(2, lam, conv)
+
+
 # ---------------------------------------------------------------------------
 # remainder profile
 

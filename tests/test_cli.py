@@ -37,6 +37,7 @@ from kohncount.cli import (
 from kohncount.spectrum import CountingConvention, WorkLimitError, count_N
 from tests import test_golden as golden
 from tests.oracles import csv_text, parse_pi_string, to_mpf
+from tests.test_spectrum import assert_no_child_left
 
 PAPER = CountingConvention.PAPER_RESTRICTED
 FULL = CountingConvention.FULL_SPECTRUM
@@ -338,6 +339,26 @@ def test_count_workers_agree(capsys, monkeypatch):
     assert len(forks) == (1 if spectrum._usable_cpus() >= 2 else 0)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_count_exits_2_when_a_counting_process_fails(capsys, monkeypatch):
+    # a child whose kernel dies ends the command with one line and exit 2,
+    # as a failed write does, and leaves no child behind
+    parent = os.getpid()
+    kernel = spectrum._falling_factorial_sums
+
+    def dying(n, X, i_lo, i_hi):
+        if os.getpid() != parent:
+            os._exit(9)
+        return kernel(n, X, i_lo, i_hi)
+
+    monkeypatch.setattr(spectrum, "_falling_factorial_sums", dying)
+    monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+    argv = ["count", "--n", "10", "--lambda", str(2**29), "--workers", "2"]
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert re.fullmatch(r"kohncount: counting process \d+ exited with 9\n", err)
+    assert_no_child_left()
 
 
 def test_coeff_both_conventions_sum_the_series_once(capsys, monkeypatch):

@@ -313,6 +313,25 @@ def test_pipoly_scales_by_no_other_type():
         PiPolynomial((1,)) * "x"
 
 
+@pytest.mark.parametrize(
+    "coeffs, text",
+    [
+        ((1, -2, 1), "1 - 2*pi^2 + pi^4"),
+        ((0, -1), "-pi^2"),
+        ((-1, 0, 1), "-1 + pi^4"),
+        ((Fraction(-1, 2), 1, -1), "-1/2 + pi^2 - pi^4"),
+        ((0, 0, Fraction(3, 7)), "3/7*pi^4"),
+        ((), "0"),
+        ((0, 0), "0"),
+    ],
+)
+def test_pipoly_to_string_spelling(coeffs, text):
+    # the exact spelling, which the round trip through parse_pi_string does
+    # not pin: a later term's sign is " - ", not " + -", and a unit
+    # coefficient above the constant is written by its sign alone
+    assert PiPolynomial(coeffs).to_string() == text
+
+
 @given(poly_strategy, poly_strategy)
 @example(PiPolynomial((0, -1)), PiPolynomial((-1, 0, 1)))
 @settings(derandomize=True, max_examples=100)
@@ -333,6 +352,12 @@ def test_pipoly_rejects_odd_pi_powers():
 
 def test_pipoly_eval_zero():
     assert pipoly_eval(PiPolynomial(), 30) == 0
+
+
+def test_pipoly_eval_of_a_large_integer_is_exact():
+    # terms above 2^bits are summed unscaled, so an integer constant stays
+    # exact however large it is
+    assert pipoly_eval(PiPolynomial((10**400,)), 16) == 10**400
 
 
 def test_pipoly_eval_zeta2_30_digits():
